@@ -15,7 +15,7 @@ import hashlib
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -90,35 +90,32 @@ def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _format_cell(value, kind: str) -> str:
-    if kind == "deg":
-        return f"{value:.6f}"
-    if kind == "int":
-        return f"{int(value)}"
-    return f"{value:.8e}"  # nine significant digits
+_CELL_FORMATS = {"deg": "%.6f", "int": "%d", "sci": "%.8e"}  # sci: nine significant digits
 
 
 def _write_csv(
     out: str,
-    columns: Sequence[str],
+    header: Sequence[str],
     kinds: Sequence[str],
-    rows: Iterable[tuple],
+    columns: Sequence[np.ndarray],
     config: RunConfig,
     params: dict,
 ) -> None:
+    cells = []
+    for column, kind in zip(columns, kinds):
+        values = np.asarray(column)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("refusing to write non-finite output values")
+        cells.append(values.astype(np.int64 if kind == "int" else float).tolist())
+    row_format = ",".join(_CELL_FORMATS[kind] for kind in kinds)
     lines = [
         f"# qdeflect {__version__}",
         f"# command: {config.command}",
         f"# input sha256: {_sha256(config.input)}",
         "# params: " + " ".join(f"{k}={params[k]}" for k in sorted(params)),
-        ",".join(columns),
+        ",".join(header),
     ]
-    for row in rows:
-        cells = [_format_cell(v, kind) for v, kind in zip(row, kinds)]
-        for cell in cells:
-            if "nan" in cell or "inf" in cell:
-                raise ValueError("refusing to write non-finite output values")
-        lines.append(",".join(cells))
+    lines.extend([row_format % row for row in zip(*cells)])
     Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -132,11 +129,10 @@ def _window(config: RunConfig, j_top: int) -> JWindow:
     return JWindow(lo, hi)
 
 
-def _map_rows(grid: AngularGrid, j_values, values) -> Iterable[tuple]:
-    degs = grid.degrees
-    for i in range(len(grid)):
-        for jdx, J in enumerate(j_values):
-            yield degs[i], J, values[i, jdx]
+def _map_columns(grid: AngularGrid, j_values, values) -> tuple[np.ndarray, ...]:
+    """Long-format (theta_deg, J, value) columns, theta-major."""
+    n_j = len(j_values)
+    return np.repeat(grid.degrees, n_j), np.tile(j_values, len(grid)), np.ravel(values)
 
 
 def run(config: RunConfig) -> int:
@@ -155,15 +151,15 @@ def run(config: RunConfig) -> int:
     if cmd == "dcs":
         curve = dcs(block, grid)
         _write_csv(config.out, ("theta_deg", "dcs"), ("deg", "sci"),
-                   zip(grid.degrees, curve.values), config, params)
+                   (grid.degrees, curve.values), config, params)
     elif cmd == "opacity":
         js = range(block.header.J_max + 1)
-        rows = ((J, opacity(block, J)) for J in js)
-        _write_csv(config.out, ("J", "opacity"), ("int", "sci"), rows, config, {})
+        values = [opacity(block, J) for J in js]
+        _write_csv(config.out, ("J", "opacity"), ("int", "sci"), (js, values), config, {})
     elif cmd == "sigma-j":
         js = range(block.header.J_max + 1)
-        rows = ((J, partial_cross_section(block, J)) for J in js)
-        _write_csv(config.out, ("J", "sigma_j"), ("int", "sci"), rows, config, {})
+        values = [partial_cross_section(block, J) for J in js]
+        _write_csv(config.out, ("J", "sigma_j"), ("int", "sci"), (js, values), config, {})
     elif cmd in MAP_COMMANDS:
         if cmd == "qmdf":
             dmap = qmdf_map(block, grid)
@@ -188,27 +184,27 @@ def run(config: RunConfig) -> int:
                     file=sys.stderr,
                 )
         _write_csv(config.out, ("theta_deg", "J", "value"), ("deg", "int", "sci"),
-                   _map_rows(grid, dmap.j_values, values), config, params)
+                   _map_columns(grid, dmap.j_values, values), config, params)
     elif cmd == "sum-j":
         window = _window(config, block.header.J_max)
         curve = sum_over_j(qmdf_map(block, grid), window)
         params.update(jmin=window.j_lo, jmax=window.j_hi)
         _write_csv(config.out, ("theta_deg", "value"), ("deg", "sci"),
-                   zip(grid.degrees, curve.values), config, params)
+                   (grid.degrees, curve.values), config, params)
     elif cmd == "partial-dcs":
         window = _window(config, block.header.J_max)
         curve = partial_dcs(block, window, grid)
         params.update(jmin=window.j_lo, jmax=window.j_hi)
         _write_csv(config.out, ("theta_deg", "value"), ("deg", "sci"),
-                   zip(grid.degrees, curve.values), config, params)
+                   (grid.degrees, curve.values), config, params)
     elif cmd == "cqdf":
         omega_p = 0 if config.omega_prime is None else config.omega_prime
         curve = cqdf(block, omega_p, config.omega, mode=config.unwrap)
-        rows = zip(curve.j_values, curve.theta_tilde, np.degrees(curve.theta_tilde),
+        columns = (curve.j_values, curve.theta_tilde, np.degrees(curve.theta_tilde),
                    curve.magnitudes)
         _write_csv(config.out,
                    ("J", "theta_tilde_rad", "theta_tilde_deg", "magnitude"),
-                   ("int", "sci", "deg", "sci"), rows, config,
+                   ("int", "sci", "deg", "sci"), columns, config,
                    {"omega": config.omega, "omega_prime": omega_p, "unwrap": config.unwrap})
     else:
         raise ValueError(f"unknown command {cmd!r}")
@@ -247,13 +243,13 @@ def _run_qct(config: RunConfig) -> int:
             dmap = qct_df_legendre(ensemble, config.order_theta, config.order_j, grid, j_values)
         params["grid_deg"] = config.grid_deg
         _write_csv(config.out, ("theta_deg", "J", "value"), ("deg", "int", "sci"),
-                   _map_rows(grid, dmap.j_values, dmap.values), config, params)
+                   _map_columns(grid, dmap.j_values, dmap.values), config, params)
     elif config.command == "qct-dcs":
         params["order_theta"] = config.order_theta
         params["grid_deg"] = config.grid_deg
         curve = qct_dcs_legendre(ensemble, config.order_theta, grid)
         _write_csv(config.out, ("theta_deg", "value"), ("deg", "sci"),
-                   zip(grid.degrees, curve.values), config, params)
+                   (grid.degrees, curve.values), config, params)
     elif config.command == "qct-sigma-j":
         if config.estimator == "gaussian":
             cfg = kernel()
@@ -264,7 +260,7 @@ def _run_qct(config: RunConfig) -> int:
             fn = qct_sigma_j_legendre(ensemble, config.order_j)
         values = np.asarray(fn(j_values.astype(float)))
         _write_csv(config.out, ("J", "value"), ("int", "sci"),
-                   zip(j_values, values), config, params)
+                   (j_values, values), config, params)
     else:
         raise ValueError(f"unknown command {config.command!r}")
     return 0

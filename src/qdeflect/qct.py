@@ -32,7 +32,6 @@ from typing import IO, Callable, Mapping, Union
 
 import numpy as np
 from numpy.polynomial.legendre import legval, legvander
-from scipy.special import erf
 
 from .angular import AngularGrid
 from .observables import AngularCurve
@@ -314,6 +313,7 @@ def qct_df_gaussian(
 
     weights = ensemble.weights
     if renormalize_boundary:
+        erf = np.vectorize(math.erf, otypes=[float])
         f_theta = 0.5 * (
             erf((np.pi - ensemble.thetas) / config.s_theta)
             + erf(ensemble.thetas / config.s_theta)

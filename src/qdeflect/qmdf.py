@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import convolve1d
 
 from .angular import AngularGrid, integrate_curve
 from .observables import AngularCurve, AmplitudeCurve, partial_amplitude_rows, sum_rows
@@ -182,6 +181,25 @@ def _gauss_kernel(radius: int, sigma: float, spacing: float) -> np.ndarray:
     return w / w.sum()
 
 
+def _convolve_zero_padded(values: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+    """Convolution along one axis with zeros beyond the edges, for an odd,
+    exactly symmetric kernel.
+
+    Taps are paired as x[i] w[r] + sum_{j=r..1} (x[i-j] + x[i+j]) w[r-j]
+    and accumulated in that order, the order of the standard line-buffer
+    correlation for symmetric kernels; the tests compare the two bit for bit.
+    """
+    r = kernel.size // 2
+    x = np.moveaxis(values, axis, 0)
+    n = x.shape[0]
+    padded = np.zeros((n + 2 * r,) + x.shape[1:])
+    padded[r : r + n] = x
+    out = padded[r : r + n] * kernel[r]
+    for j in range(r, 0, -1):
+        out += (padded[r - j : r - j + n] + padded[r + j : r + j + n]) * kernel[r - j]
+    return np.moveaxis(out, 0, axis)
+
+
 def smooth_map(dmap: DeflectionMap, s_j: float, s_theta: float) -> DeflectionMap:
     """Separable normalized Gaussian smoothing for presentation.
 
@@ -194,13 +212,13 @@ def smooth_map(dmap: DeflectionMap, s_j: float, s_theta: float) -> DeflectionMap
     values = np.array(dmap.values)
     if s_j > 0:
         kernel = _gauss_kernel(max(1, math.ceil(6.0 * s_j)), s_j, 1.0)
-        values = convolve1d(values, kernel, axis=1, mode="constant", cval=0.0)
+        values = _convolve_zero_padded(values, kernel, axis=1)
     if s_theta > 0:
         if not dmap.grid.is_uniform:
             raise ValueError("theta smoothing needs a uniform grid")
         h = float(dmap.grid.thetas[1] - dmap.grid.thetas[0])
         kernel = _gauss_kernel(max(1, math.ceil(6.0 * s_theta / h)), s_theta, h)
-        values = convolve1d(values, kernel, axis=0, mode="constant", cval=0.0)
+        values = _convolve_zero_padded(values, kernel, axis=0)
     return DeflectionMap(dmap.grid, dmap.j_values, values)
 
 

@@ -19,6 +19,7 @@ Loaded blocks are immutable; share them freely across threads.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -232,6 +233,8 @@ def load_smatrix(source: Source) -> SMatrixBlock:
                 re_part, im_part = float(fields[3]), float(fields[4])
             except ValueError:
                 raise SMatrixParseError(f"malformed entry {body!r}", lineno) from None
+            if not (math.isfinite(re_part) and math.isfinite(im_part)):
+                raise SMatrixParseError(f"non-finite S-matrix element {body!r}", lineno)
             key = (J, omega, omega_p)
             if key in entries:
                 raise SMatrixValidationError(

@@ -251,10 +251,18 @@ def parse_model_file(source: Union[str, Path, bytes]) -> SynthSpec:
             raise ValueError(f"model file line {lineno}: expected key = value")
         key, _, val = body.partition("=")
         key, val = key.strip().lower(), val.strip()
-        if key == "branch":
-            branches.append([float(tok) for tok in val.split()])
-        elif key == "cbranch":
-            cbranches.append([float(tok) for tok in val.split()])
+        if key in ("branch", "cbranch"):
+            try:
+                row = [float(tok) for tok in val.split()]
+            except ValueError:
+                raise ValueError(f"model file line {lineno}: {key} values must be numbers") from None
+            # h j0 w c0 ... or weight t0 ...: at least one polynomial coefficient
+            need = 4 if key == "branch" else 2
+            if len(row) < need:
+                raise ValueError(
+                    f"model file line {lineno}: '{key} =' needs at least {need} numbers, got {len(row)}"
+                )
+            (branches if key == "branch" else cbranches).append(row)
         else:
             scalars[key] = val
 

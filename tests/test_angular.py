@@ -57,3 +57,38 @@ def test_integrate_curve_simpson_fallback():
     values = np.sin(grid.thetas) ** 2
     assert not grid.is_uniform
     assert integrate_curve(grid, values) == pytest.approx(np.pi / 2, rel=1e-6)
+
+
+def _dst_reference(values):
+    """The sine-series rule through scipy's DST-I: odd harmonic m integrates to 2/m."""
+    from scipy.fft import dst
+
+    inner = np.asarray(values, dtype=float)[1:-1]
+    n = inner.size + 1
+    coeffs = dst(inner, type=1) / n
+    m = np.arange(1, inner.size + 1)
+    return float(np.sum(coeffs[::2] * 2.0 / m[::2]))
+
+
+# 0.01 degrees (18001 points): a fine grid that --grid-deg accepts
+@pytest.mark.parametrize("step_deg", [0.25, 0.5, 0.01])
+def test_sine_quadrature_matches_dst_reference(step_deg, rng):
+    grid = AngularGrid.uniform(step_deg)
+    for _ in range(10):
+        # DCS-like curves: |sum_l c_l P_l(cos theta)|^2 sin(theta), and a signed map column
+        coeffs = rng.standard_normal(40)
+        amp = np.polynomial.legendre.legval(np.cos(grid.thetas), coeffs)
+        for values in (amp**2 * grid.sin_thetas, amp * np.cos(grid.thetas) * grid.sin_thetas):
+            want = _dst_reference(values)
+            assert fourier_sine_quadrature(grid, values) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("n_points", [2, 3, 4, 7, 10, 101, 400])
+def test_simpson_matches_scipy_on_irregular_grids(n_points, rng):
+    from scipy.integrate import simpson
+
+    grid = AngularGrid(np.sort(rng.uniform(0.0, np.pi, n_points)))
+    assert not grid.spans_full_range
+    for values in (np.sin(grid.thetas) ** 2, np.exp(np.cos(3 * grid.thetas)) + grid.thetas):
+        want = float(simpson(values, x=grid.thetas))
+        assert integrate_curve(grid, values) == pytest.approx(want, rel=1e-12)

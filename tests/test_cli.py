@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qdeflect
 from qdeflect import load_smatrix, load_trajectories
-from qdeflect.cli import main
+from qdeflect.cli import RunConfig, _write_csv, main
 
 QUAD_MODEL = """\
 kind = quadratic
@@ -289,3 +295,70 @@ def test_bad_flag_exits_1(block_file, tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["dcs", str(block_file), "--out", str(tmp_path / "x.csv"), "--grid-deg", "oops"])
     assert excinfo.value.code == 1
+
+
+def test_non_finite_entry_exits_1_naming_line(tmp_path, capsys):
+    for bad in ("nan 0.0", "0.5 inf", "-inf 0.0"):
+        path = tmp_path / "bad.smat"
+        path.write_text(f"k 1.0 u\nchannel j=0 jp=0 v=0 vp=0 Jmax=2\n0 0 0 1.0 0.0\n1 0 0 {bad}\n")
+        out = tmp_path / "x.csv"
+        assert main(["dcs", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "line 4" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+def test_short_branch_line_exits_1_naming_line(tmp_path, capsys):
+    model = tmp_path / "model.txt"
+    model.write_text("kind = two-branch\njmax = 30\nbranch = 0.8 10\nbranch = 0.8 20 4 0.0 -0.5\n")
+    assert main(["synth", str(model), "--out", str(tmp_path / "b.smat")]) == 1
+    err = capsys.readouterr().err
+    assert "line 3" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_writer_refuses_non_finite_value(block_file, tmp_path, bad):
+    out = tmp_path / "x.csv"
+    config = RunConfig(command="dcs", input=str(block_file), out=str(out))
+    with pytest.raises(ValueError, match="non-finite"):
+        _write_csv(str(out), ("theta_deg", "dcs"), ("deg", "sci"),
+                   (np.array([0.0, 90.0]), np.array([1.0, bad])), config, {})
+    assert not out.exists()
+
+
+def test_writer_rows_match_per_cell_formatting(block_file, tmp_path, rng):
+    degs = rng.uniform(0.0, 180.0, 64)
+    js = np.arange(64)
+    values = rng.standard_normal(64) * 10.0 ** rng.integers(-300, 300, 64)
+    values[:3] = (0.0, -0.0, 5e-324)
+    out = tmp_path / "x.csv"
+    config = RunConfig(command="qmdf", input=str(block_file), out=str(out))
+    _write_csv(str(out), ("theta_deg", "J", "value"), ("deg", "int", "sci"),
+               (degs, js, values), config, {})
+    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")][1:]
+    assert rows == [f"{d:.6f},{int(J)},{v:.8e}" for d, J, v in zip(degs, js, values)]
+
+
+def _scipy_modules_after(code: str) -> str:
+    """Run code in a fresh interpreter; report the scipy modules it loaded."""
+    src = str(Path(qdeflect.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = code + "\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy():
+    assert _scipy_modules_after("import qdeflect, qdeflect.cli") == "[]"
+
+
+def test_smoothed_qmdf_run_loads_no_scipy(block_file, tmp_path):
+    out = tmp_path / "q.csv"
+    argv = ["qmdf", str(block_file), "--out", str(out), "--smooth-j", "1.5", "--smooth-theta-deg", "1.0"]
+    code = f"from qdeflect.cli import main\nassert main({argv!r}) == 0"
+    assert _scipy_modules_after(code) == "[]"
+    assert out.exists()

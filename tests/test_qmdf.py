@@ -20,7 +20,7 @@ from qdeflect import (
     smooth_map,
     sum_over_j,
 )
-from qdeflect.qmdf import DeflectionMap
+from qdeflect.qmdf import DeflectionMap, _gauss_kernel
 from conftest import make_block, random_block
 from oracles import brute_force_qmdf
 
@@ -289,6 +289,29 @@ class TestSmoothMap:
         dmap = DeflectionMap(grid, np.arange(41), values)
         out = smooth_map(dmap, 1.5, np.radians(1.0))
         assert out.values.sum() == pytest.approx(values.sum(), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "s_j, s_theta_deg",
+        # the last two kernels reach past the 11-point J axis and the 181-point theta axis
+        [(0.3, 0.0), (1.5, 0.0), (0.0, 1.0), (1.5, 1.0), (0.7, 7.5), (4.0, 0.0), (0.0, 40.0)],
+    )
+    def test_matches_ndimage_convolve1d_bit_for_bit(self, rng, s_j, s_theta_deg):
+        from scipy.ndimage import convolve1d
+
+        grid = AngularGrid.uniform(1.0)
+        values = rng.standard_normal((len(grid), 11))
+        values[rng.random(values.shape) < 0.2] = 0.0
+        s_theta = np.radians(s_theta_deg)
+        want = values
+        if s_j:
+            kernel = _gauss_kernel(max(1, int(np.ceil(6.0 * s_j))), s_j, 1.0)
+            want = convolve1d(want, kernel, axis=1, mode="constant", cval=0.0)
+        if s_theta:
+            h = float(grid.thetas[1] - grid.thetas[0])
+            kernel = _gauss_kernel(max(1, int(np.ceil(6.0 * s_theta / h))), s_theta, h)
+            want = convolve1d(want, kernel, axis=0, mode="constant", cval=0.0)
+        got = smooth_map(DeflectionMap(grid, np.arange(11), values), s_j, s_theta).values
+        assert np.array_equal(got, want)
 
     def test_negative_width_rejected(self, rng):
         dmap = qmdf_map(random_block(rng, j_max=4), GRID)

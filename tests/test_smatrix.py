@@ -61,6 +61,14 @@ def test_parse_error_carries_line_number():
     assert excinfo.value.line == 3
 
 
+@pytest.mark.parametrize("values", ["nan 0.0", "0.1 nan", "inf 0.0", "0.1 -inf"])
+def test_non_finite_entry_rejected_with_line_number(values):
+    text = f"k 1.0 1/angstrom\nchannel j=0 jp=0 v=0 vp=0 Jmax=2\n0 0 0 1.0 0.0\n\n1 0 0 {values}\n"
+    with pytest.raises(SMatrixParseError, match="non-finite") as excinfo:
+        load_smatrix(text.encode())
+    assert excinfo.value.line == 5
+
+
 def test_entries_before_header_rejected():
     with pytest.raises(SMatrixParseError):
         load_smatrix(b"0 0 0 1.0 0.0\n")

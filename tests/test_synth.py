@@ -187,6 +187,17 @@ class TestModelFiles:
         assert len(ens) == 150
         assert ens.sigma_r == 2.0
 
+    @pytest.mark.parametrize(
+        "kind, line",
+        [("two-branch", "branch = 0.8 10"), ("two-branch", "branch = 0.8 10 4"),
+         ("two-branch", "branch = 0.8 x 4 0.0"), ("classical", "cbranch = 1.0"),
+         ("classical", "cbranch =")],
+    )
+    def test_malformed_branch_line_names_line(self, kind, line):
+        text = f"kind = {kind}\njmax = 30\n{line}\nbranch = 0.8 20 4 0.0 -0.5\n"
+        with pytest.raises(ValueError, match="line 3"):
+            parse_model_file(text)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             parse_model_file("kind = cubic\njmax = 5\n")
