@@ -73,4 +73,4 @@ from .synth import (
     synth_trajectories,
     two_branch_model,
 )
-from .wigner import DTableRequest, wigner_d, wigner_d_column, wigner_d_table
+from .wigner import wigner_d, wigner_d_table

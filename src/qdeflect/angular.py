@@ -39,13 +39,18 @@ class AngularGrid:
 
     @classmethod
     def uniform(cls, step_deg: float = DEFAULT_STEP_DEG) -> "AngularGrid":
-        """Uniform grid over [0, pi] inclusive with the given spacing in degrees."""
-        if step_deg <= 0.0:
+        """Uniform grid over [0, pi] inclusive with the given spacing in degrees.
+
+        The spacing must divide 180 degrees (to 1e-9 relative), so the grid
+        samples at exactly the step it was asked for.
+        """
+        if not step_deg > 0.0:
             raise ValueError("grid spacing must be positive")
-        n = int(round(180.0 / step_deg)) + 1
-        if n < 2:
-            raise ValueError("grid spacing too coarse")
-        return cls(np.linspace(0.0, np.pi, n))
+        intervals = 180.0 / step_deg
+        n = round(intervals)
+        if abs(intervals - n) > _UNIFORM_RTOL * intervals:
+            raise ValueError(f"grid spacing {step_deg} deg does not divide 180 deg")
+        return cls(np.linspace(0.0, np.pi, n + 1))
 
     def __len__(self) -> int:
         return int(self.thetas.size)

@@ -62,21 +62,17 @@ def _check_j(block: SMatrixBlock, J: int) -> None:
         raise ValueError(f"J={J} outside the block range 0..{block.header.J_max}")
 
 
-def _sum_sq(block: SMatrixBlock, J: int) -> float:
-    return sum(abs(v) ** 2 for _, v in block.entries_at_j(J))
-
-
 def opacity(block: SMatrixBlock, J: int) -> float:
     """P(J) = sum_{Omega Omega'} |S^J|^2 / (2 min(J, j) + 1)."""
     _check_j(block, J)
-    return _sum_sq(block, J) / (2 * min(J, block.header.j) + 1)
+    return block.sum_sq_at_j(J) / (2 * min(J, block.header.j) + 1)
 
 
 def partial_cross_section(block: SMatrixBlock, J: int) -> float:
     """sigma^J = (pi/k^2) (2J+1)/(2j+1) sum |S^J|^2."""
     _check_j(block, J)
     h = block.header
-    return np.pi / h.k**2 * (2 * J + 1) / (2 * h.j + 1) * _sum_sq(block, J)
+    return np.pi / h.k**2 * (2 * J + 1) / (2 * h.j + 1) * block.sum_sq_at_j(J)
 
 
 def integral_cross_section(block: SMatrixBlock) -> float:

@@ -78,14 +78,15 @@ class TrajectoryEnsemble:
             raise ValueError("weights, j_values, thetas must be 1-D and congruent")
         if np.any(w < 0) or not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite and nonnegative")
-        if np.any((t < 0) | (t > np.pi)):
+        # written as "not in range" so that NaN fails too
+        if not np.all((t >= 0) & (t <= np.pi)):
             raise ValueError("thetas must lie in [0, pi]")
-        if self.j_max <= 0:
-            raise ValueError("j_max must be positive")
-        if np.any((j < 0) | (j > self.j_max)):
+        if not (math.isfinite(self.j_max) and self.j_max > 0):
+            raise ValueError("j_max must be positive and finite")
+        if not np.all((j >= 0) & (j <= self.j_max)):
             raise ValueError("j_values must lie in [0, j_max]")
-        if self.sigma_r < 0:
-            raise ValueError("sigma_r must be nonnegative")
+        if not (math.isfinite(self.sigma_r) and self.sigma_r >= 0):
+            raise ValueError("sigma_r must be nonnegative and finite")
         for arr, name in ((w, "weights"), (j, "j_values"), (t, "thetas")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -384,9 +385,12 @@ def load_trajectories(source: Source) -> TrajectoryEnsemble:
         if len(fields) != 3:
             raise ValueError(f"line {lineno}: expected 'w J theta_deg'")
         try:
-            rows.append((float(fields[0]), float(fields[1]), float(fields[2])))
+            row = (float(fields[0]), float(fields[1]), float(fields[2]))
         except ValueError:
             raise ValueError(f"line {lineno}: malformed record {stripped!r}") from None
+        if not (math.isfinite(row[0]) and math.isfinite(row[1]) and math.isfinite(row[2])):
+            raise ValueError(f"line {lineno}: non-finite value in record {stripped!r}")
+        rows.append(row)
     for key in ("sigma_r", "j_max"):
         if key not in meta:
             raise ValueError(f"trajectory header is missing '# {key} = ...'")

@@ -19,7 +19,9 @@ Loaded blocks are immutable; share them freely across threads.
 from __future__ import annotations
 
 import io
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -88,7 +90,8 @@ class SMatrixBlock:
     """Complex amplitudes S^J_{Omega' Omega} for one channel pair.
 
     Missing (J, Omega, Omega') keys are exactly zero.  Construction
-    validates every key against the header bounds.
+    validates every key against the header bounds and indexes the entries
+    once, by helicity pair and by J.
     """
 
     header: ChannelHeader
@@ -102,29 +105,50 @@ class SMatrixBlock:
             validated[key] = complex(value)
         object.__setattr__(self, "entries", MappingProxyType(validated))
 
+        keys = sorted(validated)
+        by_pair: dict[tuple[int, int], tuple[list[int], list[complex]]] = {}
+        for J, omega, omega_p in keys:
+            js, amps = by_pair.setdefault((omega, omega_p), ([], []))
+            js.append(J)
+            amps.append(validated[J, omega, omega_p])
+        columns = {}
+        for pair, (js, amps) in by_pair.items():
+            column = (np.array(js, dtype=int), np.array(amps, dtype=complex))
+            for arr in column:
+                arr.setflags(write=False)
+            columns[pair] = column
+        object.__setattr__(self, "_columns", columns)
+        # Python's sum() over each J's entries in sorted-key order; the
+        # opacity and sigma_j output bytes depend on this order
+        sum_sq = {
+            J: sum(abs(validated[key]) ** 2 for key in group)
+            for J, group in itertools.groupby(keys, key=operator.itemgetter(0))
+        }
+        object.__setattr__(self, "_sum_sq", sum_sq)
+
     def __len__(self) -> int:
         return len(self.entries)
 
     def js_with_entries(self) -> list[int]:
-        return sorted({key[0] for key in self.entries})
+        return sorted(self._sum_sq)
 
     def helicity_pairs(self) -> list[tuple[int, int]]:
         """Sorted (Omega, OmegaPrime) pairs that have at least one entry."""
-        return sorted({(key[1], key[2]) for key in self.entries})
+        return sorted(self._columns)
 
-    def entries_at_j(self, J: int) -> list[tuple[EntryKey, complex]]:
-        return sorted((k, v) for k, v in self.entries.items() if k[0] == J)
+    def sum_sq_at_j(self, J: int) -> float:
+        """sum over (Omega, OmegaPrime) of |S^J|^2; 0.0 where J has no entry."""
+        return self._sum_sq.get(J, 0.0)
 
     def j_column(self, omega: int, omega_p: int) -> tuple[np.ndarray, np.ndarray]:
-        """(J values, amplitudes) present at a fixed helicity pair, ascending J."""
-        items = sorted(
-            (key[0], value)
-            for key, value in self.entries.items()
-            if key[1] == omega and key[2] == omega_p
-        )
-        js = np.array([j for j, _ in items], dtype=int)
-        amps = np.array([s for _, s in items], dtype=complex)
-        return js, amps
+        """(J values, amplitudes) present at a fixed helicity pair, ascending J.
+
+        Both arrays are read-only and shared by every call.
+        """
+        column = self._columns.get((omega, omega_p))
+        if column is None:
+            return np.array([], dtype=int), np.array([], dtype=complex)
+        return column
 
     def scaled(self, factor: complex) -> "SMatrixBlock":
         """New block with every amplitude multiplied by factor."""

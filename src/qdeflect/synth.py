@@ -224,7 +224,8 @@ class SynthSpec:
 
 
 def parse_model_file(source: Union[str, Path, bytes]) -> SynthSpec:
-    """Read a key = value model spec.
+    """Read a key = value model spec from a file (a Path) or from the spec
+    text itself (str or bytes).
 
     Common keys: kind, jmax, seed.  Phase kinds use k, j0, w, h plus c
     (linear slope) or alpha (quadratic curvature), or repeated
@@ -233,12 +234,12 @@ def parse_model_file(source: Union[str, Path, bytes]) -> SynthSpec:
     'cbranch = weight t0 t1 ...' lines plus noise, count, sigma_r, and
     'isotropic = 1' for the no-correlation limit.
     """
-    if isinstance(source, bytes):
+    if isinstance(source, Path):
+        text = source.read_text(encoding="utf-8")
+    elif isinstance(source, bytes):
         text = source.decode("utf-8")
-    elif isinstance(source, Path) or (isinstance(source, str) and "\n" not in source and "=" not in source):
-        text = Path(source).read_text(encoding="utf-8")
     else:
-        text = str(source)
+        text = source
 
     scalars: dict[str, str] = {}
     branches: list[list[float]] = []

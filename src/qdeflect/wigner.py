@@ -11,9 +11,13 @@ hold exactly for this convention and are exercised in the test suite.
 Evaluation runs the three-term recurrence in J at fixed (m', m), seeded at
 J0 = max(|m'|, |m|) with the single-term closed form (assembled in log
 space, so extreme angles underflow cleanly instead of overflowing).  The
-familiar factorial-sum formula overflows double precision near J ~ 85; the
-recurrence stays below 1e-13 absolute error up to J = 250.  Angles exactly
-at 0 or pi bypass the recurrence and use the Kronecker-delta closed forms.
+familiar factorial-sum formula overflows double precision near J ~ 85.
+Tested bound: against that formula in extended precision the recurrence
+stays within 1e-11 absolute error for random (J, m', m) up to J = 250
+and, with 400 digits, at (m', m) = (0, 0), (3, 5), (-5, 2) for J = 400,
+600 and 1000 (worst measured 6e-13, next to the endpoints).  Angles
+exactly at 0 or pi bypass the recurrence and use the Kronecker-delta
+closed forms.
 
 All functions are pure and safe for concurrent callers.
 """
@@ -21,27 +25,11 @@ All functions are pure and safe for concurrent callers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .angular import AngularGrid
-
-J_SUPPORTED = 250  # recurrence validated against an extended-precision oracle up to here
-
-
-@dataclass(frozen=True)
-class DTableRequest:
-    """One (J, m', m) element requested on an angular grid."""
-
-    J: int
-    omega_p: int
-    omega: int
-    grid: AngularGrid
-
-    def __post_init__(self) -> None:
-        _check_helicities(self.J, self.omega_p, self.omega)
 
 
 def _check_helicities(J: int, omega_p: int, omega: int) -> None:
@@ -150,9 +138,3 @@ def wigner_d(J: int, omega_p: int, omega: int, theta: float) -> float:
     for row in _recurrence(omega_p, omega, np.array([theta]), J):
         pass
     return float(row[0])
-
-
-def wigner_d_column(request: DTableRequest) -> np.ndarray:
-    """d^J_{omega_p, omega} over the requested grid, elementwise equal to wigner_d."""
-    table = wigner_d_table(request.J, request.omega_p, request.omega, request.grid)
-    return table[request.J]

@@ -29,6 +29,19 @@ def test_validation_rejects_bad_grids():
         AngularGrid.uniform(0.0)
 
 
+@pytest.mark.parametrize("step", [0.7, 0.26, 7.0, 200.0, 360.0, float("nan")])
+def test_uniform_rejects_steps_that_do_not_divide_180(step):
+    with pytest.raises(ValueError):
+        AngularGrid.uniform(step)
+
+
+@pytest.mark.parametrize("step,points", [(30.0, 7), (0.09, 2001), (0.1, 1801), (0.01, 18001)])
+def test_uniform_samples_at_the_requested_step(step, points):
+    grid = AngularGrid.uniform(step)
+    assert len(grid) == points
+    assert np.allclose(np.diff(grid.degrees), step, rtol=1e-9, atol=0.0)
+
+
 def test_grids_are_read_only():
     grid = AngularGrid.uniform(1.0)
     with pytest.raises(ValueError):

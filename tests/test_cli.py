@@ -8,7 +8,7 @@ import pytest
 
 import qdeflect
 from qdeflect import load_smatrix, load_trajectories
-from qdeflect.cli import RunConfig, _write_csv, main
+from qdeflect.cli import _write_csv, main
 
 QUAD_MODEL = """\
 kind = quadratic
@@ -58,6 +58,15 @@ def block_file(tmp_path):
     model = tmp_path / "model.txt"
     model.write_text(QUAD_MODEL)
     out = tmp_path / "block.smat"
+    assert main(["synth", str(model), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture
+def traj_file(tmp_path):
+    model = tmp_path / "classical.txt"
+    model.write_text(CLASSICAL_MODEL)
+    out = tmp_path / "ens.traj"
     assert main(["synth", str(model), "--out", str(out)]) == 0
     return out
 
@@ -255,7 +264,8 @@ def test_qct_pipeline(tmp_path):
         ("sj-leg", "qct-sigma-j", ["--estimator", "legendre", "--order-j", "10"]),
     ):
         out = tmp_path / f"{tag}.csv"
-        assert main([cmd, str(traj), "--out", str(out), "--grid-deg", "2.0", *extra]) == 0
+        grid = [] if cmd == "qct-sigma-j" else ["--grid-deg", "2.0"]  # sigma_j has no angle grid
+        assert main([cmd, str(traj), "--out", str(out), *grid, *extra]) == 0
         _, rows = read_csv(out)
         assert np.isfinite(rows).all()
 
@@ -318,13 +328,94 @@ def test_short_branch_line_exits_1_naming_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,on_block,extra,params", [
+    ("dcs", True, ["--grid-deg", "2"], "grid_deg=2.0"),
+    ("opacity", True, [], ""),
+    ("sigma-j", True, [], ""),
+    ("qmdf", True, ["--grid-deg", "2", "--smooth-j", "1.5", "--smooth-theta-deg", "1.0", "--no-sin-theta"],
+     "grid_deg=2.0 no_sin_theta=1 smooth_j=1.5 smooth_theta_deg=1.0"),
+    ("random-phase", True, ["--grid-deg", "2"], "grid_deg=2.0"),
+    ("qmdf-helicity", True, ["--grid-deg", "2", "--omega-prime", "0"], "grid_deg=2.0 omega_prime=0"),
+    ("sum-j", True, ["--grid-deg", "2", "--jmin", "5"], "grid_deg=2.0 jmax=40 jmin=5"),
+    ("partial-dcs", True, ["--grid-deg", "2", "--jmax", "10"], "grid_deg=2.0 jmax=10 jmin=0"),
+    ("cqdf", True, ["--unwrap", "one-sided"], "omega=0 omega_prime=0 unwrap=one-sided"),
+    ("qct-df", False, ["--grid-deg", "2", "--estimator", "gaussian", "--smooth-j", "1.5",
+                       "--smooth-theta-deg", "4", "--boundary-renormalize"],
+     "boundary_renormalize=1 estimator=gaussian grid_deg=2.0 s_j=1.5 s_theta=0.06981317007977318"),
+    ("qct-df", False, ["--grid-deg", "2", "--order-j", "8"],
+     "estimator=legendre grid_deg=2.0 order_j=8 order_theta=20"),
+    ("qct-dcs", False, ["--grid-deg", "2", "--order-theta", "10"],
+     "estimator=legendre grid_deg=2.0 order_theta=10"),
+    ("qct-sigma-j", False, ["--estimator", "gaussian", "--smooth-j", "1.5"], "estimator=gaussian s_j=1.5"),
+    ("qct-sigma-j", False, [], "estimator=legendre order_j=20"),
+])
+@pytest.mark.filterwarnings("ignore::qdeflect.qct.GibbsOscillationWarning")
+def test_params_line_per_command(block_file, traj_file, tmp_path, command, on_block, extra, params):
+    out = tmp_path / "out.csv"
+    source = block_file if on_block else traj_file
+    assert main([command, str(source), "--out", str(out), *extra]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[1] == f"# command: {command}"
+    assert lines[3] == f"# params: {params}"
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("qct-dcs", ["--estimator", "gaussian"]),
+    ("qct-dcs", ["--order-j", "5"]),
+    ("qct-dcs", ["--smooth-j", "1.5"]),
+    ("qct-dcs", ["--smooth-theta-deg", "3"]),
+    ("qct-dcs", ["--boundary-renormalize"]),
+    ("qct-sigma-j", ["--grid-deg", "1"]),
+    ("qct-sigma-j", ["--order-theta", "5"]),
+    ("qct-sigma-j", ["--boundary-renormalize"]),
+])
+def test_options_a_command_does_not_read_exit_1(traj_file, tmp_path, command, extra):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, str(traj_file), "--out", str(out), *extra])
+    assert excinfo.value.code == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("qmdf-helicity", []),
+    ("dcs", ["--grid-deg", "0"]),
+    ("dcs", ["--grid-deg", "-1"]),
+    ("dcs", ["--grid-deg", "0.7"]),
+    ("sum-j", ["--jmin", "10", "--jmax", "5"]),
+    ("partial-dcs", ["--jmin", "-1"]),
+])
+def test_bad_option_values_exit_1_with_one_line(block_file, tmp_path, capsys, command, extra):
+    out = tmp_path / "x.csv"
+    try:
+        code = main([command, str(block_file), "--out", str(out), *extra])
+    except SystemExit as exc:  # rejected by the argument parser
+        code = exc.code
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error" in line]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("record", ["nan 3.0 20.0", "1.0 nan 20.0", "1.0 3.0 nan", "1.0 3.0 inf"])
+def test_non_finite_trajectory_record_exits_1_naming_line(tmp_path, capsys, record):
+    path = tmp_path / "bad.traj"
+    path.write_text(f"# sigma_r = 1.0\n# j_max = 10.0\n1.0 2.0 30.0\n{record}\n")
+    out = tmp_path / "x.csv"
+    assert main(["qct-dcs", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "line 4" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_writer_refuses_non_finite_value(block_file, tmp_path, bad):
     out = tmp_path / "x.csv"
-    config = RunConfig(command="dcs", input=str(block_file), out=str(out))
     with pytest.raises(ValueError, match="non-finite"):
-        _write_csv(str(out), ("theta_deg", "dcs"), ("deg", "sci"),
-                   (np.array([0.0, 90.0]), np.array([1.0, bad])), config, {})
+        _write_csv(str(out), "dcs", str(block_file), ("theta_deg", "dcs"),
+                   (np.array([0.0, 90.0]), np.array([1.0, bad])), {})
     assert not out.exists()
 
 
@@ -334,9 +425,7 @@ def test_writer_rows_match_per_cell_formatting(block_file, tmp_path, rng):
     values = rng.standard_normal(64) * 10.0 ** rng.integers(-300, 300, 64)
     values[:3] = (0.0, -0.0, 5e-324)
     out = tmp_path / "x.csv"
-    config = RunConfig(command="qmdf", input=str(block_file), out=str(out))
-    _write_csv(str(out), ("theta_deg", "J", "value"), ("deg", "int", "sci"),
-               (degs, js, values), config, {})
+    _write_csv(str(out), "qmdf", str(block_file), ("theta_deg", "J", "value"), (degs, js, values), {})
     rows = [line for line in out.read_text().splitlines() if not line.startswith("#")][1:]
     assert rows == [f"{d:.6f},{int(J)},{v:.8e}" for d, J, v in zip(degs, js, values)]
 

@@ -371,6 +371,11 @@ class TestTrajectoryIO:
         with pytest.raises(ValueError, match="line 3"):
             load_trajectories(text)
 
+    @pytest.mark.parametrize("record", [b"nan 2.0 30.0", b"1.0 nan 30.0", b"1.0 2.0 -inf"])
+    def test_non_finite_record_rejected(self, record):
+        with pytest.raises(ValueError, match="line 4"):
+            load_trajectories(b"# sigma_r = 1\n# j_max = 5\n1.0 1.0 10.0\n" + record + b"\n")
+
 
 class TestValidation:
     def test_negative_weight_rejected(self):
@@ -384,6 +389,11 @@ class TestValidation:
     def test_j_above_jmax(self):
         with pytest.raises(ValueError):
             ensemble_of([6.0], [1.0], j_max=5.0)
+
+    @pytest.mark.parametrize("j,theta", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0)])
+    def test_non_finite_j_or_theta_rejected(self, j, theta):
+        with pytest.raises(ValueError):
+            ensemble_of([j], [theta], j_max=5.0)
 
     def test_zero_weight_sum_blocks_estimators(self):
         ens = ensemble_of([1.0, 2.0], [0.5, 0.6], w=[0.0, 0.0], j_max=4.0)

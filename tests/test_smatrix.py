@@ -147,3 +147,21 @@ def test_block_entries_immutable(rng):
     block = random_block(rng, j_max=5)
     with pytest.raises(TypeError):
         block.entries[(0, 0, 0)] = 1.0  # type: ignore[index]
+
+
+def test_index_matches_a_scan_of_the_entries(rng):
+    # the per-call scans the index replaced, kept here as the reference
+    block = random_block(rng, j_max=30, j=2, jp=3, density=0.6)
+    entries = block.entries
+    for omega in range(-2, 3):
+        for omega_p in range(-3, 4):
+            items = sorted((k[0], v) for k, v in entries.items() if k[1:] == (omega, omega_p))
+            js, amps = block.j_column(omega, omega_p)
+            assert js.tolist() == [J for J, _ in items]
+            assert amps.tolist() == [v for _, v in items]
+            assert not (js.flags.writeable or amps.flags.writeable)
+    for J in range(32):
+        scan = sum(abs(v) ** 2 for _, v in sorted((k, v) for k, v in entries.items() if k[0] == J))
+        assert block.sum_sq_at_j(J) == scan
+    assert block.helicity_pairs() == sorted({k[1:] for k in entries})
+    assert block.js_with_entries() == sorted({k[0] for k in entries})

@@ -198,6 +198,15 @@ class TestModelFiles:
         with pytest.raises(ValueError, match="line 3"):
             parse_model_file(text)
 
+    def test_path_is_a_file_and_str_or_bytes_is_text(self, tmp_path):
+        text = "kind = linear\njmax = 12\n"
+        path = tmp_path / "model.txt"
+        path.write_text(text)
+        for source in (path, text, text.encode()):
+            assert parse_model_file(source).j_max_int == 12
+        with pytest.raises(ValueError, match="line 1"):
+            parse_model_file(str(path))  # a str is spec text, never a file name
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             parse_model_file("kind = cubic\njmax = 5\n")
