@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+import warnings
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -42,7 +43,13 @@ from .qmdf import (
     smooth_map,
     sum_over_j,
 )
-from .smatrix import SMatrixParseError, SMatrixValidationError, load_smatrix, save_smatrix
+from .smatrix import (
+    SMatrixParseError,
+    SMatrixValidationError,
+    load_smatrix,
+    save_smatrix,
+    validate_unitarity,
+)
 from .synth import ClassicalModel, parse_model_file, synth_smatrix, synth_smatrix_helicity, synth_trajectories
 
 # column format by header name; every other column is an intensity with
@@ -220,9 +227,24 @@ COMMANDS = {
 }
 
 
+def _warn(message: str) -> None:
+    print(f"qdeflect: warning: {message}", file=sys.stderr)
+
+
+def _check_unitarity(block) -> None:
+    report = validate_unitarity(block)
+    if not report:
+        (J, omega, omega_p), mag = max(report.violations, key=lambda v: v[1])
+        n = len(report.violations)
+        _warn(f"{n} {'entry' if n == 1 else 'entries'} with |S| > 1 "
+              f"(worst |S| = {mag:.6g} at J={J}, Omega={omega}, Omega'={omega_p})")
+
+
 def run(args: argparse.Namespace) -> int:
     command = COMMANDS[args.command]
     data = args.input if command.load is None else command.load(args.input)
+    if command.load is _BLOCK:
+        _check_unitarity(data)
     params = {}
     if "grid_deg" in vars(args):
         args.grid = AngularGrid.uniform(args.grid_deg)
@@ -256,14 +278,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return run(args)
-    except PhaseUnwrapError as exc:
-        print(f"qdeflect: numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except (SMatrixParseError, SMatrixValidationError, ValueError, OSError) as exc:
-        print(f"qdeflect: error: {exc}", file=sys.stderr)
-        return 1
+    # library warnings (e.g. GibbsOscillationWarning) reach the user as one
+    # line each, without the source location Python's format adds
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return run(args)
+        except PhaseUnwrapError as exc:
+            print(f"qdeflect: numerical failure: {exc}", file=sys.stderr)
+            return 2
+        except (SMatrixParseError, SMatrixValidationError, ValueError, OSError) as exc:
+            print(f"qdeflect: error: {exc}", file=sys.stderr)
+            return 1
+        finally:
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                _warn(message)
 
 
 def entrypoint() -> None:

@@ -13,12 +13,13 @@ operates on immutable blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .angular import AngularGrid
 from .smatrix import SMatrixBlock
-from .wigner import wigner_d_table
+from .wigner import wigner_d_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,31 +81,54 @@ def integral_cross_section(block: SMatrixBlock) -> float:
     return sum(partial_cross_section(block, J) for J in block.js_with_entries())
 
 
-def partial_amplitude_rows(
-    block: SMatrixBlock, omega: int, omega_p: int, grid: AngularGrid
-) -> np.ndarray:
-    """f^J_{Omega' Omega}(theta) = (2J+1) d^J_{Omega' Omega}(theta) S^J / (2ik).
+def partial_amplitudes(
+    block: SMatrixBlock,
+    pairs: Sequence[tuple[int, int]],
+    grid: AngularGrid,
+    j_lo: int = 0,
+    j_hi: int | None = None,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (J, f^J) in ascending J for each J in j_lo..j_hi where some pair has an entry.
 
-    Shape (J_max + 1, len(grid)), complex; rows without an entry are zero.
+    f^J_{Omega' Omega}(theta) = (2J+1) d^J_{Omega' Omega}(theta) S^J / (2ik),
+    one row per (Omega, Omega') in pairs, shape (len(pairs), len(grid));
+    rows of pairs without an entry at J are zero.  One Wigner recurrence
+    step feeds every pair, and nothing of shape (J, pair, theta) is held:
+    the yielded array is one buffer, refilled at every step.
     """
     h = block.header
-    rows = np.zeros((h.J_max + 1, len(grid)), dtype=complex)
-    js, amps = block.j_column(omega, omega_p)
-    if js.size == 0:
-        return rows
-    dtab = wigner_d_table(int(js.max()), omega_p, omega, grid)
     pref = 1.0 / (2j * h.k)
-    for J, s in zip(js, amps):
-        rows[J] = pref * (2 * J + 1) * s * dtab[J]
-    return rows
+    coef = np.zeros((h.J_max + 1, len(pairs)), dtype=complex)
+    present = np.zeros(h.J_max + 1, dtype=bool)
+    for p, (omega, omega_p) in enumerate(pairs):
+        js, amps = block.j_column(omega, omega_p)
+        coef[js, p] = pref * (2 * js + 1) * amps
+        present[js] = True
+    present[:j_lo] = False
+    if j_hi is not None:
+        present[j_hi + 1 :] = False
+    d_pairs = [(omega_p, omega) for omega, omega_p in pairs]
+    f_j = np.empty((len(pairs), len(grid)), dtype=complex)
+    for J, d in wigner_d_rows(d_pairs, grid.thetas, np.flatnonzero(present).tolist()):
+        np.multiply(coef[J][:, None], d, out=f_j)
+        yield J, f_j
 
 
-def sum_rows(rows: np.ndarray) -> np.ndarray:
-    # sequential accumulation keeps J-additivity bit-exact for callers that
-    # sum partial amplitudes themselves
-    total = np.zeros_like(rows[0])
-    for row in rows:
-        total = total + row
+def summed_amplitudes(
+    block: SMatrixBlock,
+    pairs: Sequence[tuple[int, int]],
+    grid: AngularGrid,
+    j_lo: int = 0,
+    j_hi: int | None = None,
+) -> np.ndarray:
+    """sum_{J = j_lo..j_hi} f^J per pair, shape (len(pairs), len(grid)).
+
+    Accumulated in ascending J from zero, so it equals bit for bit the sum
+    a caller forms from the partial amplitudes in that order.
+    """
+    total = np.zeros((len(pairs), len(grid)), dtype=complex)
+    for _, f_j in partial_amplitudes(block, pairs, grid, j_lo, j_hi):
+        total += f_j
     return total
 
 
@@ -118,15 +142,10 @@ def scattering_amplitude(
             f"helicities (Omega'={omega_p}, Omega={omega}) outside channel range "
             f"(j={h.j}, jp={h.j_final})"
         )
-    rows = partial_amplitude_rows(block, omega, omega_p, grid)
-    return AmplitudeCurve(omega_p, omega, grid, sum_rows(rows))
+    return AmplitudeCurve(omega_p, omega, grid, summed_amplitudes(block, [(omega, omega_p)], grid)[0])
 
 
 def dcs(block: SMatrixBlock, grid: AngularGrid) -> AngularCurve:
     """sigma(theta) = sum_{Omega' Omega} |f_{Omega' Omega}(theta)|^2 / (2j+1)."""
-    h = block.header
-    total = np.zeros(len(grid))
-    for omega, omega_p in block.helicity_pairs():
-        amp = sum_rows(partial_amplitude_rows(block, omega, omega_p, grid))
-        total += np.abs(amp) ** 2
-    return AngularCurve(grid, total / (2 * h.j + 1))
+    amps = summed_amplitudes(block, block.helicity_pairs(), grid)
+    return AngularCurve(grid, (np.abs(amps) ** 2).sum(axis=0) / (2 * block.header.j + 1))

@@ -376,7 +376,12 @@ def load_trajectories(source: Source) -> TrajectoryEnsemble:
         if stripped.startswith("#"):
             m = _META_RE.match(stripped)
             if m:
-                meta[m.group(1)] = float(m.group(2))
+                try:
+                    meta[m.group(1)] = float(m.group(2))
+                except ValueError:
+                    raise ValueError(
+                        f"line {lineno}: bad {m.group(1)} value {m.group(2)!r}"
+                    ) from None
             m = _NTOT_RE.match(stripped)
             if m:
                 n_tot[int(m.group(1))] = int(m.group(2))

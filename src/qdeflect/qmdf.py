@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .angular import AngularGrid, integrate_curve
-from .observables import AngularCurve, AmplitudeCurve, partial_amplitude_rows, sum_rows
+from .observables import AngularCurve, AmplitudeCurve, partial_amplitudes, summed_amplitudes
 from .smatrix import SMatrixBlock
 
 
@@ -87,51 +88,74 @@ def j_partial_amplitude(
         raise ValueError(
             f"helicities (Omega'={omega_p}, Omega={omega}) violate bounds at J={J}"
         )
-    rows = partial_amplitude_rows(block, omega, omega_p, grid)
-    return AmplitudeCurve(omega_p, omega, grid, rows[J])
+    values = np.zeros(len(grid), dtype=complex)
+    for _, f_j in partial_amplitudes(block, [(omega, omega_p)], grid, J, J):
+        values = f_j[0]
+    return AmplitudeCurve(omega_p, omega, grid, values)
 
 
-def _helicity_values(block: SMatrixBlock, omega_p: int, grid: AngularGrid) -> np.ndarray:
-    """Scaled map contribution from one product helicity (Omega averaged)."""
-    h = block.header
-    scale = grid.sin_thetas / (2 * h.j + 1)
-    total = np.zeros((len(grid), h.J_max + 1))
-    for omega, op in block.helicity_pairs():
-        if op != omega_p:
-            continue
-        rows = partial_amplitude_rows(block, omega, omega_p, grid)
-        full = sum_rows(rows)
-        # Re(f^J F*) = |f^J|^2 + half of every cross term with J1 != J
-        total = total + np.real(rows * np.conj(full)[None, :]).T
-    return total * scale[:, None]
+def _group_sums(
+    block: SMatrixBlock, omega_ps: list[int], grid: AngularGrid
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (J, G) with G[g] = sum over the pairs (Omega, omega_ps[g]) of
+    Re(f^J F*), in ascending Omega, shape (len(omega_ps), len(grid)).
+
+    F comes from a first pass over the amplitudes and the second pass
+    recomputes f^J.  Every group is padded to the same size with pairs
+    the block lacks, whose zero terms leave the sums unchanged.
+    """
+    present = set(block.helicity_pairs())
+    groups = [[w for w in range(-block.header.j, block.header.j + 1) if (w, op) in present]
+              for op in omega_ps]
+    size = max(map(len, groups), default=0)
+    pairs = []
+    for op, omegas in zip(omega_ps, groups):
+        fill = [w for w in range(-block.header.j, block.header.j + 1) if (w, op) not in present]
+        pairs += [(w, op) for w in omegas + fill[: size - len(omegas)]]
+    conj_full = np.conj(summed_amplitudes(block, pairs, grid))
+    product = np.empty_like(conj_full)
+    for J, f_j in partial_amplitudes(block, pairs, grid):
+        np.multiply(f_j, conj_full, out=product)
+        # Re(f^J F*) = |f^J|^2 + half of every cross term with J1 != J;
+        # numpy sums over a non-inner axis row by row from +0, as a loop would
+        yield J, product.real.reshape(len(omega_ps), size, len(grid)).sum(axis=1)
 
 
 def qmdf_helicity_map(block: SMatrixBlock, omega_p: int, grid: AngularGrid) -> DeflectionMap:
     """Map restricted to a single product helicity Omega'."""
-    if abs(omega_p) > block.header.j_final:
-        raise ValueError(f"Omega'={omega_p} outside jp={block.header.j_final}")
-    values = _helicity_values(block, omega_p, grid)
-    return DeflectionMap(grid, np.arange(block.header.J_max + 1), values)
+    h = block.header
+    if abs(omega_p) > h.j_final:
+        raise ValueError(f"Omega'={omega_p} outside jp={h.j_final}")
+    scale = grid.sin_thetas / (2 * h.j + 1)
+    values = np.zeros((len(grid), h.J_max + 1))
+    for J, sums in _group_sums(block, [omega_p], grid):
+        values[:, J] = sums[0] * scale
+    return DeflectionMap(grid, np.arange(h.J_max + 1), values)
 
 
 def qmdf_map(block: SMatrixBlock, grid: AngularGrid) -> DeflectionMap:
     """Full map; identical to the sum of its helicity-resolved maps."""
     h = block.header
-    total = np.zeros((len(grid), h.J_max + 1))
-    for omega_p in sorted({op for _, op in block.helicity_pairs()}):
-        total = total + _helicity_values(block, omega_p, grid)
-    return DeflectionMap(grid, np.arange(h.J_max + 1), total)
+    scale = grid.sin_thetas / (2 * h.j + 1)
+    values = np.zeros((len(grid), h.J_max + 1))
+    omega_ps = sorted({op for _, op in block.helicity_pairs()})
+    for J, sums in _group_sums(block, omega_ps, grid):
+        values[:, J] = (sums * scale).sum(axis=0)
+    return DeflectionMap(grid, np.arange(h.J_max + 1), values)
 
 
 def random_phase_map(block: SMatrixBlock, grid: AngularGrid) -> DeflectionMap:
     """Diagonal |f^J|^2 part only (all inter-J coherences dropped); >= 0."""
     h = block.header
-    total = np.zeros((len(grid), h.J_max + 1))
-    for omega, omega_p in block.helicity_pairs():
-        rows = partial_amplitude_rows(block, omega, omega_p, grid)
-        total = total + (np.abs(rows) ** 2).T
     scale = grid.sin_thetas / (2 * h.j + 1)
-    return DeflectionMap(grid, np.arange(h.J_max + 1), total * scale[:, None])
+    values = np.zeros((len(grid), h.J_max + 1))
+    pairs = block.helicity_pairs()
+    intensity = np.empty((len(pairs), len(grid)))
+    for J, f_j in partial_amplitudes(block, pairs, grid):
+        np.abs(f_j, out=intensity)
+        intensity **= 2
+        values[:, J] = intensity.sum(axis=0) * scale
+    return DeflectionMap(grid, np.arange(h.J_max + 1), values)
 
 
 def _check_window(window: JWindow, j_values: np.ndarray) -> None:
@@ -158,12 +182,8 @@ def partial_dcs(block: SMatrixBlock, window: JWindow, grid: AngularGrid) -> Angu
     """
     h = block.header
     _check_window(window, np.arange(h.J_max + 1))
-    total = np.zeros(len(grid))
-    for omega, omega_p in block.helicity_pairs():
-        rows = partial_amplitude_rows(block, omega, omega_p, grid)
-        restricted = sum_rows(rows[window.j_lo : window.j_hi + 1])
-        total += np.abs(restricted) ** 2
-    return AngularCurve(grid, total / (2 * h.j + 1))
+    amps = summed_amplitudes(block, block.helicity_pairs(), grid, window.j_lo, window.j_hi)
+    return AngularCurve(grid, (np.abs(amps) ** 2).sum(axis=0) / (2 * h.j + 1))
 
 
 def integrate_over_theta(dmap: DeflectionMap, J: int) -> float:

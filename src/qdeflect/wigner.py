@@ -16,8 +16,14 @@ Tested bound: against that formula in extended precision the recurrence
 stays within 1e-11 absolute error for random (J, m', m) up to J = 250
 and, with 400 digits, at (m', m) = (0, 0), (3, 5), (-5, 2) for J = 400,
 600 and 1000 (worst measured 6e-13, next to the endpoints).  Angles
-exactly at 0 or pi bypass the recurrence and use the Kronecker-delta
-closed forms.
+exactly at 0 or pi take the Kronecker-delta closed forms.
+
+wigner_d_rows is the one implementation: it steps many (m', m) pairs at
+once, one row per symmetry orbit.  The recurrence is symmetric under the
+first symmetry above (its coefficients depend on m'm, m'^2 and m^2 only,
+and the seeds differ by the sign alone), so from the seed order on the
+expanded rows equal each pair's own recurrence bit for bit;
+wigner_d_table and wigner_d are its one-pair calls.
 
 All functions are pure and safe for concurrent callers.
 """
@@ -25,7 +31,8 @@ All functions are pure and safe for concurrent callers.
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from bisect import bisect_left, bisect_right
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -71,36 +78,104 @@ def _seed_values(j0: int, omega_p: int, omega: int, thetas: np.ndarray) -> np.nd
     return sign * np.exp(log_term)
 
 
-def _recurrence(omega_p: int, omega: int, thetas: np.ndarray, j_hi: int) -> Iterator[np.ndarray]:
-    """Yield d^J rows for J = j0..j_hi at interior angles (0 < theta < pi)."""
-    j0 = max(abs(omega_p), abs(omega))
+def _orbits(pairs: Sequence[tuple[int, int]]) -> tuple[list[tuple[int, int]], list[int]]:
+    """Orbit representatives, by seed order j0, and each pair's row in the
+    stacked state [d_reps; -d_reps].
+
+    d_{m'm} = (-1)^(m'-m) d_{mm'} = d_{-m,-m'}, so the orbit of (m', m)
+    is {(m', m), (-m, -m'), (m, m'), (-m', -m)}, the last two with the sign
+    (-1)^(m'-m).  The first pair met carries its orbit.
+    """
+    carrier: dict[tuple[int, int], tuple[tuple[int, int], bool]] = {}
+    reps = []
+    for mp, m in pairs:
+        if (mp, m) not in carrier:
+            flip = (mp - m) % 2 == 1
+            for member, negated in (((mp, m), False), ((-m, -mp), False),
+                                    ((m, mp), flip), ((-mp, -m), flip)):
+                carrier.setdefault(member, ((mp, m), negated))
+            reps.append((mp, m))
+    reps.sort(key=lambda rep: max(abs(rep[0]), abs(rep[1])))
+    slot = {rep: i for i, rep in enumerate(reps)}
+    rows = []
+    for pair in pairs:
+        rep, negated = carrier[pair]
+        rows.append(slot[rep] + len(reps) * negated)
+    return reps, rows
+
+
+def wigner_d_rows(
+    pairs: Sequence[tuple[int, int]], thetas: np.ndarray, js: Sequence[int]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (J, d^J_{m'm}(thetas)) for each J in js, in ascending order,
+    one row per (m', m) in pairs.
+
+    The yielded array, of shape (len(pairs), len(thetas)), is one buffer
+    refilled at every yield; a pair's row is zero while J < max(|m'|, |m|).
+    The recurrence runs once per J step, stacked over one row per symmetry
+    orbit of the pairs (see _orbits), and is expanded to the pairs by index
+    and sign; a one-pair call is that pair's own recurrence.  Angles
+    exactly at 0 or pi take the Kronecker-delta closed forms.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    wanted = set(js)
+    j_max = max(wanted, default=-1)
+    if j_max < 0:
+        return
+    reps, index = _orbits(pairs)
+    n_r = len(reps)
+    negate = max(index) >= n_r
+    index = np.array(index)
+    j0 = [max(abs(mp), abs(m)) for mp, m in reps]  # ascending: the started rows are a prefix
+    rmp, rm = np.array(reps, dtype=int).T
+    steps = np.arange(j_max + 1)
+    # step jj -> jj + 1: d^{jj+1} = (c1 d^jj - c2 d^{jj-1}) / c3 with
+    # c1 = (2jj+1)(jj(jj+1) x - m'm); products below the seed order are unused
+    mm = (rmp * rm).astype(float)[:, None]
+    n2 = np.arange(j_max + 2)[:, None] ** 2
+    root = np.sqrt(np.maximum((n2 - rmp**2) * (n2 - rm**2), 0).astype(float))
+    c2 = (steps + 1)[:, None] * root[:-1]
+    c3 = steps[:, None] * root[1:]
+
+    ends = np.nonzero((thetas == 0.0) | (thetas == np.pi))[0]
+    if ends.size:  # d(0) = delta_{m'm}, d(pi) = (-1)^(J-m) delta_{m',-m}
+        pmp, pm = np.array(pairs, dtype=int).T[:, :, None]
+        at_pi = thetas[ends] == np.pi
+        J3 = steps[:, None, None]
+        hit = np.where(at_pi, pmp == -pm, pmp == pm) & (np.maximum(np.abs(pmp), np.abs(pm)) <= J3)
+        end_values = np.where(hit, np.where(at_pi & ((J3 - pm) % 2 == 1), -1.0, 1.0), 0.0)
+
     x = np.cos(thetas)
-    mm = omega_p * omega
-    prev = np.zeros_like(thetas)
-    cur = _seed_values(j0, omega_p, omega, thetas)
-    yield cur
-    for jj in range(j0, j_hi):
-        if jj == 0:
-            nxt = x * cur  # d^1_00 = cos(theta)
-        else:
-            c1 = (2 * jj + 1) * (jj * (jj + 1) * x - mm)
-            c2 = (jj + 1) * math.sqrt(
-                (jj * jj - omega_p * omega_p) * (jj * jj - omega * omega)
-            )
-            c3 = jj * math.sqrt(
-                ((jj + 1) ** 2 - omega_p * omega_p) * ((jj + 1) ** 2 - omega * omega)
-            )
-            nxt = (c1 * cur - c2 * prev) / c3
-        prev, cur = cur, nxt
-        yield cur
-
-
-def _endpoint_value(J: int, omega_p: int, omega: int, at_pi: bool) -> float:
-    if not at_pi:
-        return 1.0 if omega_p == omega else 0.0
-    if omega_p != -omega:
-        return 0.0
-    return -1.0 if (J - omega) % 2 else 1.0
+    cur = np.zeros((2 * n_r, thetas.size))
+    prev = np.zeros_like(cur)
+    c1 = np.empty_like(cur)
+    rows = np.empty((len(pairs), thetas.size))
+    for J in range(j_max + 1):
+        k = bisect_left(j0, J)  # representatives seeded below J step to J
+        if k:
+            step = J - 1
+            now, nxt = cur[:k], prev[:k]  # nxt holds d^{J-2} until overwritten
+            if step == 0:
+                np.multiply(x, now, out=nxt)  # d^1_00 = cos(theta)
+            else:
+                t = c1[:k]
+                np.subtract(step * (step + 1) * x, mm[:k], out=t)
+                t *= 2 * step + 1
+                t *= now
+                nxt *= c2[step, :k, None]
+                np.subtract(t, nxt, out=nxt)
+                nxt /= c3[step, :k, None]
+            prev, cur = cur, prev
+        for r in range(k, bisect_right(j0, J)):
+            cur[r] = _seed_values(J, *reps[r], thetas)
+        if J not in wanted:
+            continue
+        if negate:
+            np.negative(cur[:n_r], out=cur[n_r:])
+        np.take(cur, index, axis=0, out=rows, mode="clip")
+        if ends.size:
+            rows[:, ends] = end_values[J]
+        yield J, rows
 
 
 def wigner_d_table(j_max: int, omega_p: int, omega: int, grid: AngularGrid) -> np.ndarray:
@@ -111,20 +186,10 @@ def wigner_d_table(j_max: int, omega_p: int, omega: int, grid: AngularGrid) -> n
     """
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
-    thetas = grid.thetas
-    rows = np.zeros((j_max + 1, thetas.size))
-    j0 = max(abs(omega_p), abs(omega))
-    if j_max < j0:
-        return rows
-
-    interior = (thetas != 0.0) & (thetas != np.pi)
-    for J, row in enumerate(_recurrence(omega_p, omega, thetas[interior], j_max), start=j0):
-        rows[J, interior] = row
-    for idx in np.nonzero(~interior)[0]:
-        at_pi = thetas[idx] == np.pi
-        for J in range(j0, j_max + 1):
-            rows[J, idx] = _endpoint_value(J, omega_p, omega, at_pi)
-    return rows
+    table = np.empty((j_max + 1, len(grid)))
+    for J, rows in wigner_d_rows([(omega_p, omega)], grid.thetas, range(j_max + 1)):
+        table[J] = rows[0]
+    return table
 
 
 def wigner_d(J: int, omega_p: int, omega: int, theta: float) -> float:
@@ -132,9 +197,5 @@ def wigner_d(J: int, omega_p: int, omega: int, theta: float) -> float:
     _check_helicities(J, omega_p, omega)
     if not 0.0 <= theta <= np.pi + 1e-12:
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    theta = min(theta, np.pi)
-    if theta == 0.0 or theta == np.pi:
-        return _endpoint_value(J, omega_p, omega, at_pi=theta == np.pi)
-    for row in _recurrence(omega_p, omega, np.array([theta]), J):
-        pass
-    return float(row[0])
+    for _, rows in wigner_d_rows([(omega_p, omega)], np.array([min(theta, np.pi)]), [J]):
+        return float(rows[0, 0])

@@ -3,6 +3,8 @@
 import mpmath as mp
 import numpy as np
 
+from qdeflect import wigner_d_table
+
 
 def wigner_d_exact(J, omega_p, omega, theta, dps=140):
     """Explicit factorial-sum formula in extended precision.
@@ -38,13 +40,72 @@ def wigner_d_exact(J, omega_p, omega, theta, dps=140):
         return float(pre * total)
 
 
+def partial_amplitude_rows(block, omega, omega_p, grid):
+    """Per-pair reference for the amplitude stream: f^J rows, shape
+    (J_max + 1, len(grid)), from the pair's own Wigner table; rows without
+    an entry are zero."""
+    h = block.header
+    rows = np.zeros((h.J_max + 1, len(grid)), dtype=complex)
+    js, amps = block.j_column(omega, omega_p)
+    if js.size == 0:
+        return rows
+    dtab = wigner_d_table(int(js.max()), omega_p, omega, grid)
+    pref = 1.0 / (2j * h.k)
+    for J, s in zip(js, amps):
+        rows[J] = pref * (2 * J + 1) * s * dtab[J]
+    return rows
+
+
+def sum_rows(rows):
+    """Sequential sum over the leading axis, from zero."""
+    total = np.zeros_like(rows[0])
+    for row in rows:
+        total = total + row
+    return total
+
+
+def reference_dcs(block, grid, j_lo=0, j_hi=None):
+    """DCS, or windowed DCS, one pair at a time."""
+    j_hi = block.header.J_max if j_hi is None else j_hi
+    total = np.zeros(len(grid))
+    for omega, omega_p in block.helicity_pairs():
+        rows = partial_amplitude_rows(block, omega, omega_p, grid)
+        total += np.abs(sum_rows(rows[j_lo : j_hi + 1])) ** 2
+    return total / (2 * block.header.j + 1)
+
+
+def reference_helicity_map(block, omega_p, grid):
+    """Q restricted to one product helicity, accumulated pair by pair."""
+    h = block.header
+    total = np.zeros((len(grid), h.J_max + 1))
+    for omega, op in block.helicity_pairs():
+        if op != omega_p:
+            continue
+        rows = partial_amplitude_rows(block, omega, omega_p, grid)
+        total = total + np.real(rows * np.conj(sum_rows(rows))[None, :]).T
+    return total * (grid.sin_thetas / (2 * h.j + 1))[:, None]
+
+
+def reference_qmdf_map(block, grid):
+    total = np.zeros((len(grid), block.header.J_max + 1))
+    for omega_p in sorted({op for _, op in block.helicity_pairs()}):
+        total = total + reference_helicity_map(block, omega_p, grid)
+    return total
+
+
+def reference_random_phase_map(block, grid):
+    h = block.header
+    total = np.zeros((len(grid), h.J_max + 1))
+    for omega, omega_p in block.helicity_pairs():
+        total = total + (np.abs(partial_amplitude_rows(block, omega, omega_p, grid)) ** 2).T
+    return total * (grid.sin_thetas / (2 * h.j + 1))[:, None]
+
+
 def brute_force_qmdf(block, grid):
     """Literal symmetrized double sum over (J1, J2) partial amplitudes.
 
     O(J_max^2) per angle; returns (map values, worst imaginary residue).
     """
-    from qdeflect.observables import partial_amplitude_rows
-
     h = block.header
     n_j = h.J_max + 1
     values = np.zeros((len(grid), n_j), dtype=complex)

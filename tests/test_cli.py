@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 import qdeflect
 from qdeflect import load_smatrix, load_trajectories
 from qdeflect.cli import _write_csv, main
+from qdeflect.qct import GibbsOscillationWarning
+from qdeflect.smatrix import UnitarityReport
 
 QUAD_MODEL = """\
 kind = quadratic
@@ -451,3 +454,49 @@ def test_smoothed_qmdf_run_loads_no_scipy(block_file, tmp_path):
     code = f"from qdeflect.cli import main\nassert main({argv!r}) == 0"
     assert _scipy_modules_after(code) == "[]"
     assert out.exists()
+
+
+NON_UNITARY = ("k 1.0 u\nchannel j=0 jp=0 v=0 vp=0 Jmax=3\n"
+               "0 0 0 0.5 0.0\n1 0 0 0.0 1.5\n2 0 0 -3.0 0.0\n3 0 0 0.0 -0.6\n")
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("dcs", []), ("qmdf", []), ("random-phase", []), ("qmdf-helicity", ["--omega-prime", "0"]),
+    ("opacity", []), ("sigma-j", []), ("sum-j", []), ("partial-dcs", []), ("cqdf", []),
+])
+def test_non_unitary_block_warns_in_one_line(tmp_path, capsys, monkeypatch, command, extra):
+    path = tmp_path / "big.smat"
+    path.write_text(NON_UNITARY)
+    out, ref = tmp_path / "x.csv", tmp_path / "ref.csv"
+    assert main([command, str(path), "--out", str(out), *extra]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "qdeflect: warning: 2 entries with |S| > 1 (worst |S| = 3 at J=2, Omega=0, Omega'=0)"]
+    # the check only reports: the same run without it writes the same bytes
+    monkeypatch.setattr("qdeflect.cli.validate_unitarity", lambda block: UnitarityReport((), 1e-9))
+    assert main([command, str(path), "--out", str(ref), *extra]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_unitary_block_runs_silently(block_file, tmp_path, capsys):
+    assert main(["dcs", str(block_file), "--out", str(tmp_path / "x.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_gibbs_warning_is_one_cli_line(tmp_path):
+    traj = tmp_path / "one.traj"
+    traj.write_text("# sigma_r = 2.0\n# j_max = 5.0\n1.0 2.0 30.0\n")
+    out, ref = tmp_path / "x.csv", tmp_path / "ref.csv"
+    src = str(Path(qdeflect.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-m", "qdeflect", "qct-dcs", str(traj), "--out", str(out)],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("qdeflect: warning: reconstructed theta marginal undershoots")
+    assert "qct.py" not in result.stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", GibbsOscillationWarning)
+        assert main(["qct-dcs", str(traj), "--out", str(ref)]) == 0
+    assert out.read_bytes() == ref.read_bytes()

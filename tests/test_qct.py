@@ -376,6 +376,15 @@ class TestTrajectoryIO:
         with pytest.raises(ValueError, match="line 4"):
             load_trajectories(b"# sigma_r = 1\n# j_max = 5\n1.0 1.0 10.0\n" + record + b"\n")
 
+    @pytest.mark.parametrize("header,message", [
+        (b"# sigma_r = abc\n# j_max = 5\n", "line 1: bad sigma_r value 'abc'"),
+        (b"# sigma_r = 1\n# j_max = 5x\n", "line 2: bad j_max value '5x'"),
+    ])
+    def test_bad_header_value_names_line(self, header, message):
+        with pytest.raises(ValueError) as excinfo:
+            load_trajectories(header + b"1.0 2.0 30.0\n")
+        assert str(excinfo.value) == message
+
 
 class TestValidation:
     def test_negative_weight_rejected(self):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from qdeflect import AngularGrid, wigner_d, wigner_d_table
+from qdeflect.wigner import wigner_d_rows
 from oracles import wigner_d_exact
 
 
@@ -127,3 +128,25 @@ def test_domain_errors():
         wigner_d(2, 0, -3, 1.0)
     with pytest.raises(ValueError):
         wigner_d(2, 0, 0, 3.5)
+
+
+def test_orbit_tables_are_bit_exact():
+    # d_{m'm} = (-1)^(m'-m) d_{mm'} = d_{-m,-m'} holds bit for bit for the
+    # recurrence, so one table per symmetry orbit serves all four pairs
+    grid = AngularGrid.uniform(0.5)
+    pairs = [(mp, m) for mp in range(-6, 7) for m in range(-6, 7)]
+    tables = {pair: wigner_d_table(120, *pair, grid) for pair in pairs}
+    for (mp, m), table in tables.items():
+        flip = (-1.0) ** (mp - m)
+        for partner, sign in (((-m, -mp), 1.0), ((m, mp), flip), ((-mp, -m), flip)):
+            assert np.array_equal(tables[partner], sign * table)
+    # the stacked recurrence over all 169 pairs (30 of them carrying an
+    # orbit) expands to the one-pair tables, signs of zeros included from
+    # the seed order on
+    for J, rows in wigner_d_rows(pairs, grid.thetas, range(121)):
+        for i, pair in enumerate(pairs):
+            if J >= max(map(abs, pair)):
+                assert np.array_equal(rows[i], tables[pair][J])
+                assert np.array_equal(np.signbit(rows[i]), np.signbit(tables[pair][J]))
+            else:
+                assert not rows[i].any()
