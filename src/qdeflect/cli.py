@@ -43,14 +43,8 @@ from .qmdf import (
     smooth_map,
     sum_over_j,
 )
-from .smatrix import (
-    SMatrixParseError,
-    SMatrixValidationError,
-    load_smatrix,
-    save_smatrix,
-    validate_unitarity,
-)
-from .synth import ClassicalModel, parse_model_file, synth_smatrix, synth_smatrix_helicity, synth_trajectories
+from .smatrix import SMatrixBlock, load_smatrix, save_smatrix, validate_unitarity
+from .synth import parse_model_file
 
 # column format by header name; every other column is an intensity with
 # nine significant digits
@@ -161,15 +155,8 @@ def _qct_sigma_j(ensemble, args):
 
 
 def _synth(path, args) -> None:
-    spec = parse_model_file(Path(path))
-    seed = spec.seed if args.seed is None else args.seed
-    if isinstance(spec.model, ClassicalModel):
-        save_trajectories(synth_trajectories(spec.model, spec.count, seed), args.out)
-    elif spec.j_final > 0:
-        save_smatrix(synth_smatrix_helicity(spec.model, spec.k, spec.j_final, spec.j_max_int,
-                                            spec.phase_offset), args.out)
-    else:
-        save_smatrix(synth_smatrix(spec.model, spec.k, spec.j_max_int), args.out)
+    data = parse_model_file(Path(path)).generate(args.seed)
+    (save_smatrix if isinstance(data, SMatrixBlock) else save_trajectories)(data, args.out)
 
 
 class Command(NamedTuple):
@@ -286,8 +273,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         except PhaseUnwrapError as exc:
             print(f"qdeflect: numerical failure: {exc}", file=sys.stderr)
             return 2
-        except (SMatrixParseError, SMatrixValidationError, ValueError, OSError) as exc:
-            print(f"qdeflect: error: {exc}", file=sys.stderr)
+        except (ValueError, OSError, MemoryError) as exc:
+            print(f"qdeflect: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
             return 1
         finally:
             for message in dict.fromkeys(str(w.message) for w in caught):

@@ -27,17 +27,18 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
-from typing import IO, Callable, Mapping, Union
+from typing import Callable, Mapping, Union
 
 import numpy as np
 from numpy.polynomial.legendre import legval, legvander
 
+from ._text import Destination, InputError, Source, first_failure, read_text, write_text
 from .angular import AngularGrid
 from .observables import AngularCurve
 from .qmdf import DeflectionMap
 
 _CHUNK = 4096
+_SPACING_FACTOR = 2.0  # kernel width per mean nearest-neighbor spacing
 
 
 class GibbsOscillationWarning(UserWarning):
@@ -76,17 +77,16 @@ class TrajectoryEnsemble:
         t = np.asarray(self.thetas, dtype=float)
         if not (w.shape == j.shape == t.shape) or w.ndim != 1:
             raise ValueError("weights, j_values, thetas must be 1-D and congruent")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite and nonnegative")
-        # written as "not in range" so that NaN fails too
-        if not np.all((t >= 0) & (t <= np.pi)):
-            raise ValueError("thetas must lie in [0, pi]")
         if not (math.isfinite(self.j_max) and self.j_max > 0):
-            raise ValueError("j_max must be positive and finite")
-        if not np.all((j >= 0) & (j <= self.j_max)):
-            raise ValueError("j_values must lie in [0, j_max]")
+            raise InputError("j_max must be positive and finite", item="j_max")
         if not (math.isfinite(self.sigma_r) and self.sigma_r >= 0):
-            raise ValueError("sigma_r must be nonnegative and finite")
+            raise InputError("sigma_r must be nonnegative and finite", item="sigma_r")
+        # each written as "in range" so that NaN fails too
+        failure = first_failure((w >= 0) & (w < np.inf), (t >= 0) & (t <= np.pi),
+                                (j >= 0) & (j <= self.j_max))
+        if failure is not None:
+            raise InputError(("weights must be finite and nonnegative", "thetas must lie in [0, pi]",
+                              "j_values must lie in [0, j_max]")[failure[1]], item=failure[0])
         for arr, name in ((w, "weights"), (j, "j_values"), (t, "thetas")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -140,10 +140,6 @@ class LegendreDF:
     alpha: np.ndarray
     j_max: float
     sigma_r: float
-
-    @property
-    def orders(self) -> tuple[int, int]:
-        return len(self.a) - 1, len(self.b) - 1
 
     def dcs(self, thetas: np.ndarray) -> np.ndarray:
         return self.sigma_r / (2.0 * np.pi) * legval(np.cos(thetas), self.a)
@@ -245,20 +241,12 @@ class KernelConfig:
         if self.s_j <= 0 or self.s_theta <= 0:
             raise ValueError("kernel widths must be positive")
 
-    @property
-    def fwhm_j(self) -> float:
-        return fwhm_from_width(self.s_j)
-
-    @property
-    def fwhm_theta(self) -> float:
-        return fwhm_from_width(self.s_theta)
-
     @classmethod
-    def from_ensemble(cls, ensemble: TrajectoryEnsemble, factor: float = 2.0) -> "KernelConfig":
-        """Widths set to `factor` times the mean nearest-neighbor spacing."""
+    def from_ensemble(cls, ensemble: TrajectoryEnsemble) -> "KernelConfig":
+        """Widths set to _SPACING_FACTOR times the mean nearest-neighbor spacing."""
         return cls(
-            factor * _mean_spacing(ensemble.j_values),
-            factor * _mean_spacing(ensemble.thetas),
+            _SPACING_FACTOR * _mean_spacing(ensemble.j_values),
+            _SPACING_FACTOR * _mean_spacing(ensemble.thetas),
         )
 
 
@@ -354,22 +342,14 @@ def sample_ell_continuous(
 _META_RE = re.compile(r"#\s*(sigma_r|j_max)\s*=\s*(\S+)")
 _NTOT_RE = re.compile(r"#\s*n_tot\s+(\d+)\s+(\d+)")
 
-Source = Union[str, Path, IO[str], IO[bytes], bytes]
-
 
 def load_trajectories(source: Source) -> TrajectoryEnsemble:
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    elif isinstance(source, bytes):
-        text = source.decode("utf-8")
-    else:
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-
     meta: dict[str, float] = {}
+    meta_lines: dict[str, int] = {}
     n_tot: dict[int, int] = {}
     rows: list[tuple[float, float, float]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = read_text(source).splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         stripped = raw.strip()
         if not stripped:
             continue
@@ -379,38 +359,41 @@ def load_trajectories(source: Source) -> TrajectoryEnsemble:
                 try:
                     meta[m.group(1)] = float(m.group(2))
                 except ValueError:
-                    raise ValueError(
-                        f"line {lineno}: bad {m.group(1)} value {m.group(2)!r}"
-                    ) from None
+                    raise InputError(f"bad {m.group(1)} value {m.group(2)!r}", lineno) from None
+                meta_lines[m.group(1)] = lineno
             m = _NTOT_RE.match(stripped)
             if m:
                 n_tot[int(m.group(1))] = int(m.group(2))
             continue
         fields = stripped.split()
         if len(fields) != 3:
-            raise ValueError(f"line {lineno}: expected 'w J theta_deg'")
+            raise InputError("expected 'w J theta_deg'", lineno)
         try:
-            row = (float(fields[0]), float(fields[1]), float(fields[2]))
+            rows.append((float(fields[0]), float(fields[1]), float(fields[2])))
         except ValueError:
-            raise ValueError(f"line {lineno}: malformed record {stripped!r}") from None
-        if not (math.isfinite(row[0]) and math.isfinite(row[1]) and math.isfinite(row[2])):
-            raise ValueError(f"line {lineno}: non-finite value in record {stripped!r}")
-        rows.append(row)
+            raise InputError(f"malformed record {stripped!r}", lineno) from None
     for key in ("sigma_r", "j_max"):
         if key not in meta:
             raise ValueError(f"trajectory header is missing '# {key} = ...'")
     arr = np.array(rows, dtype=float).reshape(-1, 3)
-    return TrajectoryEnsemble(
-        weights=arr[:, 0],
-        j_values=arr[:, 1],
-        thetas=np.radians(arr[:, 2]),
-        sigma_r=meta["sigma_r"],
-        j_max=meta["j_max"],
-        n_tot_by_j=n_tot or None,
-    )
+    try:
+        return TrajectoryEnsemble(
+            weights=arr[:, 0],
+            j_values=arr[:, 1],
+            thetas=np.radians(arr[:, 2]),
+            sigma_r=meta["sigma_r"],
+            j_max=meta["j_max"],
+            n_tot_by_j=n_tot or None,
+        )
+    except InputError as exc:
+        if isinstance(exc.item, str):
+            raise exc.on_line(meta_lines[exc.item]) from None
+        # records are built in file order: item i sits on the i-th record line
+        record_lines = [n for n, raw in enumerate(lines, start=1) if raw.strip()[:1] not in ("", "#")]
+        raise exc.on_line(record_lines[exc.item]) from None
 
 
-def save_trajectories(ensemble: TrajectoryEnsemble, destination: Union[str, Path, IO[str]]) -> None:
+def save_trajectories(ensemble: TrajectoryEnsemble, destination: Destination) -> None:
     lines = [
         "# qct trajectory ensemble",
         f"# sigma_r = {float(ensemble.sigma_r)!r}",
@@ -424,8 +407,4 @@ def save_trajectories(ensemble: TrajectoryEnsemble, destination: Union[str, Path
         f"{float(w)!r} {float(j)!r} {float(t)!r}"
         for w, j, t in zip(ensemble.weights, ensemble.j_values, degs)
     ]
-    text = "\n".join(lines) + "\n"
-    if isinstance(destination, (str, Path)):
-        Path(destination).write_text(text, encoding="utf-8")
-    else:
-        destination.write(text)
+    write_text("\n".join(lines) + "\n", destination)

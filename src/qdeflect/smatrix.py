@@ -9,9 +9,10 @@ File format (UTF-8, '#' starts a comment):
 
 One complex amplitude per (J, Omega, OmegaPrime); any triple absent from the
 file is exactly zero.  Helicity bounds |Omega| <= min(J, j) and
-|OmegaPrime| <= min(J, jp) are enforced on load.  Wavenumber units are
-whatever the unit tag declares (default 1/angstrom); all cross sections
-downstream come out in that unit squared.
+|OmegaPrime| <= min(J, jp) and finite amplitudes are enforced when a block
+is built; the loader names the line of the first entry that breaks them.
+Wavenumber units are whatever the unit tag declares (default 1/angstrom);
+all cross sections downstream come out in that unit squared.
 
 Loaded blocks are immutable; share them freely across threads.
 """
@@ -19,31 +20,29 @@ Loaded blocks are immutable; share them freely across threads.
 from __future__ import annotations
 
 import io
-import itertools
-import math
-import operator
 from dataclasses import dataclass, field
-from pathlib import Path
 from types import MappingProxyType
-from typing import IO, Iterable, Mapping, Union
+from typing import Mapping
 
 import numpy as np
+
+from ._text import Destination, InputError, Source, first_failure, read_text, write_text
 
 DEFAULT_K_UNIT = "1/angstrom"
 
 EntryKey = tuple[int, int, int]  # (J, Omega, OmegaPrime)
 
 
-class SMatrixParseError(ValueError):
+class SMatrixParseError(InputError):
     """Malformed input text; carries the 1-based line number."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
-
-class SMatrixValidationError(ValueError):
+class SMatrixValidationError(InputError):
     """Structurally valid input that violates a block invariant."""
+
+
+class _NonFiniteAmplitude(SMatrixValidationError, SMatrixParseError):
+    """A NaN or inf amplitude: a block invariant, and unreadable as text."""
 
 
 @dataclass(frozen=True)
@@ -61,70 +60,71 @@ class ChannelHeader:
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.k) and self.k > 0.0):
-            raise SMatrixValidationError(f"wavenumber must be positive, got {self.k}")
+            raise SMatrixValidationError(f"wavenumber must be positive, got {self.k}", item="k")
         for name in ("j", "j_final", "J_max"):
             if getattr(self, name) < 0:
-                raise SMatrixValidationError(f"{name} must be nonnegative")
-
-
-def _check_entry(header: ChannelHeader, key: EntryKey) -> None:
-    J, omega, omega_p = key
-    if not 0 <= J <= header.J_max:
-        raise SMatrixValidationError(
-            f"entry (J={J}, Omega={omega}, Omega'={omega_p}): J outside 0..{header.J_max}"
-        )
-    if abs(omega) > min(J, header.j):
-        raise SMatrixValidationError(
-            f"entry (J={J}, Omega={omega}, Omega'={omega_p}): "
-            f"|Omega|={abs(omega)} > min(J, j)={min(J, header.j)}"
-        )
-    if abs(omega_p) > min(J, header.j_final):
-        raise SMatrixValidationError(
-            f"entry (J={J}, Omega={omega}, Omega'={omega_p}): "
-            f"|Omega'|={abs(omega_p)} > min(J, jp)={min(J, header.j_final)}"
-        )
+                raise SMatrixValidationError(f"{name} must be nonnegative", item=name)
 
 
 @dataclass(frozen=True, eq=False)
 class SMatrixBlock:
     """Complex amplitudes S^J_{Omega' Omega} for one channel pair.
 
-    Missing (J, Omega, Omega') keys are exactly zero.  Construction
-    validates every key against the header bounds and indexes the entries
-    once, by helicity pair and by J.
+    Missing (J, Omega, Omega') keys are exactly zero.  Construction checks
+    every key against the header bounds and every amplitude for finiteness,
+    all at once; an error's `item` is the position of the first bad entry.
+    It then indexes the entries once, by helicity pair and by J.
     """
 
     header: ChannelHeader
     entries: Mapping[EntryKey, complex] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        validated: dict[EntryKey, complex] = {}
-        for key, value in self.entries.items():
-            key = (int(key[0]), int(key[1]), int(key[2]))
-            _check_entry(self.header, key)
-            validated[key] = complex(value)
-        object.__setattr__(self, "entries", MappingProxyType(validated))
+        h = self.header
+        # float keys, so that an integer beyond 64 bits fails the bounds too
+        keys = np.array(list(self.entries), dtype=float).reshape(-1, 3)
+        amps = np.array(list(self.entries.values()), dtype=complex)
+        J, omega, omega_p = keys.T
+        failure = first_failure(
+            (J >= 0) & (J <= h.J_max),
+            np.abs(omega) <= np.minimum(J, h.j),
+            np.abs(omega_p) <= np.minimum(J, h.j_final),
+            np.isfinite(amps),
+        )
+        if failure is not None:
+            i, rule = failure
+            Ji, om, omp = map(int, list(self.entries)[i])
+            error, message = (
+                (SMatrixValidationError, f"J outside 0..{h.J_max}"),
+                (SMatrixValidationError, f"|Omega|={abs(om)} > min(J, j)={min(Ji, h.j)}"),
+                (SMatrixValidationError, f"|Omega'|={abs(omp)} > min(J, jp)={min(Ji, h.j_final)}"),
+                (_NonFiniteAmplitude, f"non-finite amplitude {complex(amps[i])}"),
+            )[rule]
+            raise error(f"entry (J={Ji}, Omega={om}, Omega'={omp}): {message}", item=i)
+        keys = keys.astype(np.int64)
+        J, omega, omega_p = keys.T
+        entries = dict(zip(zip(*keys.T.tolist()), map(complex, self.entries.values())))
+        object.__setattr__(self, "entries", MappingProxyType(entries))
 
-        keys = sorted(validated)
-        by_pair: dict[tuple[int, int], tuple[list[int], list[complex]]] = {}
-        for J, omega, omega_p in keys:
-            js, amps = by_pair.setdefault((omega, omega_p), ([], []))
-            js.append(J)
-            amps.append(validated[J, omega, omega_p])
-        columns = {}
-        for pair, (js, amps) in by_pair.items():
-            column = (np.array(js, dtype=int), np.array(amps, dtype=complex))
-            for arr in column:
-                arr.setflags(write=False)
-            columns[pair] = column
-        object.__setattr__(self, "_columns", columns)
+        # by helicity pair, then J: each pair's column is a read-only slice
+        order = np.lexsort((J, omega_p, omega))
+        pairs, starts = np.unique(keys[order, 1:], axis=0, return_index=True)
+        js, values = J[order], amps[order]
+        js.setflags(write=False)
+        values.setflags(write=False)
+        bounds = [*starts.tolist(), len(order)]
+        object.__setattr__(self, "_columns", {
+            tuple(pair): (js[lo:hi], values[lo:hi])
+            for pair, lo, hi in zip(pairs.tolist(), bounds, bounds[1:])
+        })
         # Python's sum() over each J's entries in sorted-key order; the
         # opacity and sigma_j output bytes depend on this order
-        sum_sq = {
-            J: sum(abs(validated[key]) ** 2 for key in group)
-            for J, group in itertools.groupby(keys, key=operator.itemgetter(0))
-        }
-        object.__setattr__(self, "_sum_sq", sum_sq)
+        order = np.lexsort((omega_p, omega, J))
+        js, starts = np.unique(J[order], return_index=True)
+        by_j = np.split(amps[order], starts[1:])
+        object.__setattr__(self, "_sum_sq", {
+            Jg: sum(abs(v) ** 2 for v in group.tolist()) for Jg, group in zip(js.tolist(), by_j)
+        })
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -183,27 +183,9 @@ def validate_unitarity(block: SMatrixBlock, tol: float = 1e-9) -> UnitarityRepor
     return UnitarityReport(tuple(sorted(bad)), tol)
 
 
-Source = Union[str, Path, IO[str], IO[bytes], bytes]
-
-
-def _as_text_lines(source: Source) -> Iterable[str]:
-    if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8").splitlines()
-    if isinstance(source, bytes):
-        return source.decode("utf-8").splitlines()
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return data.splitlines()
-
-
-def _strip_comment(line: str) -> str:
-    return line.split("#", 1)[0].strip()
-
-
 def load_smatrix(source: Source) -> SMatrixBlock:
     """Parse a block from a path, byte/text stream, or bytes."""
-    lines = list(_as_text_lines(source))
+    lines = read_text(source).splitlines()
 
     k = None
     k_unit = DEFAULT_K_UNIT
@@ -212,15 +194,13 @@ def load_smatrix(source: Source) -> SMatrixBlock:
     entries: dict[EntryKey, complex] = {}
 
     for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if stripped.startswith("#"):
-            if stripped[1:].strip().startswith("energy:"):
-                energy_label = stripped[1:].strip()[len("energy:"):].strip()
-            continue
-        body = _strip_comment(raw)
-        if not body:
-            continue
+        body, _, comment = raw.partition("#")
         fields = body.split()
+        if not fields:
+            comment = comment.strip()
+            if comment.startswith("energy:"):
+                energy_label = comment[len("energy:"):].strip()
+            continue
         if fields[0] == "k":
             if k is not None:
                 raise SMatrixParseError("duplicate k line", lineno)
@@ -232,6 +212,7 @@ def load_smatrix(source: Source) -> SMatrixBlock:
                 raise SMatrixParseError(f"bad wavenumber {fields[1]!r}", lineno) from None
             if len(fields) >= 3:
                 k_unit = fields[2]
+            k_line = lineno
         elif fields[0] == "channel":
             if channel:
                 raise SMatrixParseError("duplicate channel line", lineno)
@@ -246,49 +227,45 @@ def load_smatrix(source: Source) -> SMatrixBlock:
             missing = {"j", "jp", "v", "vp", "Jmax"} - channel.keys()
             if missing:
                 raise SMatrixParseError(f"channel line missing {sorted(missing)}", lineno)
+            channel_line = lineno
         else:
             if k is None or not channel:
-                raise SMatrixParseError(
-                    "entries must follow the k and channel lines", lineno
-                )
+                raise SMatrixParseError("entries must follow the k and channel lines", lineno)
             if len(fields) != 5:
                 raise SMatrixParseError(
                     f"expected 'J Omega OmegaPrime Re Im', got {len(fields)} fields", lineno
                 )
             try:
-                J, omega, omega_p = (int(fields[i]) for i in range(3))
-                re_part, im_part = float(fields[3]), float(fields[4])
+                key = (int(fields[0]), int(fields[1]), int(fields[2]))
+                value = complex(float(fields[3]), float(fields[4]))
             except ValueError:
-                raise SMatrixParseError(f"malformed entry {body!r}", lineno) from None
-            if not (math.isfinite(re_part) and math.isfinite(im_part)):
-                raise SMatrixParseError(f"non-finite S-matrix element {body!r}", lineno)
-            key = (J, omega, omega_p)
+                raise SMatrixParseError(f"malformed entry {body.strip()!r}", lineno) from None
             if key in entries:
                 raise SMatrixValidationError(
-                    f"line {lineno}: duplicate entry for "
-                    f"(J={J}, Omega={omega}, Omega'={omega_p})"
+                    f"duplicate entry for (J={key[0]}, Omega={key[1]}, Omega'={key[2]})", lineno
                 )
-            entries[key] = complex(re_part, im_part)
+            entries[key] = value
 
     if k is None:
         raise SMatrixParseError("missing k line", len(lines) or 1)
     if not channel:
         raise SMatrixParseError("missing channel line", len(lines) or 1)
 
-    header = ChannelHeader(
-        k=k,
-        j=channel["j"],
-        j_final=channel["jp"],
-        v=channel["v"],
-        v_final=channel["vp"],
-        J_max=channel["Jmax"],
-        k_unit=k_unit,
-        energy_label=energy_label,
-    )
-    return SMatrixBlock(header, entries)
+    try:
+        header = ChannelHeader(k, channel["j"], channel["jp"], channel["v"], channel["vp"],
+                               channel["Jmax"], k_unit, energy_label)
+    except SMatrixValidationError as exc:
+        raise exc.on_line(k_line if exc.item == "k" else channel_line) from None
+    try:
+        return SMatrixBlock(header, entries)
+    except SMatrixValidationError as exc:
+        # entries are built in file order: item i sits on the i-th entry line
+        entry_lines = [n for n, raw in enumerate(lines, start=1)
+                       if raw.partition("#")[0].split()[:1] not in ([], ["k"], ["channel"])]
+        raise exc.on_line(entry_lines[exc.item]) from None
 
 
-def save_smatrix(block: SMatrixBlock, destination: Union[str, Path, IO[str]]) -> None:
+def save_smatrix(block: SMatrixBlock, destination: Destination) -> None:
     """Write the text format; floats use shortest round-trip representation."""
     h = block.header
     out = io.StringIO()
@@ -298,8 +275,4 @@ def save_smatrix(block: SMatrixBlock, destination: Union[str, Path, IO[str]]) ->
     out.write(f"channel j={h.j} jp={h.j_final} v={h.v} vp={h.v_final} Jmax={h.J_max}\n")
     for (J, omega, omega_p), value in sorted(block.entries.items()):
         out.write(f"{J} {omega} {omega_p} {float(value.real)!r} {float(value.imag)!r}\n")
-    text = out.getvalue()
-    if isinstance(destination, (str, Path)):
-        Path(destination).write_text(text, encoding="utf-8")
-    else:
-        destination.write(text)
+    write_text(out.getvalue(), destination)

@@ -13,13 +13,15 @@ Model spec files are plain key = value text; see parse_model_file.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Union
+from typing import Mapping, Union
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
+from ._text import InputError, read_text
 from .qct import TrajectoryEnsemble, sample_ell_continuous
 from .smatrix import ChannelHeader, SMatrixBlock
 
@@ -36,9 +38,9 @@ class GaussianAmplitude:
 
     def __post_init__(self) -> None:
         if self.width <= 0:
-            raise ValueError("amplitude width must be positive")
+            raise InputError("amplitude width must be positive", item="width")
         if not 0.0 < self.height <= 1.0:
-            raise ValueError("amplitude height must lie in (0, 1]")
+            raise InputError("amplitude height must lie in (0, 1]", item="height")
 
     def __call__(self, j: np.ndarray) -> np.ndarray:
         return self.height * np.exp(-(((j - self.center) / self.width) ** 2))
@@ -92,16 +94,14 @@ def two_branch_model(branches: tuple[PhaseBranch, PhaseBranch]) -> PhaseModel:
     return PhaseModel("two-branch", tuple(branches))
 
 
-def synth_smatrix(model: PhaseModel, k: float, j_max: int, j: int = 0) -> SMatrixBlock:
+def synth_smatrix(model: PhaseModel, k: float, j_max: int) -> SMatrixBlock:
     """Single-helicity block S^J_00 = sum over branches of A(J) e^{2 i eta(J)}.
 
     Branch sums exceeding unit magnitude are rescaled to the unit circle,
     which keeps every generated block flux-conserving by construction.
     """
-    if j != 0:
-        raise ValueError("phase-model blocks use a single helicity channel (j = 0)")
     if j_max < 2:
-        raise ValueError("j_max must be at least 2")
+        raise InputError("j_max must be at least 2", item="j_max")
     js = np.arange(j_max + 1)
     amps = np.zeros(j_max + 1, dtype=complex)
     for branch in model.branches:
@@ -146,7 +146,7 @@ class ClassicalBranch:
 
     def __post_init__(self) -> None:
         if self.weight < 0:
-            raise ValueError("branch weight must be nonnegative")
+            raise InputError("branch weight must be nonnegative", item="weight")
 
     def theta(self, u: np.ndarray) -> np.ndarray:
         return np.clip(polyval(u, np.asarray(self.theta_coeffs, dtype=float)), 0.0, np.pi)
@@ -168,9 +168,9 @@ class ClassicalModel:
 
     def __post_init__(self) -> None:
         if self.j_max <= 0:
-            raise ValueError("j_max must be positive")
+            raise InputError("j_max must be positive", item="j_max")
         if self.noise_width < 0:
-            raise ValueError("noise width must be nonnegative")
+            raise InputError("noise width must be nonnegative", item="noise_width")
         if not self.isotropic and not self.branches:
             raise ValueError("classical model needs branches unless isotropic")
 
@@ -181,7 +181,7 @@ def synth_trajectories(
     """Unit-weight records with J from the (2J+1)-weighted law and theta from
     a weight-chosen branch plus Gaussian noise."""
     if count <= 0:
-        raise ValueError("count must be positive")
+        raise InputError("count must be positive", item="count")
     gen = np.random.default_rng(rng)
     j = sample_ell_continuous(model.j_max, count, gen)
     if model.isotropic:
@@ -209,9 +209,19 @@ def synth_trajectories(
     )
 
 
+# constructor field -> model-file key, where the two names differ
+_KEY_OF_FIELD = {"width": "w", "height": "h", "j_max": "jmax", "noise_width": "noise"}
+
+
+def _on_key_line(exc: InputError, lines: Mapping[str, int]) -> InputError:
+    """exc placed on the line of the model-file key its field was read from."""
+    return exc.on_line(lines.get(_KEY_OF_FIELD.get(exc.item, exc.item)))
+
+
 @dataclass(frozen=True)
 class SynthSpec:
-    """Parsed model file: the model plus generation parameters."""
+    """Parsed model file: the model plus generation parameters, and the
+    line each key was read from."""
 
     kind: str
     model: Union[PhaseModel, ClassicalModel]
@@ -221,6 +231,32 @@ class SynthSpec:
     phase_offset: float = 0.4
     count: int = 10000
     seed: int = 0
+    lines: Mapping[str, int] = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise InputError("seed must be nonnegative", item="seed")
+
+    def generate(self, seed: int | None = None) -> Union[SMatrixBlock, TrajectoryEnsemble]:
+        """The spec's block or ensemble; seed overrides the file's seed."""
+        try:
+            if isinstance(self.model, ClassicalModel):
+                return synth_trajectories(self.model, self.count, self.seed if seed is None else seed)
+            if self.j_final > 0:
+                return synth_smatrix_helicity(self.model, self.k, self.j_final, self.j_max_int,
+                                              self.phase_offset)
+            return synth_smatrix(self.model, self.k, self.j_max_int)
+        except InputError as exc:
+            raise _on_key_line(exc, self.lines) from None
+
+
+def _finite(text: str, key: str) -> float:
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise InputError(f"bad {key} value {text!r}")
 
 
 def parse_model_file(source: Union[str, Path, bytes]) -> SynthSpec:
@@ -232,84 +268,59 @@ def parse_model_file(source: Union[str, Path, bytes]) -> SynthSpec:
     'branch = h j0 w c0 c1 ...' lines; jp and phase_offset request the
     helicity-extended block.  Classical models use repeated
     'cbranch = weight t0 t1 ...' lines plus noise, count, sigma_r, and
-    'isotropic = 1' for the no-correlation limit.
+    'isotropic = 1' for the no-correlation limit.  Every value but kind is
+    a finite number, and an error names the line of the value it rejects.
     """
-    if isinstance(source, Path):
-        text = source.read_text(encoding="utf-8")
-    elif isinstance(source, bytes):
-        text = source.decode("utf-8")
-    else:
-        text = source
-
-    scalars: dict[str, str] = {}
-    branches: list[list[float]] = []
-    cbranches: list[list[float]] = []
+    text = source if isinstance(source, str) else read_text(source)
+    kind, values, lines = None, {}, {}
+    branches: dict[str, list] = {"branch": [], "cbranch": []}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
         if not body:
             continue
-        if "=" not in body:
-            raise ValueError(f"model file line {lineno}: expected key = value")
-        key, _, val = body.partition("=")
+        key, eq, val = body.partition("=")
         key, val = key.strip().lower(), val.strip()
-        if key in ("branch", "cbranch"):
-            try:
-                row = [float(tok) for tok in val.split()]
-            except ValueError:
-                raise ValueError(f"model file line {lineno}: {key} values must be numbers") from None
-            # h j0 w c0 ... or weight t0 ...: at least one polynomial coefficient
-            need = 4 if key == "branch" else 2
-            if len(row) < need:
-                raise ValueError(
-                    f"model file line {lineno}: '{key} =' needs at least {need} numbers, got {len(row)}"
+        try:
+            if not eq:
+                raise InputError("expected key = value")
+            if key == "kind":
+                kind = val
+            elif key in branches:
+                row = [_finite(tok, key) for tok in val.split()]
+                # h j0 w c0 ... or weight t0 ...: at least one polynomial coefficient
+                need = 4 if key == "branch" else 2
+                if len(row) < need:
+                    raise InputError(f"'{key} =' needs at least {need} numbers, got {len(row)}")
+                branches[key].append(
+                    PhaseBranch(GaussianAmplitude(row[1], row[2], row[0]), tuple(row[3:]))
+                    if key == "branch" else ClassicalBranch(row[0], tuple(row[1:]))
                 )
-            (branches if key == "branch" else cbranches).append(row)
-        else:
-            scalars[key] = val
+            else:
+                values[key] = _finite(val, key)
+        except InputError as exc:
+            raise exc.on_line(lineno) from None
+        lines[key] = lineno
 
-    kind = scalars.get("kind")
     if kind is None:
-        raise ValueError("model file needs a 'kind' entry")
-    get = lambda key, default: float(scalars.get(key, default))
-
-    if kind == "classical":
-        cls_branches = tuple(
-            ClassicalBranch(row[0], tuple(row[1:])) for row in cbranches
-        )
-        model: Union[PhaseModel, ClassicalModel] = ClassicalModel(
-            j_max=get("jmax", 60.0),
-            branches=cls_branches,
-            noise_width=get("noise", 0.0),
-            sigma_r=get("sigma_r", 1.0),
-            isotropic=bool(int(scalars.get("isotropic", "0"))),
-        )
-    elif kind in PHASE_KINDS:
-        if kind == "two-branch":
-            if len(branches) < 2:
+        raise ValueError("model file is missing its 'kind' entry")
+    get = values.get
+    try:
+        if kind == "classical":
+            model: Union[PhaseModel, ClassicalModel] = ClassicalModel(
+                j_max=get("jmax", 60.0), branches=tuple(branches["cbranch"]), noise_width=get("noise", 0.0),
+                sigma_r=get("sigma_r", 1.0), isotropic=bool(get("isotropic", 0)))
+        elif kind == "two-branch":
+            if len(branches["branch"]) < 2:
                 raise ValueError("two-branch model needs two 'branch = ...' lines")
-            phase_branches = tuple(
-                PhaseBranch(GaussianAmplitude(row[1], row[2], row[0]), tuple(row[3:]))
-                for row in branches
-            )
-            model = PhaseModel("two-branch", phase_branches)
+            model = two_branch_model(tuple(branches["branch"]))
         elif kind == "linear":
-            model = linear_phase_model(
-                get("c", -0.3), get("j0", 30.0), get("w", 8.0), get("h", 1.0)
-            )
+            model = linear_phase_model(get("c", -0.3), get("j0", 30.0), get("w", 8.0), get("h", 1.0))
+        elif kind == "quadratic":
+            model = quadratic_phase_model(get("alpha", 0.02), get("j0", 30.0), get("w", 8.0), get("h", 1.0))
         else:
-            model = quadratic_phase_model(
-                get("alpha", 0.02), get("j0", 30.0), get("w", 8.0), get("h", 1.0)
-            )
-    else:
-        raise ValueError(f"unknown model kind {kind!r}")
-
-    return SynthSpec(
-        kind=kind,
-        model=model,
-        k=get("k", 1.0),
-        j_max_int=int(get("jmax", 60)),
-        j_final=int(get("jp", 0)),
-        phase_offset=get("phase_offset", 0.4),
-        count=int(get("count", 10000)),
-        seed=int(get("seed", 0)),
-    )
+            raise InputError(f"unknown model kind {kind!r}", item="kind")
+        return SynthSpec(kind, model, get("k", 1.0), int(get("jmax", 60)), int(get("jp", 0)),
+                         get("phase_offset", 0.4), int(get("count", 10000)), int(get("seed", 0)),
+                         lines)
+    except InputError as exc:
+        raise _on_key_line(exc, lines) from None

@@ -500,3 +500,43 @@ def test_gibbs_warning_is_one_cli_line(tmp_path):
         warnings.simplefilter("ignore", GibbsOscillationWarning)
         assert main(["qct-dcs", str(traj), "--out", str(ref)]) == 0
     assert out.read_bytes() == ref.read_bytes()
+
+
+HEADER = "k 1.0 u\nchannel j=0 jp=0 v=0 vp=0 Jmax=2\n"
+TRAJ_HEADER = "# sigma_r = 1.0\n# j_max = 10.0\n"
+
+
+@pytest.mark.parametrize("command,text,line", [
+    ("dcs", HEADER + "0 0 0 1.0 0.0\n1 1 0 0.5 0\n", 4),  # |Omega| > min(J, j)
+    ("dcs", HEADER + "0 0 0 1.0 0.0\n\n3 0 0 0.5 0\n", 5),  # J > Jmax
+    ("dcs", "k -1.0 u\nchannel j=0 jp=0 v=0 vp=0 Jmax=2\n0 0 0 1.0 0.0\n", 1),
+    ("dcs", "# c\nk 1.0 u\nchannel j=-1 jp=0 v=0 vp=0 Jmax=2\n0 0 0 1.0 0.0\n", 3),
+    ("qct-dcs", TRAJ_HEADER + "1.0 2.0 30.0\n1.0 2.0 200.0\n", 4),  # theta > 180 deg
+    ("qct-dcs", TRAJ_HEADER + "1.0 2.0 30.0\n-0.5 2.0 20.0\n", 4),  # negative weight
+    ("qct-dcs", TRAJ_HEADER + "# note\n1.0 12.0 30.0\n", 4),  # J > j_max
+    ("qct-dcs", "# sigma_r = -1.0\n# j_max = 10.0\n1.0 2.0 30.0\n", 1),
+    ("synth", "kind = linear\njmax = abc\n", 2),
+    ("synth", "kind = classical\njmax = 20\ncbranch = 1 2\nisotropic = yes\n", 4),
+    ("synth", "kind = classical\njmax = 20\ncbranch = 1 2\ncount = -3\n", 4),
+])
+def test_rejected_input_exits_1_naming_its_line(tmp_path, capsys, command, text, line):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    out = tmp_path / "x.csv"
+    assert main([command, str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith(f"qdeflect: error: line {line}: ")
+    assert not out.exists()
+
+
+def test_memory_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr("qdeflect.synth.synth_smatrix", exhausted)
+    model = tmp_path / "model.txt"
+    model.write_text(LINEAR_MODEL)
+    assert main(["synth", str(model), "--out", str(tmp_path / "b.smat")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("qdeflect: error: ")
+    assert "Traceback" not in err

@@ -165,3 +165,43 @@ def test_index_matches_a_scan_of_the_entries(rng):
         assert block.sum_sq_at_j(J) == scan
     assert block.helicity_pairs() == sorted({k[1:] for k in entries})
     assert block.js_with_entries() == sorted({k[0] for k in entries})
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), complex(0.1, float("inf")), complex("-inf")])
+def test_library_block_rejects_non_finite_amplitude(bad):
+    header = ChannelHeader(k=1.0, j=0, j_final=0, J_max=2)
+    with pytest.raises(SMatrixValidationError, match="non-finite") as excinfo:
+        SMatrixBlock(header, {(0, 0, 0): 0.5, (2, 0, 0): bad})
+    assert excinfo.value.item == 1  # the position of the failing entry
+
+
+def test_first_failing_entry_is_reported(rng):
+    # the second entry breaks a helicity bound, the third J_max: the first one wins
+    header = ChannelHeader(k=1.0, j=1, j_final=0, J_max=3)
+    with pytest.raises(SMatrixValidationError, match=r"\|Omega'\|=1") as excinfo:
+        SMatrixBlock(header, {(1, 1, 0): 0.1, (2, 0, 1): 0.1, (9, 0, 0): 0.1})
+    assert excinfo.value.item == 1
+
+
+def test_vectorized_checks_match_a_per_entry_check(rng):
+    # the per-entry checks the construction-time masks replaced, kept as the reference
+    header = ChannelHeader(k=1.0, j=1, j_final=2, J_max=6)
+
+    def rejected(key, value):
+        J, omega, omega_p = key
+        return (not 0 <= J <= 6 or abs(omega) > min(J, 1) or abs(omega_p) > min(J, 2)
+                or not np.isfinite(value))
+
+    for _ in range(300):
+        entries = {
+            (int(rng.integers(-1, 8)), int(rng.integers(-2, 3)), int(rng.integers(-3, 4))):
+                complex(rng.choice([0.5, 0.5j, 0.5, np.nan, np.inf]))
+            for _ in range(int(rng.integers(1, 8)))
+        }
+        first = next((i for i, item in enumerate(entries.items()) if rejected(*item)), None)
+        if first is None:
+            assert len(SMatrixBlock(header, entries)) == len(entries)
+        else:
+            with pytest.raises(SMatrixValidationError) as excinfo:
+                SMatrixBlock(header, entries)
+            assert excinfo.value.item == first

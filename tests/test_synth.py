@@ -214,3 +214,33 @@ class TestModelFiles:
     def test_missing_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             parse_model_file("jmax = 5\n")
+
+
+class TestModelFileLines:
+    @pytest.mark.parametrize("text, line, match", [
+        ("kind = linear\njmax = abc\n", 2, "bad jmax value 'abc'"),
+        ("kind = classical\njmax = 20\ncbranch = 1 2\nisotropic = yes\n", 4, "isotropic"),
+        ("kind = linear\n\njmax = nan\n", 3, "jmax"),
+        ("kind = linear\njmax = 20\nw = -1\n", 3, "width"),
+        ("kind = classical\njmax = -5\ncbranch = 1 2\n", 2, "j_max"),
+        ("kind = classical\njmax = 20\ncbranch = -1 2\n", 3, "weight"),
+        ("kind = classical\njmax = 20\ncbranch = 1 inf\n", 3, "bad cbranch value .inf."),
+        ("kind = cubic\n", 1, "kind"),
+    ])
+    def test_rejected_value_names_its_line(self, text, line, match):
+        with pytest.raises(ValueError, match=match) as excinfo:
+            parse_model_file(text)
+        assert excinfo.value.line == line
+        assert str(excinfo.value).startswith(f"line {line}: ")
+
+    @pytest.mark.parametrize("text, line", [
+        ("kind = linear\njmax = 1\n", 2),
+        ("kind = linear\njmax = 20\nk = -1\n", 3),
+        ("kind = classical\njmax = 20\ncbranch = 1 2\ncount = 0\n", 4),
+        ("kind = classical\njmax = 20\ncbranch = 1 2\nsigma_r = -1\n", 4),
+    ])
+    def test_generation_error_names_the_key_line(self, text, line):
+        spec = parse_model_file(text)
+        with pytest.raises(ValueError) as excinfo:
+            spec.generate()
+        assert excinfo.value.line == line
