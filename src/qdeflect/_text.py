@@ -46,3 +46,52 @@ def first_failure(*passes: np.ndarray) -> tuple[int, int] | None:
     failed = ~np.vstack(passes)
     hits = np.flatnonzero(failed.any(axis=0))
     return (int(hits[0]), int(failed[:, hits[0]].argmax())) if hits.size else None
+
+
+_CHUNK = 4096  # record lines read at once; bounds the tokens held in memory
+NUMBER_START = frozenset("0123456789+-.")  # a line starting with one is not a header or comment
+
+
+def read_column(values, t: type) -> np.ndarray:
+    """t(v) for each value, t being int or float: int64 or float64, or an
+    object array of Python ints if one exceeds 64 bits."""
+    try:
+        return np.fromiter(map(t, values), np.int64 if t is int else float, len(values))
+    except OverflowError:
+        return np.array(list(map(int, values)), dtype=object)
+
+
+def other_lines(numbers: list[int], count: int) -> list[int]:
+    """The line numbers 1..count that are not in the ascending `numbers`."""
+    return [n for lo, hi in zip([0, *numbers], [*numbers, count + 1]) for n in range(lo + 1, hi)]
+
+
+def read_records(lines: list[str], numbers: list[int], types: tuple[type, ...],
+                 comment: str | None = None, chunk: int | None = None) -> tuple[list[np.ndarray], int]:
+    """(columns, n): column c holds types[c](token) of the record lines
+    `numbers` (1-based) of `lines`, for their first n records.  n <
+    len(numbers) indexes the first record that is not len(types) tokens or
+    holds a token its type rejects; no record after it is read.  Text from
+    `comment` on is not part of a line.  Lines are split `chunk` at a time
+    (default _CHUNK), each chunk at once."""
+    width, chunk = len(types), chunk or _CHUNK
+    parts = [[read_column([], t) for t in types]]
+    for lo in range(0, len(numbers), chunk):
+        some = numbers[lo : lo + chunk]
+        text = " ; ".join([lines[n - 1] for n in some])
+        if comment is not None and comment in text:
+            text = " ; ".join([lines[n - 1].partition(comment)[0] for n in some])
+        # one split per chunk, ";" between the lines: as no type reads ";",
+        # the columns read only if every line is exactly `width` tokens
+        tokens = text.split()
+        try:
+            if len(tokens) == (width + 1) * len(some) - 1:
+                parts.append([read_column(tokens[c :: width + 1], t) for c, t in enumerate(types)])
+                continue
+        except ValueError:
+            pass
+        if chunk == 1:
+            return [np.concatenate(column) for column in zip(*parts)], lo
+        columns, n = read_records(lines, some, types, comment, chunk=1)
+        return [np.concatenate(column) for column in zip(*parts, columns)], lo + n
+    return [np.concatenate(column) for column in zip(*parts)], len(numbers)

@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import sys
 import warnings
+from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -52,14 +53,21 @@ _CELL_FORMATS = {"theta_deg": "%.6f", "theta_tilde_deg": "%.6f", "J": "%d"}
 
 
 def _write_csv(out: str, command: str, input_path: str, header: Sequence[str],
-               columns: Sequence[np.ndarray], params: dict) -> None:
-    cells = []
-    for name, column in zip(header, columns):
-        values = np.asarray(column)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("refusing to write non-finite output values")
-        cells.append(values.astype(np.int64 if name == "J" else float).tolist())
-    row_format = ",".join(_CELL_FORMATS.get(name, "%.8e") for name in header)
+               axes: Sequence[np.ndarray], cells: Sequence[np.ndarray], params: dict) -> None:
+    """Rows are the product of the key `axes`, the first outermost; each
+    row goes on with one value from each of `cells`, arrays of the axes'
+    shape.  An axis value is formatted once, into one row template with
+    a slot per cell, and a single % fills every slot."""
+    columns = [np.asarray(c) for c in (*axes, *cells)]
+    if not all(np.all(np.isfinite(c)) for c in columns):
+        raise ValueError("refusing to write non-finite output values")
+    columns = [c.astype(np.int64 if name == "J" else float) for name, c in zip(header, columns)]
+    formats = [_CELL_FORMATS.get(name, "%.8e") for name in header]
+    template = ",".join(formats[len(axes):])
+    for fmt, axis in reversed(list(zip(formats, columns[: len(axes)]))):
+        template = "\n".join(key + "," + template.replace("\n", "\n" + key + ",")
+                             for key in (fmt % v for v in axis.tolist()))
+    values = [c.ravel().tolist() for c in columns[len(axes):]]
     lines = [
         f"# qdeflect {__version__}",
         f"# command: {command}",
@@ -67,19 +75,16 @@ def _write_csv(out: str, command: str, input_path: str, header: Sequence[str],
         "# params: " + " ".join(f"{k}={params[k]}" for k in sorted(params)),
         ",".join(header),
     ]
-    lines.extend([row_format % row for row in zip(*cells)])
-    Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _map_columns(grid: AngularGrid, j_values, values) -> tuple[np.ndarray, ...]:
-    """Long-format (theta_deg, J, value) columns, theta-major."""
-    n_j = len(j_values)
-    return np.repeat(grid.degrees, n_j), np.tile(j_values, len(grid)), np.ravel(values)
+    with open(out, "w", encoding="utf-8") as stream:
+        stream.write("\n".join(lines) + "\n")
+        if template:  # the rows go out as formatted, with no further copy
+            stream.write(template % tuple(values[0] if len(values) == 1 else chain(*zip(*values))))
+            stream.write("\n")
 
 
 def _per_j(block, name: str, fn):
     js = range(block.header.J_max + 1)
-    return ("J", name), (js, [fn(block, J) for J in js]), {}
+    return ("J", name), (js,), ([fn(block, J) for J in js],), {}
 
 
 def _map_output(dmap, args, params: dict):
@@ -93,20 +98,20 @@ def _map_output(dmap, args, params: dict):
         if mask.any():
             print(f"note: {int(mask.sum())} endpoint theta rows emitted as 0 (sin(theta) = 0)",
                   file=sys.stderr)
-    return ("theta_deg", "J", "value"), _map_columns(dmap.grid, dmap.j_values, values), params
+    return ("theta_deg", "J", "value"), (dmap.grid.degrees, dmap.j_values), (values,), params
 
 
 def _window_curve(block, args, curve_of):
     window = JWindow(0 if args.jmin is None else args.jmin,
                      block.header.J_max if args.jmax is None else args.jmax)
-    return (("theta_deg", "value"), (args.grid.degrees, curve_of(window).values),
+    return (("theta_deg", "value"), (args.grid.degrees,), (curve_of(window).values,),
             {"jmin": window.j_lo, "jmax": window.j_hi})
 
 
 def _cqdf(block, args):
     curve = cqdf(block, args.omega_prime, args.omega, mode=args.unwrap)
-    columns = (curve.j_values, curve.theta_tilde, np.degrees(curve.theta_tilde), curve.magnitudes)
-    return (("J", "theta_tilde_rad", "theta_tilde_deg", "magnitude"), columns,
+    cells = (curve.theta_tilde, np.degrees(curve.theta_tilde), curve.magnitudes)
+    return (("J", "theta_tilde_rad", "theta_tilde_deg", "magnitude"), (curve.j_values,), cells,
             {"omega": args.omega, "omega_prime": args.omega_prime, "unwrap": args.unwrap})
 
 
@@ -132,12 +137,12 @@ def _qct_df(ensemble, args):
         params = {"order_theta": args.order_theta, "order_j": args.order_j}
         dmap = qct_df_legendre(ensemble, args.order_theta, args.order_j, args.grid)
     params["estimator"] = args.estimator
-    return ("theta_deg", "J", "value"), _map_columns(dmap.grid, dmap.j_values, dmap.values), params
+    return ("theta_deg", "J", "value"), (dmap.grid.degrees, dmap.j_values), (dmap.values,), params
 
 
 def _qct_dcs(ensemble, args):
     curve = qct_dcs_legendre(ensemble, args.order_theta, args.grid)
-    return (("theta_deg", "value"), (args.grid.degrees, curve.values),
+    return (("theta_deg", "value"), (args.grid.degrees,), (curve.values,),
             {"estimator": "legendre", "order_theta": args.order_theta})
 
 
@@ -151,7 +156,7 @@ def _qct_sigma_j(ensemble, args):
         params = {"order_j": args.order_j}
         fn = qct_sigma_j_legendre(ensemble, args.order_j)
     params["estimator"] = args.estimator
-    return ("J", "value"), (j_values, np.asarray(fn(j_values.astype(float)))), params
+    return ("J", "value"), (j_values,), (np.asarray(fn(j_values.astype(float))),), params
 
 
 def _synth(path, args) -> None:
@@ -161,8 +166,8 @@ def _synth(path, args) -> None:
 
 class Command(NamedTuple):
     """One command: its input loader (None: the handler gets the path), its
-    argparse option specs, and handler(data, args) -> (header, columns,
-    params), or None when the handler writes its own output.  For commands
+    argparse option specs, and handler(data, args) -> (header, axes, cells,
+    params) for _write_csv, or None when the handler writes its own output.  For commands
     with --grid-deg, run() sets args.grid and records grid_deg."""
 
     load: Callable[[str], object] | None
@@ -188,7 +193,7 @@ ORDER_J = (("--order-j", {"type": int, "default": 20}),)
 
 COMMANDS = {
     "dcs": Command(_BLOCK, GRID, lambda block, a: (
-        ("theta_deg", "dcs"), (a.grid.degrees, dcs(block, a.grid).values), {})),
+        ("theta_deg", "dcs"), (a.grid.degrees,), (dcs(block, a.grid).values,), {})),
     "qmdf": Command(_BLOCK, GRID + MAP, lambda block, a: _map_output(qmdf_map(block, a.grid), a, {})),
     "random-phase": Command(_BLOCK, GRID + MAP,
                             lambda block, a: _map_output(random_phase_map(block, a.grid), a, {})),
@@ -198,7 +203,7 @@ COMMANDS = {
     "opacity": Command(_BLOCK, (), lambda block, a: _per_j(block, "opacity", opacity)),
     "sigma-j": Command(_BLOCK, (), lambda block, a: _per_j(block, "sigma_j", partial_cross_section)),
     "sum-j": Command(_BLOCK, GRID + WINDOW, lambda block, a: _window_curve(
-        block, a, lambda window: sum_over_j(qmdf_map(block, a.grid), window))),
+        block, a, lambda window: sum_over_j(qmdf_map(block, a.grid, window), window))),
     "partial-dcs": Command(_BLOCK, GRID + WINDOW, lambda block, a: _window_curve(
         block, a, lambda window: partial_dcs(block, window, a.grid))),
     "cqdf": Command(_BLOCK, (
@@ -238,8 +243,8 @@ def run(args: argparse.Namespace) -> int:
         params["grid_deg"] = args.grid_deg
     result = command.handler(data, args)
     if result is not None:
-        header, columns, extra = result
-        _write_csv(args.out, args.command, args.input, header, columns, {**params, **extra})
+        header, axes, cells, extra = result
+        _write_csv(args.out, args.command, args.input, header, axes, cells, {**params, **extra})
     return 0
 
 

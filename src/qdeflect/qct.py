@@ -32,7 +32,8 @@ from typing import Callable, Mapping, Union
 import numpy as np
 from numpy.polynomial.legendre import legval, legvander
 
-from ._text import Destination, InputError, Source, first_failure, read_text, write_text
+from ._text import (NUMBER_START, Destination, InputError, Source, first_failure, other_lines, read_records,
+                    read_text, write_text)
 from .angular import AngularGrid
 from .observables import AngularCurve
 from .qmdf import DeflectionMap
@@ -339,48 +340,52 @@ def sample_ell_continuous(
 # trajectory file format: '#' comments carry sigma_r, j_max and the optional
 # per-J totals; records are "<w> <J> <theta_deg>" lines.
 
-_META_RE = re.compile(r"#\s*(sigma_r|j_max)\s*=\s*(\S+)")
-_NTOT_RE = re.compile(r"#\s*n_tot\s+(\d+)\s+(\d+)")
+_HEADER_RE = re.compile(r"#\s*(sigma_r|j_max|n_tot)\b(.*)")
+_HEADER_FORMS = {"sigma_r": r"\s*=\s*(\S+)", "j_max": r"\s*=\s*(\S+)", "n_tot": r"\s+(\d+)\s+(\d+)(?!\S)"}
 
 
 def load_trajectories(source: Source) -> TrajectoryEnsemble:
+    """Read an ensemble; a '#' line whose first word is sigma_r, j_max or
+    n_tot must be that header, and every other '#' line is a comment."""
     meta: dict[str, float] = {}
     meta_lines: dict[str, int] = {}
     n_tot: dict[int, int] = {}
-    rows: list[tuple[float, float, float]] = []
     lines = read_text(source).splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped:
+    head_lines = [n for n, raw in enumerate(lines, start=1)
+                  if raw[:1] not in NUMBER_START and raw.lstrip()[:1] in ("", "#")]
+    record_lines = other_lines(head_lines, len(lines))
+    fault = None
+    for lineno in head_lines:
+        if not (m := _HEADER_RE.match(lines[lineno - 1].strip())):
             continue
-        if stripped.startswith("#"):
-            m = _META_RE.match(stripped)
-            if m:
-                try:
-                    meta[m.group(1)] = float(m.group(2))
-                except ValueError:
-                    raise InputError(f"bad {m.group(1)} value {m.group(2)!r}", lineno) from None
-                meta_lines[m.group(1)] = lineno
-            m = _NTOT_RE.match(stripped)
-            if m:
-                n_tot[int(m.group(1))] = int(m.group(2))
-            continue
-        fields = stripped.split()
-        if len(fields) != 3:
-            raise InputError("expected 'w J theta_deg'", lineno)
+        if not (value := re.match(_HEADER_FORMS[m[1]], m[2])):
+            fault = InputError(f"malformed '# {m[1]}' line", lineno)
+            break
         try:
-            rows.append((float(fields[0]), float(fields[1]), float(fields[2])))
+            if m[1] == "n_tot":
+                n_tot[int(value[1])] = int(value[2])
+            else:
+                meta[m[1]], meta_lines[m[1]] = float(value[1]), lineno
         except ValueError:
-            raise InputError(f"malformed record {stripped!r}", lineno) from None
+            fault = InputError(f"bad {m[1]} value {value[1]!r}", lineno)
+            break
+    # a fault on an earlier record line comes first
+    numbers = [n for n in record_lines if fault is None or n < fault.line]
+    columns, n_read = read_records(lines, numbers, (float, float, float))
+    if n_read < len(numbers):
+        raw = lines[numbers[n_read] - 1]
+        raise InputError(f"malformed record {raw.strip()!r}" if len(raw.split()) == 3 else
+                         "expected 'w J theta_deg'", numbers[n_read])
+    if fault is not None:
+        raise fault
     for key in ("sigma_r", "j_max"):
         if key not in meta:
             raise ValueError(f"trajectory header is missing '# {key} = ...'")
-    arr = np.array(rows, dtype=float).reshape(-1, 3)
     try:
         return TrajectoryEnsemble(
-            weights=arr[:, 0],
-            j_values=arr[:, 1],
-            thetas=np.radians(arr[:, 2]),
+            weights=columns[0],
+            j_values=columns[1],
+            thetas=np.radians(columns[2]),
             sigma_r=meta["sigma_r"],
             j_max=meta["j_max"],
             n_tot_by_j=n_tot or None,
@@ -388,8 +393,6 @@ def load_trajectories(source: Source) -> TrajectoryEnsemble:
     except InputError as exc:
         if isinstance(exc.item, str):
             raise exc.on_line(meta_lines[exc.item]) from None
-        # records are built in file order: item i sits on the i-th record line
-        record_lines = [n for n, raw in enumerate(lines, start=1) if raw.strip()[:1] not in ("", "#")]
         raise exc.on_line(record_lines[exc.item]) from None
 
 

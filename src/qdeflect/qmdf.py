@@ -95,14 +95,15 @@ def j_partial_amplitude(
 
 
 def _group_sums(
-    block: SMatrixBlock, omega_ps: list[int], grid: AngularGrid
+    block: SMatrixBlock, omega_ps: list[int], grid: AngularGrid, j_lo: int = 0, j_hi: int | None = None
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (J, G) with G[g] = sum over the pairs (Omega, omega_ps[g]) of
-    Re(f^J F*), in ascending Omega, shape (len(omega_ps), len(grid)).
+    """Yield (J, G) for J in j_lo..j_hi with G[g] = sum over the pairs
+    (Omega, omega_ps[g]) of Re(f^J F*), in ascending Omega, shape
+    (len(omega_ps), len(grid)).
 
-    F comes from a first pass over the amplitudes and the second pass
-    recomputes f^J.  Every group is padded to the same size with pairs
-    the block lacks, whose zero terms leave the sums unchanged.
+    F comes from a first pass over all the amplitudes and the second pass
+    recomputes f^J in the window only.  Every group is padded to the same
+    size with pairs the block lacks, whose zero terms leave the sums unchanged.
     """
     present = set(block.helicity_pairs())
     groups = [[w for w in range(-block.header.j, block.header.j + 1) if (w, op) in present]
@@ -114,7 +115,7 @@ def _group_sums(
         pairs += [(w, op) for w in omegas + fill[: size - len(omegas)]]
     conj_full = np.conj(summed_amplitudes(block, pairs, grid))
     product = np.empty_like(conj_full)
-    for J, f_j in partial_amplitudes(block, pairs, grid):
+    for J, f_j in partial_amplitudes(block, pairs, grid, j_lo, j_hi):
         np.multiply(f_j, conj_full, out=product)
         # Re(f^J F*) = |f^J|^2 + half of every cross term with J1 != J;
         # numpy sums over a non-inner axis row by row from +0, as a loop would
@@ -133,15 +134,18 @@ def qmdf_helicity_map(block: SMatrixBlock, omega_p: int, grid: AngularGrid) -> D
     return DeflectionMap(grid, np.arange(h.J_max + 1), values)
 
 
-def qmdf_map(block: SMatrixBlock, grid: AngularGrid) -> DeflectionMap:
-    """Full map; identical to the sum of its helicity-resolved maps."""
+def qmdf_map(block: SMatrixBlock, grid: AngularGrid, window: JWindow | None = None) -> DeflectionMap:
+    """Full map; identical to the sum of its helicity-resolved maps.  With a
+    window, only its J columns, each equal to the full map's column."""
     h = block.header
+    window = window or JWindow(0, h.J_max)
+    _check_window(window, np.arange(h.J_max + 1))
     scale = grid.sin_thetas / (2 * h.j + 1)
-    values = np.zeros((len(grid), h.J_max + 1))
+    values = np.zeros((len(grid), window.j_hi - window.j_lo + 1))
     omega_ps = sorted({op for _, op in block.helicity_pairs()})
-    for J, sums in _group_sums(block, omega_ps, grid):
-        values[:, J] = (sums * scale).sum(axis=0)
-    return DeflectionMap(grid, np.arange(h.J_max + 1), values)
+    for J, sums in _group_sums(block, omega_ps, grid, window.j_lo, window.j_hi):
+        values[:, J - window.j_lo] = (sums * scale).sum(axis=0)
+    return DeflectionMap(grid, np.arange(window.j_lo, window.j_hi + 1), values)
 
 
 def random_phase_map(block: SMatrixBlock, grid: AngularGrid) -> DeflectionMap:

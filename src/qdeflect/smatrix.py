@@ -20,13 +20,15 @@ Loaded blocks are immutable; share them freely across threads.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from ._text import Destination, InputError, Source, first_failure, read_text, write_text
+from ._text import (NUMBER_START, Destination, InputError, Source, first_failure, other_lines, read_column,
+                    read_records, read_text, write_text)
 
 DEFAULT_K_UNIT = "1/angstrom"
 
@@ -66,24 +68,33 @@ class ChannelHeader:
                 raise SMatrixValidationError(f"{name} must be nonnegative", item=name)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SMatrixBlock:
-    """Complex amplitudes S^J_{Omega' Omega} for one channel pair.
+    """Complex amplitudes S^J_{Omega' Omega} for one channel pair, built
+    from a {(J, Omega, Omega'): amplitude} mapping.
 
-    Missing (J, Omega, Omega') keys are exactly zero.  Construction checks
+    Held as read-only arrays: sorted int64 `keys` rows (J, Omega, Omega')
+    and their `amps`; missing keys are exactly zero.  Construction checks
     every key against the header bounds and every amplitude for finiteness,
-    all at once; an error's `item` is the position of the first bad entry.
-    It then indexes the entries once, by helicity pair and by J.
+    all at once; an error's `item` is the position of the first bad entry
+    in the order given.  It then indexes the entries by helicity pair.
     """
 
     header: ChannelHeader
-    entries: Mapping[EntryKey, complex] = field(default_factory=dict)
+    keys: np.ndarray
+    amps: np.ndarray
 
-    def __post_init__(self) -> None:
-        h = self.header
-        # float keys, so that an integer beyond 64 bits fails the bounds too
-        keys = np.array(list(self.entries), dtype=float).reshape(-1, 3)
-        amps = np.array(list(self.entries.values()), dtype=complex)
+    def __init__(self, header: ChannelHeader, entries: Mapping[EntryKey, complex] = MappingProxyType({})):
+        self._index(header, read_column([i for key in entries for i in key], int).reshape(-1, 3),
+                    np.array(list(entries.values()), dtype=complex))
+
+    @classmethod
+    def _from_arrays(cls, header: ChannelHeader, keys: np.ndarray, amps: np.ndarray) -> "SMatrixBlock":
+        """Block of distinct (n, 3) keys and n amplitudes, in any order."""
+        (block := cls.__new__(cls))._index(header, keys, amps)
+        return block
+
+    def _index(self, h: ChannelHeader, keys: np.ndarray, amps: np.ndarray) -> None:
         J, omega, omega_p = keys.T
         failure = first_failure(
             (J >= 0) & (J <= h.J_max),
@@ -93,7 +104,7 @@ class SMatrixBlock:
         )
         if failure is not None:
             i, rule = failure
-            Ji, om, omp = map(int, list(self.entries)[i])
+            Ji, om, omp = map(int, keys[i])
             error, message = (
                 (SMatrixValidationError, f"J outside 0..{h.J_max}"),
                 (SMatrixValidationError, f"|Omega|={abs(om)} > min(J, j)={min(Ji, h.j)}"),
@@ -101,36 +112,37 @@ class SMatrixBlock:
                 (_NonFiniteAmplitude, f"non-finite amplitude {complex(amps[i])}"),
             )[rule]
             raise error(f"entry (J={Ji}, Omega={om}, Omega'={omp}): {message}", item=i)
-        keys = keys.astype(np.int64)
-        J, omega, omega_p = keys.T
-        entries = dict(zip(zip(*keys.T.tolist()), map(complex, self.entries.values())))
-        object.__setattr__(self, "entries", MappingProxyType(entries))
-
+        order = np.lexsort((omega_p, omega, J))
+        keys, amps = keys[order].astype(np.int64, copy=False), amps[order]
         # by helicity pair, then J: each pair's column is a read-only slice
-        order = np.lexsort((J, omega_p, omega))
-        pairs, starts = np.unique(keys[order, 1:], axis=0, return_index=True)
-        js, values = J[order], amps[order]
-        js.setflags(write=False)
-        values.setflags(write=False)
-        bounds = [*starts.tolist(), len(order)]
-        object.__setattr__(self, "_columns", {
-            tuple(pair): (js[lo:hi], values[lo:hi])
-            for pair, lo, hi in zip(pairs.tolist(), bounds, bounds[1:])
+        order = np.lexsort((keys[:, 0], keys[:, 2], keys[:, 1]))
+        pairs, js, values = keys[order, 1:], keys[order, 0], amps[order]
+        for array in (keys, amps, js, values):
+            array.setflags(write=False)
+        bounds = [0, *(np.flatnonzero(np.any(pairs[1:] != pairs[:-1], axis=1)) + 1).tolist(), len(order)]
+        vars(self).update(header=h, keys=keys, amps=amps, _columns={
+            tuple(pairs[lo].tolist()): (js[lo:hi], values[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:]) if hi > lo
         })
+
+    @cached_property
+    def entries(self) -> Mapping[EntryKey, complex]:
+        """Read-only {key: amplitude} in key order, built on first access."""
+        return MappingProxyType(dict(zip(map(tuple, self.keys.tolist()), self.amps.tolist())))
+
+    @cached_property
+    def _sum_sq(self) -> dict[int, float]:
         # Python's sum() over each J's entries in sorted-key order; the
         # opacity and sigma_j output bytes depend on this order
-        order = np.lexsort((omega_p, omega, J))
-        js, starts = np.unique(J[order], return_index=True)
-        by_j = np.split(amps[order], starts[1:])
-        object.__setattr__(self, "_sum_sq", {
-            Jg: sum(abs(v) ** 2 for v in group.tolist()) for Jg, group in zip(js.tolist(), by_j)
-        })
+        js, starts = np.unique(self.keys[:, 0], return_index=True)
+        return {J: sum(abs(v) ** 2 for v in group.tolist())
+                for J, group in zip(js.tolist(), np.split(self.amps, starts[1:]))}
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.keys)
 
     def js_with_entries(self) -> list[int]:
-        return sorted(self._sum_sq)
+        return np.unique(self.keys[:, 0]).tolist()
 
     def helicity_pairs(self) -> list[tuple[int, int]]:
         """Sorted (Omega, OmegaPrime) pairs that have at least one entry."""
@@ -172,79 +184,93 @@ class UnitarityReport:
 
 def validate_unitarity(block: SMatrixBlock, tol: float = 1e-9) -> UnitarityReport:
     """Flag every entry with |S| > 1 + tol (flux conservation sanity check)."""
-    bad = []
-    for omega, omega_p in block.helicity_pairs():
-        js, amps = block.j_column(omega, omega_p)
-        # np.abs screens with a margin for its last-bit differences from abs()
-        for i in np.flatnonzero(np.abs(amps) > (1.0 + tol) * (1.0 - 1e-12)):
-            mag = abs(complex(amps[i]))
-            if mag > 1.0 + tol:
-                bad.append(((int(js[i]), omega, omega_p), mag))
-    return UnitarityReport(tuple(sorted(bad)), tol)
+    # np.abs screens with a margin for its last-bit differences from abs(); keys are sorted
+    near = np.abs(block.amps) > (1.0 + tol) * (1.0 - 1e-12)
+    return UnitarityReport(tuple((tuple(key), abs(s)) for key, s in zip(
+        block.keys[near].tolist(), block.amps[near].tolist()) if abs(s) > 1.0 + tol), tol)
+
+
+def _entry_arrays(lines: list[str], numbers: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, amps) of the entry lines `numbers`, in file order.  Raises the
+    first line's fault: not five fields, a token that int() or float()
+    rejects, or a key that an earlier line gave."""
+    columns, n_read = read_records(lines, numbers, (int, int, int, float, float), comment="#")
+    keys = np.column_stack(columns[:3])
+    order = np.lexsort(keys.T[::-1])
+    repeats = order[1:][np.all(keys[order[1:]] == keys[order[:-1]], axis=1)]
+    if repeats.size:
+        raise SMatrixValidationError("duplicate entry for (J={}, Omega={}, Omega'={})".format(
+            *keys[repeats.min()]), numbers[repeats.min()])
+    if n_read < len(numbers):
+        body = lines[numbers[n_read] - 1].partition("#")[0]
+        count = len(body.split())
+        raise SMatrixParseError(f"malformed entry {body.strip()!r}" if count == 5 else
+                                f"expected 'J Omega OmegaPrime Re Im', got {count} fields", numbers[n_read])
+    amps = np.empty(n_read, dtype=complex)
+    amps.real, amps.imag = columns[3], columns[4]
+    return keys, amps
 
 
 def load_smatrix(source: Source) -> SMatrixBlock:
-    """Parse a block from a path, byte/text stream, or bytes."""
+    """Parse a block from a path, byte/text stream, or bytes.
+
+    The k, channel and comment lines are read one by one, the entry lines
+    column by column.  A fault is reported on the first line that has one.
+    """
     lines = read_text(source).splitlines()
+    head_lines = [n for n, raw in enumerate(lines, start=1) if raw[:1] not in NUMBER_START
+                  and raw.partition("#")[0].split()[:1] in ([], ["k"], ["channel"])]
+    entry_lines = other_lines(head_lines, len(lines))
+    first_entry = entry_lines[0] if entry_lines else len(lines) + 1
 
     k = None
     k_unit = DEFAULT_K_UNIT
     channel: dict[str, int] = {}
     energy_label = ""
-    entries: dict[EntryKey, complex] = {}
-
-    for lineno, raw in enumerate(lines, start=1):
-        body, _, comment = raw.partition("#")
-        fields = body.split()
-        if not fields:
-            comment = comment.strip()
-            if comment.startswith("energy:"):
-                energy_label = comment[len("energy:"):].strip()
-            continue
-        if fields[0] == "k":
-            if k is not None:
-                raise SMatrixParseError("duplicate k line", lineno)
-            if len(fields) < 2:
-                raise SMatrixParseError("k line needs a value", lineno)
-            try:
-                k = float(fields[1])
-            except ValueError:
-                raise SMatrixParseError(f"bad wavenumber {fields[1]!r}", lineno) from None
-            if len(fields) >= 3:
-                k_unit = fields[2]
-            k_line = lineno
-        elif fields[0] == "channel":
-            if channel:
-                raise SMatrixParseError("duplicate channel line", lineno)
-            for item in fields[1:]:
-                if "=" not in item:
-                    raise SMatrixParseError(f"bad channel field {item!r}", lineno)
-                name, _, val = item.partition("=")
+    try:
+        for lineno in head_lines:
+            if lineno > first_entry and (k is None or not channel):
+                break  # an entry came before the k and channel lines
+            body, _, comment = lines[lineno - 1].partition("#")
+            fields = body.split()
+            if not fields:
+                comment = comment.strip()
+                if comment.startswith("energy:"):
+                    energy_label = comment[len("energy:"):].strip()
+            elif fields[0] == "k":
+                if k is not None:
+                    raise SMatrixParseError("duplicate k line", lineno)
+                if len(fields) < 2:
+                    raise SMatrixParseError("k line needs a value", lineno)
                 try:
-                    channel[name] = int(val)
+                    k = float(fields[1])
                 except ValueError:
-                    raise SMatrixParseError(f"bad channel value {item!r}", lineno) from None
-            missing = {"j", "jp", "v", "vp", "Jmax"} - channel.keys()
-            if missing:
-                raise SMatrixParseError(f"channel line missing {sorted(missing)}", lineno)
-            channel_line = lineno
-        else:
-            if k is None or not channel:
-                raise SMatrixParseError("entries must follow the k and channel lines", lineno)
-            if len(fields) != 5:
-                raise SMatrixParseError(
-                    f"expected 'J Omega OmegaPrime Re Im', got {len(fields)} fields", lineno
-                )
-            try:
-                key = (int(fields[0]), int(fields[1]), int(fields[2]))
-                value = complex(float(fields[3]), float(fields[4]))
-            except ValueError:
-                raise SMatrixParseError(f"malformed entry {body.strip()!r}", lineno) from None
-            if key in entries:
-                raise SMatrixValidationError(
-                    f"duplicate entry for (J={key[0]}, Omega={key[1]}, Omega'={key[2]})", lineno
-                )
-            entries[key] = value
+                    raise SMatrixParseError(f"bad wavenumber {fields[1]!r}", lineno) from None
+                if len(fields) >= 3:
+                    k_unit = fields[2]
+                k_line = lineno
+            else:
+                if channel:
+                    raise SMatrixParseError("duplicate channel line", lineno)
+                for item in fields[1:]:
+                    if "=" not in item:
+                        raise SMatrixParseError(f"bad channel field {item!r}", lineno)
+                    name, _, val = item.partition("=")
+                    try:
+                        channel[name] = int(val)
+                    except ValueError:
+                        raise SMatrixParseError(f"bad channel value {item!r}", lineno) from None
+                missing = {"j", "jp", "v", "vp", "Jmax"} - channel.keys()
+                if missing:
+                    raise SMatrixParseError(f"channel line missing {sorted(missing)}", lineno)
+                channel_line = lineno
+        if entry_lines and (k is None or not channel):
+            raise SMatrixParseError("entries must follow the k and channel lines", first_entry)
+    except SMatrixParseError as exc:
+        # a fault on an earlier entry line comes first
+        _entry_arrays(lines, [n for n in entry_lines if n < exc.line])
+        raise
+    keys, amps = _entry_arrays(lines, entry_lines)
 
     if k is None:
         raise SMatrixParseError("missing k line", len(lines) or 1)
@@ -257,11 +283,8 @@ def load_smatrix(source: Source) -> SMatrixBlock:
     except SMatrixValidationError as exc:
         raise exc.on_line(k_line if exc.item == "k" else channel_line) from None
     try:
-        return SMatrixBlock(header, entries)
+        return SMatrixBlock._from_arrays(header, keys, amps)
     except SMatrixValidationError as exc:
-        # entries are built in file order: item i sits on the i-th entry line
-        entry_lines = [n for n, raw in enumerate(lines, start=1)
-                       if raw.partition("#")[0].split()[:1] not in ([], ["k"], ["channel"])]
         raise exc.on_line(entry_lines[exc.item]) from None
 
 

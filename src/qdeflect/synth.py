@@ -94,6 +94,18 @@ def two_branch_model(branches: tuple[PhaseBranch, PhaseBranch]) -> PhaseModel:
     return PhaseModel("two-branch", tuple(branches))
 
 
+# model kind -> the model-file key of its phase coefficients; the others
+# read them from their i-th 'branch =' line, key "branch i"
+_PHASE_KEY = {"linear": "c", "quadratic": "alpha"}
+
+
+def _check_finite(amps: np.ndarray, js, key: str) -> None:
+    """Reject amplitudes that overflowed, blaming the model-file key `key`."""
+    if not np.all(np.isfinite(amps)):
+        J = js[int(np.argmin(np.isfinite(amps)))]
+        raise InputError(f"the phase overflows: amplitude at J={J} is not finite", item=key)
+
+
 def synth_smatrix(model: PhaseModel, k: float, j_max: int) -> SMatrixBlock:
     """Single-helicity block S^J_00 = sum over branches of A(J) e^{2 i eta(J)}.
 
@@ -104,8 +116,11 @@ def synth_smatrix(model: PhaseModel, k: float, j_max: int) -> SMatrixBlock:
         raise InputError("j_max must be at least 2", item="j_max")
     js = np.arange(j_max + 1)
     amps = np.zeros(j_max + 1, dtype=complex)
-    for branch in model.branches:
-        amps = amps + branch.amplitudes(js.astype(float))
+    for i, branch in enumerate(model.branches, start=1):
+        with np.errstate(all="ignore"):
+            term = branch.amplitudes(js.astype(float))
+        _check_finite(term, js, _PHASE_KEY.get(model.kind, f"branch {i}"))
+        amps = amps + term
     top = np.abs(amps).max()
     if model.kind == "two-branch" and top > 1.0:
         amps = amps / top
@@ -130,9 +145,11 @@ def synth_smatrix_helicity(
     """
     base = synth_smatrix(model, k, j_max)
     entries: dict[tuple[int, int, int], complex] = {}
-    for (J, _, _), s in base.entries.items():
-        for omega_p in range(-min(J, j_final), min(J, j_final) + 1):
-            entries[(J, 0, omega_p)] = s * np.exp(1j * omega_p * phase_offset)
+    with np.errstate(all="ignore"):
+        for (J, _, _), s in base.entries.items():
+            for omega_p in range(-min(J, j_final), min(J, j_final) + 1):
+                entries[(J, 0, omega_p)] = s * np.exp(1j * omega_p * phase_offset)
+    _check_finite(np.array(list(entries.values())), [J for J, _, _ in entries], "phase_offset")
     header = ChannelHeader(k=k, j=0, j_final=j_final, J_max=j_max)
     return SMatrixBlock(header, entries)
 
@@ -295,6 +312,7 @@ def parse_model_file(source: Union[str, Path, bytes]) -> SynthSpec:
                     PhaseBranch(GaussianAmplitude(row[1], row[2], row[0]), tuple(row[3:]))
                     if key == "branch" else ClassicalBranch(row[0], tuple(row[1:]))
                 )
+                lines[f"{key} {len(branches[key])}"] = lineno
             else:
                 values[key] = _finite(val, key)
         except InputError as exc:

@@ -4,6 +4,9 @@ import mpmath as mp
 import numpy as np
 
 from qdeflect import wigner_d_table
+from qdeflect._text import read_text
+from qdeflect.smatrix import (DEFAULT_K_UNIT, ChannelHeader, SMatrixBlock, SMatrixParseError,
+                              SMatrixValidationError)
 
 
 def wigner_d_exact(J, omega_p, omega, theta, dps=140):
@@ -120,3 +123,87 @@ def brute_force_qmdf(block, grid):
     values *= (grid.sin_thetas / (2 * h.j + 1))[:, None]
     worst_imag = float(np.abs(values.imag).max())
     return values.real, worst_imag
+
+
+def load_smatrix_per_line(source):
+    """The S-matrix loader as it read one line at a time: per-line checks in
+    file order, the entries in a dict, and the line of a block error found
+    by rescanning.  The reference for the column-wise loader."""
+    lines = read_text(source).splitlines()
+
+    k = None
+    k_unit = DEFAULT_K_UNIT
+    channel = {}
+    energy_label = ""
+    entries = {}
+
+    for lineno, raw in enumerate(lines, start=1):
+        body, _, comment = raw.partition("#")
+        fields = body.split()
+        if not fields:
+            comment = comment.strip()
+            if comment.startswith("energy:"):
+                energy_label = comment[len("energy:"):].strip()
+            continue
+        if fields[0] == "k":
+            if k is not None:
+                raise SMatrixParseError("duplicate k line", lineno)
+            if len(fields) < 2:
+                raise SMatrixParseError("k line needs a value", lineno)
+            try:
+                k = float(fields[1])
+            except ValueError:
+                raise SMatrixParseError(f"bad wavenumber {fields[1]!r}", lineno) from None
+            if len(fields) >= 3:
+                k_unit = fields[2]
+            k_line = lineno
+        elif fields[0] == "channel":
+            if channel:
+                raise SMatrixParseError("duplicate channel line", lineno)
+            for item in fields[1:]:
+                if "=" not in item:
+                    raise SMatrixParseError(f"bad channel field {item!r}", lineno)
+                name, _, val = item.partition("=")
+                try:
+                    channel[name] = int(val)
+                except ValueError:
+                    raise SMatrixParseError(f"bad channel value {item!r}", lineno) from None
+            missing = {"j", "jp", "v", "vp", "Jmax"} - channel.keys()
+            if missing:
+                raise SMatrixParseError(f"channel line missing {sorted(missing)}", lineno)
+            channel_line = lineno
+        else:
+            if k is None or not channel:
+                raise SMatrixParseError("entries must follow the k and channel lines", lineno)
+            if len(fields) != 5:
+                raise SMatrixParseError(
+                    f"expected 'J Omega OmegaPrime Re Im', got {len(fields)} fields", lineno
+                )
+            try:
+                key = (int(fields[0]), int(fields[1]), int(fields[2]))
+                value = complex(float(fields[3]), float(fields[4]))
+            except ValueError:
+                raise SMatrixParseError(f"malformed entry {body.strip()!r}", lineno) from None
+            if key in entries:
+                raise SMatrixValidationError(
+                    f"duplicate entry for (J={key[0]}, Omega={key[1]}, Omega'={key[2]})", lineno
+                )
+            entries[key] = value
+
+    if k is None:
+        raise SMatrixParseError("missing k line", len(lines) or 1)
+    if not channel:
+        raise SMatrixParseError("missing channel line", len(lines) or 1)
+
+    try:
+        header = ChannelHeader(k, channel["j"], channel["jp"], channel["v"], channel["vp"],
+                               channel["Jmax"], k_unit, energy_label)
+    except SMatrixValidationError as exc:
+        raise exc.on_line(k_line if exc.item == "k" else channel_line) from None
+    try:
+        return SMatrixBlock(header, entries)
+    except SMatrixValidationError as exc:
+        # entries are built in file order: item i sits on the i-th entry line
+        entry_lines = [n for n, raw in enumerate(lines, start=1)
+                       if raw.partition("#")[0].split()[:1] not in ([], ["k"], ["channel"])]
+        raise exc.on_line(entry_lines[exc.item]) from None

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qdeflect
-from qdeflect import load_smatrix, load_trajectories
+from qdeflect import AngularGrid, load_smatrix, load_trajectories
 from qdeflect.cli import _write_csv, main
 from qdeflect.qct import GibbsOscillationWarning
 from qdeflect.smatrix import UnitarityReport
@@ -418,7 +418,7 @@ def test_writer_refuses_non_finite_value(block_file, tmp_path, bad):
     out = tmp_path / "x.csv"
     with pytest.raises(ValueError, match="non-finite"):
         _write_csv(str(out), "dcs", str(block_file), ("theta_deg", "dcs"),
-                   (np.array([0.0, 90.0]), np.array([1.0, bad])), {})
+                   (np.array([0.0, 90.0]),), (np.array([1.0, bad]),), {})
     assert not out.exists()
 
 
@@ -428,7 +428,7 @@ def test_writer_rows_match_per_cell_formatting(block_file, tmp_path, rng):
     values = rng.standard_normal(64) * 10.0 ** rng.integers(-300, 300, 64)
     values[:3] = (0.0, -0.0, 5e-324)
     out = tmp_path / "x.csv"
-    _write_csv(str(out), "qmdf", str(block_file), ("theta_deg", "J", "value"), (degs, js, values), {})
+    _write_csv(str(out), "qmdf", str(block_file), ("theta_deg", "J", "value"), (degs,), (js, values), {})
     rows = [line for line in out.read_text().splitlines() if not line.startswith("#")][1:]
     assert rows == [f"{d:.6f},{int(J)},{v:.8e}" for d, J, v in zip(degs, js, values)]
 
@@ -528,6 +528,61 @@ def test_rejected_input_exits_1_naming_its_line(tmp_path, capsys, command, text,
     assert "Traceback" not in err
     assert err.count("\n") == 1 and err.startswith(f"qdeflect: error: line {line}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,text,line", [
+    ("qct-dcs", TRAJ_HEADER + "# n_tot 2 abc\n1.0 2.0 30.0\n", 3),
+    ("qct-dcs", TRAJ_HEADER + "# n_tot -2 10\n1.0 2.0 30.0\n", 3),
+    ("qct-dcs", "# sigma_r 1.0\n# j_max = 10.0\n1.0 2.0 30.0\n", 1),
+    ("synth", "kind = linear\njmax = 10\nc = 1e308\nk = 1.0\n", 3),
+])
+def test_malformed_header_or_overflow_exits_1_naming_its_line(tmp_path, capsys, command, text, line):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    out = tmp_path / "x.csv"
+    assert main([command, str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"qdeflect: error: line {line}: ")
+    assert not out.exists()
+
+
+def per_row_csv_rows(header, columns):
+    """The writer's rows as formatted before the one-template writer: one
+    % per row over the long-format columns."""
+    formats = {"theta_deg": "%.6f", "theta_tilde_deg": "%.6f", "J": "%d"}
+    row_format = ",".join(formats.get(name, "%.8e") for name in header)
+    cells = [np.asarray(c).astype(np.int64 if name == "J" else float).tolist() for name, c in zip(header, columns)]
+    return [row_format % row for row in zip(*cells)]
+
+
+def written_rows(path):
+    return [line for line in path.read_text().splitlines() if not line.startswith("#")][1:]
+
+
+EXTREMES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300, 123.456, -7.0])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_writer_is_byte_identical_to_per_row_formatting(block_file, tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    degs = np.degrees(AngularGrid.uniform(float(rng.choice([1.0, 5.0, 30.0]))).thetas)
+    js = np.arange(int(rng.integers(0, 5)), int(rng.integers(5, 40)))
+    values = rng.standard_normal((degs.size, js.size)) * 10.0 ** rng.integers(-300, 300, (degs.size, js.size))
+    values.flat[: EXTREMES.size] = EXTREMES
+    out = tmp_path / "x.csv"
+    cases = [
+        (("theta_deg", "J", "value"), (degs, js), (values,),
+         (np.repeat(degs, js.size), np.tile(js, degs.size), values.ravel())),
+        (("theta_deg", "value"), (degs,), (values[:, 0],), (degs, values[:, 0])),
+        (("J", "opacity"), (js,), (values[0],), (js, values[0])),
+        (("J", "theta_tilde_rad", "theta_tilde_deg", "magnitude"), (js,),
+         (values[1], np.degrees(values[1] % 3.0), np.abs(values[2])),
+         (js, values[1], np.degrees(values[1] % 3.0), np.abs(values[2]))),
+    ]
+    for header, axes, cells, columns in cases:
+        _write_csv(str(out), "qmdf", str(block_file), header, axes, cells, {"seed": seed})
+        assert written_rows(out) == per_row_csv_rows(header, columns)
+        assert out.read_text().splitlines()[4] == ",".join(header)
 
 
 def test_memory_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):

@@ -385,6 +385,25 @@ class TestTrajectoryIO:
             load_trajectories(header + b"1.0 2.0 30.0\n")
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize("line, name", [
+        (b"# n_tot 2 abc", "n_tot"), (b"# n_tot -2 10", "n_tot"), (b"# n_tot 2", "n_tot"),
+        (b"# n_tot 2 10abc", "n_tot"), (b"# sigma_r 1.0", "sigma_r"), (b"#j_max: 5", "j_max"),
+    ])
+    def test_malformed_header_line_names_it(self, line, name):
+        with pytest.raises(ValueError) as excinfo:
+            load_trajectories(b"# sigma_r = 1\n# j_max = 5\n" + line + b"\n1.0 2.0 30.0\n")
+        assert str(excinfo.value) == f"line 3: malformed '# {name}' line"
+
+    def test_earlier_bad_record_comes_before_a_bad_header_line(self):
+        with pytest.raises(ValueError, match="^line 3: expected 'w J theta_deg'$"):
+            load_trajectories(b"# sigma_r = 1\n# j_max = 5\n1.0 2.0\n# n_tot 2 abc\n")
+
+    def test_header_lines_that_parse_and_comments_that_only_look_alike(self):
+        text = (b"#sigma_r=2\n# j_max = 5 (rounded up)\n# n_tot 2 10 trajectories\n"
+                b"# n_totals 7\n# sigma_r_note: ignored\n1.0 2.0 30.0\n")
+        ens = load_trajectories(text)
+        assert (ens.sigma_r, ens.j_max, dict(ens.n_tot_by_j)) == (2.0, 5.0, {2: 10})
+
 
 class TestValidation:
     def test_negative_weight_rejected(self):

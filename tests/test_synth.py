@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -244,3 +245,18 @@ class TestModelFileLines:
         with pytest.raises(ValueError) as excinfo:
             spec.generate()
         assert excinfo.value.line == line
+
+    @pytest.mark.parametrize("text, line, J", [
+        ("kind = linear\njmax = 10\nc = 1e308\nk = 1.0\n", 3, 2),
+        ("kind = quadratic\nalpha = 1e308\njmax = 10\n", 2, 1),
+        ("kind = quadratic\njmax = 10\njp = 2\nphase_offset = 1e308\n", 4, 2),
+        ("kind = two-branch\njmax = 10\nbranch = 0.5 3 2 0 1e308\nbranch = 0.5 3 2 0 1\n", 3, 1),
+        ("kind = two-branch\njmax = 10\nbranch = 0.5 3 2 0 1\nbranch = 0.5 3 2 0 1e308\n", 4, 1),
+    ])
+    def test_overflowing_phase_names_its_key_line(self, text, line, J):
+        spec = parse_model_file(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning escapes
+            with pytest.raises(ValueError) as excinfo:
+                spec.generate()
+        assert str(excinfo.value) == f"line {line}: the phase overflows: amplitude at J={J} is not finite"
