@@ -117,10 +117,18 @@ def _cqdf(block, args):
 
 def _kernel(ensemble, args) -> KernelConfig:
     # widths not given on the command line fall back to the
-    # nearest-neighbor-spacing heuristic, per axis
+    # nearest-neighbor-spacing heuristic, per axis, with a warning when below the grid step
     if args.smooth_j > 0 and args.smooth_theta_deg > 0:
         return KernelConfig(args.smooth_j, np.radians(args.smooth_theta_deg))
     heur = KernelConfig.from_ensemble(ensemble)
+    narrow = {}
+    if args.smooth_j <= 0 and heur.s_j < 1.0:
+        narrow["--smooth-j"] = f"s_j = {heur.s_j:.3g} < 1"
+    if args.smooth_theta_deg <= 0 and "grid_deg" in vars(args) and np.degrees(heur.s_theta) < args.grid_deg:
+        narrow["--smooth-theta-deg"] = f"s_theta = {np.degrees(heur.s_theta):.3g} deg < {args.grid_deg:g} deg"
+    if narrow:
+        _warn(f"heuristic kernel width below the grid step ({', '.join(narrow.values())}); "
+              f"set {' and '.join(narrow)} for a smooth estimate")
     s_j = args.smooth_j if args.smooth_j > 0 else heur.s_j
     s_theta = np.radians(args.smooth_theta_deg) if args.smooth_theta_deg > 0 else heur.s_theta
     return KernelConfig(s_j, s_theta)

@@ -39,6 +39,8 @@ from .observables import AngularCurve
 from .qmdf import DeflectionMap
 
 _CHUNK = 4096
+_ROWS = 16  # theta-kernel rows per block: 16 x _CHUNK doubles stay in cache
+_EXP_FLOOR, _EXP_ZERO = -700.0, -746.0  # np.exp is on its fast SIMD lanes above, exactly 0 below
 _SPACING_FACTOR = 2.0  # kernel width per mean nearest-neighbor spacing
 
 
@@ -258,18 +260,32 @@ def _mean_spacing(values: np.ndarray) -> float:
     return float(np.mean(np.diff(distinct)))
 
 
+def _exp(x: np.ndarray) -> np.ndarray:
+    """np.exp(x), bit for bit, in place in the C-contiguous float array x; lanes
+    on np.exp's slow path (below about -707.5) are set to 0 or recomputed apart."""
+    keep = x >= _EXP_ZERO
+    rare = (x < _EXP_FLOOR) & keep
+    exponents = x[rare]
+    np.maximum(x, _EXP_FLOOR, out=x)
+    np.exp(x, out=x)
+    np.multiply(x, keep, out=x)  # zeroes lanes below _EXP_ZERO, faster than a masked copy
+    x[rare] = np.exp(exponents)
+    return x
+
+
 def _gauss(u: np.ndarray, s: float) -> np.ndarray:
-    return np.exp(-((u / s) ** 2)) / (s * math.sqrt(math.pi))
+    """exp(-(u/s)^2) / (s sqrt(pi)), in place in the C-contiguous float array u."""
+    np.divide(u, s, out=u)
+    np.square(u, out=u)
+    return np.divide(_exp(np.negative(u, out=u)), s * math.sqrt(math.pi), out=u)
 
 
 def qct_sigma_j_gaussian(
     ensemble: TrajectoryEnsemble, config: KernelConfig
 ) -> Callable[[np.ndarray], np.ndarray]:
     """J-partial cross section as a kernel sum (sigma_r / S_w) sum w G(J - J_i)."""
-    sw = _require_weights(ensemble)
-    pref = ensemble.sigma_r / sw
-    centers = ensemble.j_values
-    weights = ensemble.weights
+    pref = ensemble.sigma_r / _require_weights(ensemble)
+    centers, weights = ensemble.j_values, ensemble.weights
 
     def evaluate(j: np.ndarray | float) -> np.ndarray | float:
         j_arr = np.atleast_1d(np.asarray(j, dtype=float))
@@ -304,20 +320,20 @@ def qct_df_gaussian(
     weights = ensemble.weights
     if renormalize_boundary:
         erf = np.vectorize(math.erf, otypes=[float])
-        f_theta = 0.5 * (
-            erf((np.pi - ensemble.thetas) / config.s_theta)
-            + erf(ensemble.thetas / config.s_theta)
-        )
-        f_j = 0.5 * (
-            erf((ensemble.j_max - ensemble.j_values) / config.s_j)
-            + erf(ensemble.j_values / config.s_j)
-        )
-        weights = weights / (f_theta * f_j)
+        inside = lambda x, hi, s: 0.5 * (erf((hi - x) / s) + erf(x / s))  # noqa: E731
+        weights = weights / (inside(ensemble.thetas, np.pi, config.s_theta)
+                             * inside(ensemble.j_values, ensemble.j_max, config.s_j))
 
     values = np.zeros((len(grid), j_values.size))
     for lo in range(0, len(ensemble), _CHUNK):
         blk = slice(lo, lo + _CHUNK)
-        g_theta = _gauss(grid.thetas[:, None] - ensemble.thetas[blk][None, :], config.s_theta)
+        # a fresh contiguous BLAS operand, filled in cache-sized row blocks:
+        # the matmul's bits depend on its layout
+        thetas = ensemble.thetas[blk]
+        g_theta = np.empty((len(grid), thetas.size))
+        for r0 in range(0, len(grid), _ROWS):
+            rows = slice(r0, r0 + _ROWS)
+            _gauss(np.subtract(grid.thetas[rows, None], thetas, out=g_theta[rows]), config.s_theta)
         g_j = _gauss(ensemble.j_values[blk][:, None] - j_values[None, :].astype(float), config.s_j)
         values += g_theta @ (weights[blk][:, None] * g_j)
     values *= ensemble.sigma_r / (2.0 * np.pi * sw)
@@ -346,7 +362,7 @@ _HEADER_FORMS = {"sigma_r": r"\s*=\s*(\S+)", "j_max": r"\s*=\s*(\S+)", "n_tot": 
 
 def load_trajectories(source: Source) -> TrajectoryEnsemble:
     """Read an ensemble; a '#' line whose first word is sigma_r, j_max or
-    n_tot must be that header, and every other '#' line is a comment."""
+    n_tot must be that header, once (per J for n_tot); other '#' lines are comments."""
     meta: dict[str, float] = {}
     meta_lines: dict[str, int] = {}
     n_tot: dict[int, int] = {}
@@ -361,11 +377,16 @@ def load_trajectories(source: Source) -> TrajectoryEnsemble:
         if not (value := re.match(_HEADER_FORMS[m[1]], m[2])):
             fault = InputError(f"malformed '# {m[1]}' line", lineno)
             break
+        key = f"n_tot {int(value[1])}" if m[1] == "n_tot" else m[1]
+        if key in meta_lines:
+            fault = InputError(f"duplicate '# {key}' line", lineno)
+            break
+        meta_lines[key] = lineno
         try:
             if m[1] == "n_tot":
                 n_tot[int(value[1])] = int(value[2])
             else:
-                meta[m[1]], meta_lines[m[1]] = float(value[1]), lineno
+                meta[m[1]] = float(value[1])
         except ValueError:
             fault = InputError(f"bad {m[1]} value {value[1]!r}", lineno)
             break

@@ -1,10 +1,14 @@
 """Independent reference implementations used only by the tests."""
 
+import math
+
 import mpmath as mp
 import numpy as np
 
 from qdeflect import wigner_d_table
 from qdeflect._text import read_text
+from qdeflect.qct import _CHUNK
+from qdeflect.qmdf import DeflectionMap
 from qdeflect.smatrix import (DEFAULT_K_UNIT, ChannelHeader, SMatrixBlock, SMatrixParseError,
                               SMatrixValidationError)
 
@@ -207,3 +211,47 @@ def load_smatrix_per_line(source):
         entry_lines = [n for n, raw in enumerate(lines, start=1)
                        if raw.partition("#")[0].split()[:1] not in ([], ["k"], ["channel"])]
         raise exc.on_line(entry_lines[exc.item]) from None
+
+
+def gauss_reference(u, s):
+    """The Gaussian kernel as one expression, exp on every lane."""
+    return np.exp(-((u / s) ** 2)) / (s * math.sqrt(math.pi))
+
+
+def qct_sigma_j_gaussian_reference(ensemble, config, j):
+    """sigma_J as the kernel sum was evaluated before the in-place kernel:
+    one full-size temporary per step, in the same record chunks."""
+    centers, weights = ensemble.j_values, ensemble.weights
+    j_arr = np.atleast_1d(np.asarray(j, dtype=float))
+    out = np.zeros_like(j_arr)
+    for lo in range(0, centers.size, _CHUNK):
+        blk = slice(lo, lo + _CHUNK)
+        out += gauss_reference(j_arr[:, None] - centers[blk][None, :], config.s_j) @ weights[blk]
+    out *= ensemble.sigma_r / ensemble.sum_of_weights
+    return out
+
+
+def qct_df_gaussian_reference(ensemble, config, grid, j_values=None, renormalize_boundary=False):
+    """The joint Gaussian map with the whole theta kernel of a chunk formed
+    at once by gauss_reference; the reference for qct_df_gaussian."""
+    sw = ensemble.sum_of_weights
+    if j_values is None:
+        j_values = np.arange(int(math.floor(ensemble.j_max)) + 1)
+    j_values = np.asarray(j_values)
+    weights = ensemble.weights
+    if renormalize_boundary:
+        erf = np.vectorize(math.erf, otypes=[float])
+        f_theta = 0.5 * (erf((np.pi - ensemble.thetas) / config.s_theta)
+                         + erf(ensemble.thetas / config.s_theta))
+        f_j = 0.5 * (erf((ensemble.j_max - ensemble.j_values) / config.s_j)
+                     + erf(ensemble.j_values / config.s_j))
+        weights = weights / (f_theta * f_j)
+    values = np.zeros((len(grid), j_values.size))
+    for lo in range(0, len(ensemble), _CHUNK):
+        blk = slice(lo, lo + _CHUNK)
+        g_theta = gauss_reference(grid.thetas[:, None] - ensemble.thetas[blk][None, :], config.s_theta)
+        g_j = gauss_reference(ensemble.j_values[blk][:, None] - j_values[None, :].astype(float),
+                              config.s_j)
+        values += g_theta @ (weights[blk][:, None] * g_j)
+    values *= ensemble.sigma_r / (2.0 * np.pi * sw)
+    return DeflectionMap(grid, j_values, values)

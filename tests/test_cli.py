@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qdeflect
-from qdeflect import AngularGrid, load_smatrix, load_trajectories
+from qdeflect import AngularGrid, KernelConfig, load_smatrix, load_trajectories, qct_df_gaussian
 from qdeflect.cli import _write_csv, main
 from qdeflect.qct import GibbsOscillationWarning
 from qdeflect.smatrix import UnitarityReport
@@ -535,6 +535,10 @@ def test_rejected_input_exits_1_naming_its_line(tmp_path, capsys, command, text,
     ("qct-dcs", TRAJ_HEADER + "# n_tot -2 10\n1.0 2.0 30.0\n", 3),
     ("qct-dcs", "# sigma_r 1.0\n# j_max = 10.0\n1.0 2.0 30.0\n", 1),
     ("synth", "kind = linear\njmax = 10\nc = 1e308\nk = 1.0\n", 3),
+    # a repeated header fails on its later line
+    ("qct-dcs", TRAJ_HEADER + "# sigma_r = 2.0\n1.0 2.0 30.0\n", 3),
+    ("qct-dcs", "# j_max = 10.0\n# sigma_r = 1.0\n1.0 2.0 30.0\n# j_max = 10.0\n", 4),
+    ("qct-dcs", TRAJ_HEADER + "# n_tot 2 10\n1.0 2.0 30.0\n# n_tot 2 10\n", 5),
 ])
 def test_malformed_header_or_overflow_exits_1_naming_its_line(tmp_path, capsys, command, text, line):
     path = tmp_path / "input.txt"
@@ -595,3 +599,53 @@ def test_memory_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("qdeflect: error: ")
     assert "Traceback" not in err
+
+
+NARROW = "qdeflect: warning: heuristic kernel width below the grid step"
+
+
+@pytest.mark.parametrize("command,extra,flags", [
+    ("qct-df", [], "--smooth-j and --smooth-theta-deg"),  # 0.9 deg heuristic width, 2 deg grid
+    ("qct-df", ["--boundary-renormalize"], "--smooth-j and --smooth-theta-deg"),
+    ("qct-df", ["--smooth-j", "1.5"], "--smooth-theta-deg"),
+    ("qct-df", ["--smooth-theta-deg", "3.0"], "--smooth-j"),
+    ("qct-sigma-j", [], "--smooth-j"),
+])
+def test_heuristic_width_below_grid_step_warns_in_one_line(traj_file, tmp_path, capsys, command,
+                                                          extra, flags):
+    grid = ["--grid-deg", "2"] if command == "qct-df" else []
+    out = tmp_path / "x.csv"
+    assert main([command, str(traj_file), "--out", str(out), "--estimator", "gaussian", *grid, *extra]) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(NARROW)
+    assert err.endswith(f"set {flags} for a smooth estimate\n")
+    assert "warning" not in out.read_text()
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("qct-df", ["--smooth-j", "1.5", "--smooth-theta-deg", "3.0"]),
+    ("qct-df", ["--smooth-j", "1.5", "--grid-deg", "0.25"]),  # 0.9 deg heuristic width >= grid step
+    ("qct-sigma-j", ["--smooth-j", "0.01"]),
+])
+def test_explicit_or_wide_enough_widths_run_silently(traj_file, tmp_path, capsys, command, extra):
+    out = tmp_path / "x.csv"
+    assert main([command, str(traj_file), "--out", str(out), "--estimator", "gaussian", *extra]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_width_warning_leaves_the_csv_bytes_alone(traj_file, tmp_path, capsys):
+    """The warned run writes what the library computes with the same widths."""
+    ensemble = load_trajectories(traj_file)
+    cfg = KernelConfig.from_ensemble(ensemble)
+    grid = AngularGrid.uniform(2.0)
+    out = tmp_path / "warned.csv"
+    assert main(["qct-df", str(traj_file), "--out", str(out), "--estimator", "gaussian",
+                 "--grid-deg", "2"]) == 0
+    assert capsys.readouterr().err.startswith(NARROW)
+    ref = tmp_path / "ref.csv"
+    dmap = qct_df_gaussian(ensemble, cfg, grid)
+    _write_csv(str(ref), "qct-df", str(traj_file), ("theta_deg", "J", "value"),
+               (dmap.grid.degrees, dmap.j_values), (dmap.values,),
+               {"grid_deg": 2.0, "s_j": cfg.s_j, "s_theta": cfg.s_theta, "boundary_renormalize": 0,
+                "estimator": "gaussian"})
+    assert out.read_bytes() == ref.read_bytes()

@@ -394,6 +394,16 @@ class TestTrajectoryIO:
             load_trajectories(b"# sigma_r = 1\n# j_max = 5\n" + line + b"\n1.0 2.0 30.0\n")
         assert str(excinfo.value) == f"line 3: malformed '# {name}' line"
 
+    @pytest.mark.parametrize("extra, line, key", [
+        (b"# sigma_r = 5.0\n", 3, "sigma_r"),
+        (b"# note\n#j_max=5\n", 4, "j_max"),
+        (b"# n_tot 2 10\n# n_tot 3 4\n# n_tot 02 11\n", 5, "n_tot 2"),
+    ])
+    def test_duplicate_header_line_fails_on_the_later_line(self, extra, line, key):
+        with pytest.raises(ValueError) as excinfo:
+            load_trajectories(b"# sigma_r = 1\n# j_max = 5\n" + extra + b"1.0 2.0 30.0\n")
+        assert str(excinfo.value) == f"line {line}: duplicate '# {key}' line"
+
     def test_earlier_bad_record_comes_before_a_bad_header_line(self):
         with pytest.raises(ValueError, match="^line 3: expected 'w J theta_deg'$"):
             load_trajectories(b"# sigma_r = 1\n# j_max = 5\n1.0 2.0\n# n_tot 2 abc\n")
