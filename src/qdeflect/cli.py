@@ -26,6 +26,7 @@ from .cqdf import PhaseUnwrapError, cqdf
 from .observables import dcs, opacity, partial_cross_section
 from .qct import (
     KernelConfig,
+    kernel_width,
     load_trajectories,
     qct_dcs_legendre,
     qct_df_gaussian,
@@ -115,28 +116,15 @@ def _cqdf(block, args):
             {"omega": args.omega, "omega_prime": args.omega_prime, "unwrap": args.unwrap})
 
 
-def _kernel(ensemble, args) -> KernelConfig:
-    # widths not given on the command line fall back to the
-    # nearest-neighbor-spacing heuristic, per axis, with a warning when below the grid step
-    if args.smooth_j > 0 and args.smooth_theta_deg > 0:
-        return KernelConfig(args.smooth_j, np.radians(args.smooth_theta_deg))
-    heur = KernelConfig.from_ensemble(ensemble)
-    narrow = {}
-    if args.smooth_j <= 0 and heur.s_j < 1.0:
-        narrow["--smooth-j"] = f"s_j = {heur.s_j:.3g} < 1"
-    if args.smooth_theta_deg <= 0 and "grid_deg" in vars(args) and np.degrees(heur.s_theta) < args.grid_deg:
-        narrow["--smooth-theta-deg"] = f"s_theta = {np.degrees(heur.s_theta):.3g} deg < {args.grid_deg:g} deg"
-    if narrow:
-        _warn(f"heuristic kernel width below the grid step ({', '.join(narrow.values())}); "
-              f"set {' and '.join(narrow)} for a smooth estimate")
-    s_j = args.smooth_j if args.smooth_j > 0 else heur.s_j
-    s_theta = np.radians(args.smooth_theta_deg) if args.smooth_theta_deg > 0 else heur.s_theta
-    return KernelConfig(s_j, s_theta)
+def _axis_width(values: np.ndarray, given: float, step: float) -> float:
+    """The width given, else kernel_width of the values floored at the grid step."""
+    return given if given > 0 else max(kernel_width(values), step)
 
 
 def _qct_df(ensemble, args):
     if args.estimator == "gaussian":
-        cfg = _kernel(ensemble, args)
+        cfg = KernelConfig(_axis_width(ensemble.j_values, args.smooth_j, 1.0), _axis_width(
+            ensemble.thetas, np.radians(args.smooth_theta_deg), np.radians(args.grid_deg)))
         params = {"s_j": cfg.s_j, "s_theta": cfg.s_theta,
                   "boundary_renormalize": int(args.boundary_renormalize)}
         dmap = qct_df_gaussian(ensemble, cfg, args.grid,
@@ -157,7 +145,8 @@ def _qct_dcs(ensemble, args):
 def _qct_sigma_j(ensemble, args):
     j_values = np.arange(int(np.floor(ensemble.j_max)) + 1)
     if args.estimator == "gaussian":
-        cfg = _kernel(ensemble, args)
+        # qct_sigma_j_gaussian reads only s_j, so no theta width is worked out: 1.0 fills the field
+        cfg = KernelConfig(_axis_width(ensemble.j_values, args.smooth_j, 1.0), 1.0)
         params = {"s_j": cfg.s_j}
         fn = qct_sigma_j_gaussian(ensemble, cfg)
     else:
@@ -183,16 +172,29 @@ class Command(NamedTuple):
     handler: Callable
 
 
+def width(text: str) -> float:
+    """A --smooth-* value: finite and >= 0; 0 leaves the width unset."""
+    if not 0 <= (value := float(text)) < np.inf:
+        raise ValueError(text)
+    return value
+
+
+def seed(text: str) -> int:
+    """A --seed value: an integer >= 0."""
+    if (value := int(text)) < 0:
+        raise ValueError(text)
+    return value
+
+
 # late-bound, so a wrapper installed on this module's loader (a profiler) sees the call
 _BLOCK = lambda path: load_smatrix(path)  # noqa: E731
 _ENSEMBLE = lambda path: load_trajectories(path)  # noqa: E731
 
 GRID = (("--grid-deg", {"type": float, "default": 0.25,
                         "help": "angular step in degrees, a divisor of 180"}),)
-SMOOTHING = (
-    ("--smooth-j", {"type": float, "default": 0.0, "help": "gaussian width in J"}),
-    ("--smooth-theta-deg", {"type": float, "default": 0.0, "help": "gaussian width in degrees"}),
-)
+SMOOTH_J = (("--smooth-j", {"type": width, "default": 0.0, "help": "gaussian width in J"}),)
+SMOOTHING = SMOOTH_J + (("--smooth-theta-deg", {"type": width, "default": 0.0,
+                                                "help": "gaussian width in degrees"}),)
 MAP = SMOOTHING + (("--no-sin-theta", {"action": "store_true"}),)
 WINDOW = (("--jmin", {"type": int}), ("--jmax", {"type": int}))
 ESTIMATOR = (("--estimator", {"choices": ("legendre", "gaussian"), "default": "legendre"}),)
@@ -222,8 +224,8 @@ COMMANDS = {
     "qct-df": Command(_ENSEMBLE, GRID + ESTIMATOR + ORDER_THETA + ORDER_J + SMOOTHING
                       + (("--boundary-renormalize", {"action": "store_true"}),), _qct_df),
     "qct-dcs": Command(_ENSEMBLE, GRID + ORDER_THETA, _qct_dcs),
-    "qct-sigma-j": Command(_ENSEMBLE, ESTIMATOR + ORDER_J + SMOOTHING, _qct_sigma_j),
-    "synth": Command(None, (("--seed", {"type": int}),), _synth),
+    "qct-sigma-j": Command(_ENSEMBLE, ESTIMATOR + ORDER_J + SMOOTH_J, _qct_sigma_j),
+    "synth": Command(None, (("--seed", {"type": seed}),), _synth),
 }
 
 

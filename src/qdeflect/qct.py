@@ -41,7 +41,6 @@ from .qmdf import DeflectionMap
 _CHUNK = 4096
 _ROWS = 16  # theta-kernel rows per block: 16 x _CHUNK doubles stay in cache
 _EXP_FLOOR, _EXP_ZERO = -700.0, -746.0  # np.exp is on its fast SIMD lanes above, exactly 0 below
-_SPACING_FACTOR = 2.0  # kernel width per mean nearest-neighbor spacing
 
 
 class GibbsOscillationWarning(UserWarning):
@@ -241,23 +240,21 @@ class KernelConfig:
     s_theta: float
 
     def __post_init__(self) -> None:
-        if self.s_j <= 0 or self.s_theta <= 0:
-            raise ValueError("kernel widths must be positive")
+        if not (0 < self.s_j < math.inf and 0 < self.s_theta < math.inf):  # "in range", so that NaN fails too
+            raise ValueError("kernel widths must be positive and finite")
 
     @classmethod
     def from_ensemble(cls, ensemble: TrajectoryEnsemble) -> "KernelConfig":
-        """Widths set to _SPACING_FACTOR times the mean nearest-neighbor spacing."""
-        return cls(
-            _SPACING_FACTOR * _mean_spacing(ensemble.j_values),
-            _SPACING_FACTOR * _mean_spacing(ensemble.thetas),
-        )
+        """Each width from kernel_width of the records' values on its axis."""
+        return cls(kernel_width(ensemble.j_values), kernel_width(ensemble.thetas))
 
 
-def _mean_spacing(values: np.ndarray) -> float:
+def kernel_width(values: np.ndarray) -> float:
+    """The kernel width for one axis: twice the mean spacing of the distinct values."""
     distinct = np.unique(values)
     if distinct.size < 2:
         raise ValueError("kernel width heuristic needs at least two distinct values")
-    return float(np.mean(np.diff(distinct)))
+    return 2.0 * float(np.mean(np.diff(distinct)))
 
 
 def _exp(x: np.ndarray) -> np.ndarray:

@@ -231,18 +231,18 @@ def smooth_map(dmap: DeflectionMap, s_j: float, s_theta: float) -> DeflectionMap
     that axis.  Kernels are normalized to unit discrete sum, so the map
     total is preserved except for truncation at the boundaries.
     """
-    if s_j < 0 or s_theta < 0:
-        raise ValueError("smoothing widths must be nonnegative")
+    if not (0 <= s_j < math.inf and 0 <= s_theta < math.inf):  # "in range", so that NaN fails too
+        raise ValueError("smoothing widths must be nonnegative and finite")
+    if s_theta > 0 and not dmap.grid.is_uniform:
+        raise ValueError("theta smoothing needs a uniform grid")
     values = np.array(dmap.values)
-    if s_j > 0:
-        kernel = _gauss_kernel(max(1, math.ceil(6.0 * s_j)), s_j, 1.0)
-        values = _convolve_zero_padded(values, kernel, axis=1)
-    if s_theta > 0:
-        if not dmap.grid.is_uniform:
-            raise ValueError("theta smoothing needs a uniform grid")
-        h = float(dmap.grid.thetas[1] - dmap.grid.thetas[0])
-        kernel = _gauss_kernel(max(1, math.ceil(6.0 * s_theta / h)), s_theta, h)
-        values = _convolve_zero_padded(values, kernel, axis=0)
+    h_theta = float(dmap.grid.thetas[1] - dmap.grid.thetas[0])
+    for axis, name, s, h in ((1, "J", s_j, 1.0), (0, "theta", s_theta, h_theta)):
+        taps = 6.0 * float(s) / h  # kernel taps per side; a Python float overflows to inf without a warning
+        if not taps <= 1 << 20:  # a wider kernel would take a minute or more to apply
+            raise ValueError(f"{name} smoothing width too large to build a kernel ({taps:.3g} taps per side)")
+        if s > 0:
+            values = _convolve_zero_padded(values, _gauss_kernel(max(1, math.ceil(taps)), s, h), axis)
     return DeflectionMap(dmap.grid, dmap.j_values, values)
 
 

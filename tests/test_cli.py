@@ -9,8 +9,9 @@ import pytest
 
 import qdeflect
 from qdeflect import AngularGrid, KernelConfig, load_smatrix, load_trajectories, qct_df_gaussian
-from qdeflect.cli import _write_csv, main
-from qdeflect.qct import GibbsOscillationWarning
+from qdeflect.angular import integrate_curve
+from qdeflect.cli import COMMANDS, _write_csv, main
+from qdeflect.qct import GibbsOscillationWarning, kernel_width
 from qdeflect.smatrix import UnitarityReport
 
 QUAD_MODEL = """\
@@ -371,6 +372,7 @@ def test_params_line_per_command(block_file, traj_file, tmp_path, command, on_bl
     ("qct-sigma-j", ["--grid-deg", "1"]),
     ("qct-sigma-j", ["--order-theta", "5"]),
     ("qct-sigma-j", ["--boundary-renormalize"]),
+    ("qct-sigma-j", ["--smooth-theta-deg", "3"]),
 ])
 def test_options_a_command_does_not_read_exit_1(traj_file, tmp_path, command, extra):
     out = tmp_path / "x.csv"
@@ -601,25 +603,22 @@ def test_memory_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-NARROW = "qdeflect: warning: heuristic kernel width below the grid step"
-
-
-@pytest.mark.parametrize("command,extra,flags", [
-    ("qct-df", [], "--smooth-j and --smooth-theta-deg"),  # 0.9 deg heuristic width, 2 deg grid
-    ("qct-df", ["--boundary-renormalize"], "--smooth-j and --smooth-theta-deg"),
-    ("qct-df", ["--smooth-j", "1.5"], "--smooth-theta-deg"),
-    ("qct-df", ["--smooth-theta-deg", "3.0"], "--smooth-j"),
-    ("qct-sigma-j", [], "--smooth-j"),
+@pytest.mark.parametrize("command,extra,widths", [
+    # on this ensemble the rule gives s_j below 1 and s_theta about 0.7 deg, below the 2 deg grid step
+    ("qct-df", [], "s_j=1.0 s_theta=0.03490658503988659"),
+    ("qct-df", ["--boundary-renormalize"], "s_j=1.0 s_theta=0.03490658503988659"),
+    ("qct-df", ["--smooth-j", "1.5"], "s_j=1.5 s_theta=0.03490658503988659"),
+    ("qct-df", ["--smooth-theta-deg", "3.0"], "s_j=1.0 s_theta=0.05235987755982989"),
+    ("qct-sigma-j", [], "s_j=1.0"),
 ])
-def test_heuristic_width_below_grid_step_warns_in_one_line(traj_file, tmp_path, capsys, command,
-                                                          extra, flags):
+def test_unset_width_is_floored_at_the_grid_step(traj_file, tmp_path, capsys, command, extra, widths):
+    ensemble = load_trajectories(traj_file)
+    assert kernel_width(ensemble.j_values) < 1.0 and kernel_width(ensemble.thetas) < np.radians(2.0)
     grid = ["--grid-deg", "2"] if command == "qct-df" else []
     out = tmp_path / "x.csv"
     assert main([command, str(traj_file), "--out", str(out), "--estimator", "gaussian", *grid, *extra]) == 0
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith(NARROW)
-    assert err.endswith(f"set {flags} for a smooth estimate\n")
-    assert "warning" not in out.read_text()
+    assert capsys.readouterr().err == ""
+    assert widths in out.read_text().splitlines()[3]
 
 
 @pytest.mark.parametrize("command,extra", [
@@ -633,15 +632,14 @@ def test_explicit_or_wide_enough_widths_run_silently(traj_file, tmp_path, capsys
     assert capsys.readouterr().err == ""
 
 
-def test_width_warning_leaves_the_csv_bytes_alone(traj_file, tmp_path, capsys):
-    """The warned run writes what the library computes with the same widths."""
+def test_fallback_run_writes_the_library_map_at_the_floored_widths(traj_file, tmp_path):
+    """The run that gives no width writes what the library computes with the floored widths."""
     ensemble = load_trajectories(traj_file)
-    cfg = KernelConfig.from_ensemble(ensemble)
+    cfg = KernelConfig(1.0, np.radians(2.0))
     grid = AngularGrid.uniform(2.0)
-    out = tmp_path / "warned.csv"
+    out = tmp_path / "fallback.csv"
     assert main(["qct-df", str(traj_file), "--out", str(out), "--estimator", "gaussian",
                  "--grid-deg", "2"]) == 0
-    assert capsys.readouterr().err.startswith(NARROW)
     ref = tmp_path / "ref.csv"
     dmap = qct_df_gaussian(ensemble, cfg, grid)
     _write_csv(str(ref), "qct-df", str(traj_file), ("theta_deg", "J", "value"),
@@ -649,3 +647,113 @@ def test_width_warning_leaves_the_csv_bytes_alone(traj_file, tmp_path, capsys):
                {"grid_deg": 2.0, "s_j": cfg.s_j, "s_theta": cfg.s_theta, "boundary_renormalize": 0,
                 "estimator": "gaussian"})
     assert out.read_bytes() == ref.read_bytes()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_ensemble_fallback_widths_keep_the_cross_section(tmp_path, capsys):
+    """With no width, the README ensemble's map takes the grid steps as widths
+    and integrates to sigma_r within 3%."""
+    text = README.read_text()
+    model = tmp_path / "classical.txt"
+    model.write_text(text.split("cat > classical.txt <<'EOF'\n")[1].split("EOF\n")[0])
+    ens, out = tmp_path / "ens.traj", tmp_path / "cmap.csv"
+    assert main(["synth", str(model), "--out", str(ens)]) == 0
+    assert main(["qct-df", str(ens), "--out", str(out), "--estimator", "gaussian"]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text().splitlines()[3] == ("# params: boundary_renormalize=0 estimator=gaussian "
+                                               "grid_deg=0.25 s_j=1.0 s_theta=0.004363323129985824")
+    _, rows = read_csv(out)
+    grid = AngularGrid.uniform(0.25)
+    total = 2.0 * np.pi * integrate_curve(grid, rows[:, 2].reshape(len(grid), -1).sum(axis=1))
+    assert total == pytest.approx(load_trajectories(ens).sigma_r, rel=0.03)
+
+
+@pytest.mark.parametrize("command,records", [
+    ("qct-df", "1.0 3.0 20.0\n1.0 3.0 40.0\n1.0 3.0 60.0\n"),  # a single J value
+    ("qct-sigma-j", "1.0 2.0 20.0\n1.0 3.0 20.0\n1.0 5.0 20.0\n"),  # a single theta value
+])
+def test_given_width_needs_no_spacing_on_the_other_axis(tmp_path, capsys, command, records):
+    path = tmp_path / "ens.traj"
+    path.write_text(f"# sigma_r = 1.0\n# j_max = 10.0\n{records}")
+    out = tmp_path / "x.csv"
+    assert main([command, str(path), "--out", str(out), "--estimator", "gaussian", "--smooth-j", "1.5"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_unset_width_on_a_single_value_axis_exits_1(tmp_path, capsys):
+    path = tmp_path / "ens.traj"
+    path.write_text("# sigma_r = 1.0\n# j_max = 10.0\n1.0 3.0 20.0\n1.0 3.0 40.0\n")
+    assert main(["qct-df", str(path), "--out", str(tmp_path / "x.csv"), "--estimator", "gaussian"]) == 1
+    err = capsys.readouterr().err
+    assert err == "qdeflect: error: kernel width heuristic needs at least two distinct values\n"
+
+
+WIDTH_EXTRA = {"qmdf": ["--grid-deg", "2"], "random-phase": ["--grid-deg", "2"],
+               "qmdf-helicity": ["--grid-deg", "2", "--omega-prime", "0"],
+               "qct-df": ["--estimator", "gaussian"], "qct-sigma-j": ["--estimator", "gaussian"]}
+
+
+@pytest.mark.parametrize("command,flag", [(command, flag) for command in WIDTH_EXTRA
+                                          for flag in ("--smooth-j", "--smooth-theta-deg")
+                                          if (command, flag) != ("qct-sigma-j", "--smooth-theta-deg")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "1e308", "abc"])
+def test_hostile_width_exits_1_naming_the_flag_or_the_width(block_file, traj_file, tmp_path, capsys,
+                                                            command, flag, value):
+    qct = command.startswith("qct")
+    extra = WIDTH_EXTRA[command]
+    out = tmp_path / "x.csv"
+    try:
+        code = main([command, str(traj_file if qct else block_file), "--out", str(out), *extra, flag, value])
+    except SystemExit as exc:  # rejected by the argument parser
+        code = exc.code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if qct and value == "1e308":  # a finite width: the kernel is built, its values are tiny
+        assert code == 0 and err == ""
+        return
+    assert code == 1 and not out.exists()
+    last = err.splitlines()[-1]
+    assert "error: " in last and (flag in last or "width" in last)
+    assert sum("error" in line for line in err.splitlines()) == 1
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    model = tmp_path / "model.txt"
+    model.write_text(CLASSICAL_MODEL)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["synth", str(model), "--out", str(tmp_path / "e.traj"), "--seed", "-1"])
+    assert excinfo.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1].endswith("error: argument --seed: invalid seed value: '-1'")
+
+
+def test_negative_order_exits_1(traj_file, tmp_path, capsys):
+    assert main(["qct-dcs", str(traj_file), "--out", str(tmp_path / "x.csv"), "--order-theta", "-1"]) == 1
+    assert capsys.readouterr().err == "qdeflect: error: expansion orders must be nonnegative\n"
+
+
+@pytest.mark.parametrize("model,message", [
+    ("kind = two-branch\njmax = 30\nbranch = 0.8 10 4 0.0 -0.2\n",
+     "two-branch model needs two 'branch = ...' lines"),
+    ("kind = classical\njmax = 25\ncount = 100\n", "classical model needs branches unless isotropic"),
+])
+def test_model_missing_a_branch_exits_1(tmp_path, capsys, model, message):
+    path = tmp_path / "model.txt"
+    path.write_text(model)
+    out = tmp_path / "x.out"
+    assert main(["synth", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"qdeflect: error: {message}\n"
+    assert not out.exists()
+
+
+def test_readme_command_table_lists_every_option():
+    """The README's command/options table names exactly the flags each command takes."""
+    lines = README.read_text().split("| command | options |\n|---|---|\n")[1].split("\n\n")[0].splitlines()
+    table = {}
+    for row in lines:
+        names, options = row.strip("|").split("|")
+        for name in names.split(","):
+            flags = {word.strip("`,") for word in options.split() if word.startswith("`--")}
+            table[name.strip().strip("`")] = flags
+    assert table == {name: {flag for flag, _ in command.options} for name, command in COMMANDS.items()}

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from oracles import load_smatrix_per_line
 from qdeflect import _text, load_smatrix
+from qdeflect.smatrix import SMatrixParseError
 from test_input_fuzz import SMATRIX
 
 COMMENTED = """\
@@ -121,3 +122,15 @@ def test_duplicate_entry_is_reported_on_its_later_line():
     text = SMATRIX.replace("2 1 -1 -0.1 0.2", "0 0 0 0.9 0.9") + "0 0 0 0.1 0.1\n"
     with pytest.raises(ValueError, match=r"^line 7: duplicate entry for \(J=0, Omega=0, Omega'=0\)$"):
         load_smatrix(text.encode())
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "line 1: missing k line"),
+    ("channel j=0 jp=0 v=0 vp=0 Jmax=2\n# no entries\n", "line 2: missing k line"),
+    ("# header only\nk 1.0 u\n\n", "line 3: missing channel line"),
+])
+def test_missing_header_line_is_reported_on_the_last_line(text, message):
+    """With no entry line to fail first, a missing k or channel line is
+    reported on the file's last line, as the per-line loader does."""
+    for load in (load_smatrix, load_smatrix_per_line):
+        assert outcome(load, text) == (SMatrixParseError, message)

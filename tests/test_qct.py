@@ -22,7 +22,8 @@ from qdeflect import (
     sample_ell_continuous,
     save_trajectories,
 )
-from qdeflect.qct import GibbsOscillationWarning, fwhm_from_width, reduced_x, width_from_fwhm_log2_rule
+from qdeflect.qct import (GibbsOscillationWarning, fwhm_from_width, kernel_width, reduced_x,
+                          width_from_fwhm_log2_rule)
 
 
 def ensemble_of(j, theta, w=None, sigma_r=1.0, j_max=None, n_tot=None):
@@ -88,6 +89,11 @@ class TestMoments:
         a = fit_legendre_df(ens, 5, 5)
         b = fit_legendre_df(doubled, 5, 5)
         assert np.abs(a.alpha - b.alpha).max() < 1e-12
+
+    @pytest.mark.parametrize("orders", [(-1, 0), (0, -1)])
+    def test_negative_order_rejected(self, orders):
+        with pytest.raises(ValueError, match="expansion orders must be nonnegative"):
+            fit_legendre_df(ensemble_of([1.0, 2.0], [0.1, 0.2]), *orders)
 
     @pytest.mark.filterwarnings("ignore::qdeflect.qct.GibbsOscillationWarning")
     def test_single_record_moments(self):
@@ -334,6 +340,19 @@ class TestWidths:
     def test_invalid_widths(self):
         with pytest.raises(ValueError):
             KernelConfig(0.0, 1.0)
+
+    @pytest.mark.parametrize("s_j, s_theta", [(1.0, -1.0), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0),
+                                               (1.0, math.inf)])
+    def test_non_finite_or_negative_widths_rejected(self, s_j, s_theta):
+        with pytest.raises(ValueError, match="kernel widths must be positive and finite"):
+            KernelConfig(s_j, s_theta)
+
+    def test_kernel_width_is_per_axis(self):
+        assert kernel_width(np.array([0.5, 3.0, 0.5, 1.0])) == 2.0 * 1.25
+        with pytest.raises(ValueError, match="at least two distinct values"):
+            kernel_width(np.array([3.0, 3.0, 3.0]))
+        with pytest.raises(ValueError, match="at least two distinct values"):
+            KernelConfig.from_ensemble(ensemble_of([2.0, 2.0], [0.1, 0.2], j_max=5.0))
 
 
 class TestGibbsWarning:

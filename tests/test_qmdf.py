@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -342,3 +344,24 @@ class TestSmoothMap:
         dmap = qmdf_map(random_block(rng, j_max=4), GRID)
         with pytest.raises(ValueError):
             smooth_map(dmap, -1.0, 0.0)
+
+    @pytest.mark.parametrize("s_j, s_theta", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
+                                               (0.0, -math.inf)])
+    def test_non_finite_width_rejected(self, rng, s_j, s_theta):
+        dmap = qmdf_map(random_block(rng, j_max=4), GRID)
+        with pytest.raises(ValueError, match="smoothing widths must be nonnegative and finite"):
+            smooth_map(dmap, s_j, s_theta)
+
+    @pytest.mark.parametrize("s_j, s_theta, axis", [(1e308, 0.0, "J"), (2.0**20 / 6.0 * 1.01, 0.0, "J"),
+                                                    (0.0, 1e307, "theta"), (1.0, 1e6, "theta")])
+    def test_width_too_large_for_a_kernel_rejected(self, rng, s_j, s_theta, axis):
+        dmap = qmdf_map(random_block(rng, j_max=4), GRID)
+        with pytest.raises(ValueError, match=f"^{axis} smoothing width too large to build a kernel"):
+            smooth_map(dmap, s_j, s_theta)
+
+    def test_theta_smoothing_needs_a_uniform_grid(self):
+        grid = AngularGrid(np.array([0.0, 0.1, 0.3, 1.0]))
+        dmap = DeflectionMap(grid, np.arange(3), np.ones((4, 3)))
+        assert smooth_map(dmap, 1.0, 0.0).values.shape == (4, 3)  # J smoothing needs no uniform grid
+        with pytest.raises(ValueError, match="theta smoothing needs a uniform grid"):
+            smooth_map(dmap, 0.0, 0.1)
