@@ -116,15 +116,22 @@ def _cqdf(block, args):
             {"omega": args.omega, "omega_prime": args.omega_prime, "unwrap": args.unwrap})
 
 
-def _axis_width(values: np.ndarray, given: float, step: float) -> float:
+def _axis_width(values: np.ndarray, given: float, step: float, axis: str, flag: str) -> float:
     """The width given, else kernel_width of the values floored at the grid step."""
-    return given if given > 0 else max(kernel_width(values), step)
+    if given > 0:
+        return given
+    try:
+        return max(kernel_width(values), step)
+    except ValueError:
+        raise ValueError(f"every record has the same {axis}, so no {axis} kernel width can be "
+                         f"worked out: give {flag}") from None
 
 
 def _qct_df(ensemble, args):
     if args.estimator == "gaussian":
-        cfg = KernelConfig(_axis_width(ensemble.j_values, args.smooth_j, 1.0), _axis_width(
-            ensemble.thetas, np.radians(args.smooth_theta_deg), np.radians(args.grid_deg)))
+        cfg = KernelConfig(_axis_width(ensemble.j_values, args.smooth_j, 1.0, "J", "--smooth-j"),
+                           _axis_width(ensemble.thetas, np.radians(args.smooth_theta_deg),
+                                       np.radians(args.grid_deg), "theta", "--smooth-theta-deg"))
         params = {"s_j": cfg.s_j, "s_theta": cfg.s_theta,
                   "boundary_renormalize": int(args.boundary_renormalize)}
         dmap = qct_df_gaussian(ensemble, cfg, args.grid,
@@ -146,7 +153,7 @@ def _qct_sigma_j(ensemble, args):
     j_values = np.arange(int(np.floor(ensemble.j_max)) + 1)
     if args.estimator == "gaussian":
         # qct_sigma_j_gaussian reads only s_j, so no theta width is worked out: 1.0 fills the field
-        cfg = KernelConfig(_axis_width(ensemble.j_values, args.smooth_j, 1.0), 1.0)
+        cfg = KernelConfig(_axis_width(ensemble.j_values, args.smooth_j, 1.0, "J", "--smooth-j"), 1.0)
         params = {"s_j": cfg.s_j}
         fn = qct_sigma_j_gaussian(ensemble, cfg)
     else:
@@ -186,20 +193,33 @@ def seed(text: str) -> int:
     return value
 
 
+class _Given(argparse.Action):
+    """Stores the value (True for a flag, nargs=0) and appends the option to
+    args.given, so that an option given can be told from its default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, True if self.nargs == 0 else values)
+        namespace.given = [*getattr(namespace, "given", ()), self.option_strings[0]]
+
+
 # late-bound, so a wrapper installed on this module's loader (a profiler) sees the call
 _BLOCK = lambda path: load_smatrix(path)  # noqa: E731
 _ENSEMBLE = lambda path: load_trajectories(path)  # noqa: E731
 
 GRID = (("--grid-deg", {"type": float, "default": 0.25,
                         "help": "angular step in degrees, a divisor of 180"}),)
-SMOOTH_J = (("--smooth-j", {"type": width, "default": 0.0, "help": "gaussian width in J"}),)
-SMOOTHING = SMOOTH_J + (("--smooth-theta-deg", {"type": width, "default": 0.0,
+SMOOTH_J = (("--smooth-j", {"type": width, "default": 0.0, "action": _Given,
+                            "help": "gaussian width in J"}),)
+SMOOTHING = SMOOTH_J + (("--smooth-theta-deg", {"type": width, "default": 0.0, "action": _Given,
                                                 "help": "gaussian width in degrees"}),)
 MAP = SMOOTHING + (("--no-sin-theta", {"action": "store_true"}),)
 WINDOW = (("--jmin", {"type": int}), ("--jmax", {"type": int}))
 ESTIMATOR = (("--estimator", {"choices": ("legendre", "gaussian"), "default": "legendre"}),)
-ORDER_THETA = (("--order-theta", {"type": int, "default": 20}),)
-ORDER_J = (("--order-j", {"type": int, "default": 20}),)
+ORDER_THETA = (("--order-theta", {"type": int, "default": 20, "action": _Given}),)
+ORDER_J = (("--order-j", {"type": int, "default": 20, "action": _Given}),)
+# under --estimator, the options only the other estimator reads are usage errors
+ESTIMATOR_READS = {"gaussian": ("--smooth-j", "--smooth-theta-deg", "--boundary-renormalize"),
+                   "legendre": ("--order-theta", "--order-j")}
 
 COMMANDS = {
     "dcs": Command(_BLOCK, GRID, lambda block, a: (
@@ -221,8 +241,8 @@ COMMANDS = {
         ("--omega-prime", {"type": int, "default": 0}),
         ("--unwrap", {"choices": ("two-sided", "one-sided"), "default": "two-sided"}),
     ), _cqdf),
-    "qct-df": Command(_ENSEMBLE, GRID + ESTIMATOR + ORDER_THETA + ORDER_J + SMOOTHING
-                      + (("--boundary-renormalize", {"action": "store_true"}),), _qct_df),
+    "qct-df": Command(_ENSEMBLE, GRID + ESTIMATOR + ORDER_THETA + ORDER_J + SMOOTHING + (
+        ("--boundary-renormalize", {"action": _Given, "nargs": 0, "default": False}),), _qct_df),
     "qct-dcs": Command(_ENSEMBLE, GRID + ORDER_THETA, _qct_dcs),
     "qct-sigma-j": Command(_ENSEMBLE, ESTIMATOR + ORDER_J + SMOOTH_J, _qct_sigma_j),
     "synth": Command(None, (("--seed", {"type": seed}),), _synth),
@@ -279,7 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if "estimator" in vars(args):
+        for flag in getattr(args, "given", ()):
+            if flag not in ESTIMATOR_READS[args.estimator]:
+                parser.error(f"{flag} is not read by --estimator {args.estimator}")
     # library warnings (e.g. GibbsOscillationWarning) reach the user as one
     # line each, without the source location Python's format adds
     with warnings.catch_warnings(record=True) as caught:

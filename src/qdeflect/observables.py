@@ -96,21 +96,14 @@ def partial_amplitudes(
     step feeds every pair, and nothing of shape (J, pair, theta) is held:
     the yielded array is one buffer, refilled at every step.
     """
-    h = block.header
-    pref = 1.0 / (2j * h.k)
-    coef = np.zeros((h.J_max + 1, len(pairs)), dtype=complex)
-    present = np.zeros(h.J_max + 1, dtype=bool)
-    for p, (omega, omega_p) in enumerate(pairs):
-        js, amps = block.j_column(omega, omega_p)
-        coef[js, p] = pref * (2 * js + 1) * amps
-        present[js] = True
-    present[:j_lo] = False
-    if j_hi is not None:
-        present[j_hi + 1 :] = False
+    amps, present = block.columns(pairs)
+    rows = present.any(axis=1) & (block.js >= j_lo) & (j_hi is None or block.js <= j_hi)
+    # absent cells stay exactly zero rather than take the signs of 0 * (2J+1) / 2ik
+    coef = np.where(present, (1.0 / (2j * block.header.k) * (2 * block.js + 1))[:, None] * amps, 0)[rows]
     d_pairs = [(omega_p, omega) for omega, omega_p in pairs]
     f_j = np.empty((len(pairs), len(grid)), dtype=complex)
-    for J, d in wigner_d_rows(d_pairs, grid.thetas, np.flatnonzero(present).tolist()):
-        np.multiply(coef[J][:, None], d, out=f_j)
+    for c, (J, d) in zip(coef, wigner_d_rows(d_pairs, grid.thetas, block.js[rows].tolist())):
+        np.multiply(c[:, None], d, out=f_j)
         yield J, f_j
 
 

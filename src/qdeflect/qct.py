@@ -354,12 +354,13 @@ def sample_ell_continuous(
 # per-J totals; records are "<w> <J> <theta_deg>" lines.
 
 _HEADER_RE = re.compile(r"#\s*(sigma_r|j_max|n_tot)\b(.*)")
-_HEADER_FORMS = {"sigma_r": r"\s*=\s*(\S+)", "j_max": r"\s*=\s*(\S+)", "n_tot": r"\s+(\d+)\s+(\d+)(?!\S)"}
+_HEADER_FORMS = {"sigma_r": r"\s*=\s*(\S+)", "j_max": r"\s*=\s*(\S+)", "n_tot": r"\s+(\d+)\s+(\d+)"}
 
 
 def load_trajectories(source: Source) -> TrajectoryEnsemble:
     """Read an ensemble; a '#' line whose first word is sigma_r, j_max or
-    n_tot must be that header, once (per J for n_tot); other '#' lines are comments."""
+    n_tot must be that header, with nothing after it, once (per J for
+    n_tot); other '#' lines are comments."""
     meta: dict[str, float] = {}
     meta_lines: dict[str, int] = {}
     n_tot: dict[int, int] = {}
@@ -371,7 +372,7 @@ def load_trajectories(source: Source) -> TrajectoryEnsemble:
     for lineno in head_lines:
         if not (m := _HEADER_RE.match(lines[lineno - 1].strip())):
             continue
-        if not (value := re.match(_HEADER_FORMS[m[1]], m[2])):
+        if not (value := re.fullmatch(_HEADER_FORMS[m[1]], m[2])):
             fault = InputError(f"malformed '# {m[1]}' line", lineno)
             break
         key = f"n_tot {int(value[1])}" if m[1] == "n_tot" else m[1]

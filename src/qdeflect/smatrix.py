@@ -23,7 +23,7 @@ import io
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -73,16 +73,21 @@ class SMatrixBlock:
     """Complex amplitudes S^J_{Omega' Omega} for one channel pair, built
     from a {(J, Omega, Omega'): amplitude} mapping.
 
-    Held as read-only arrays: sorted int64 `keys` rows (J, Omega, Omega')
-    and their `amps`; missing keys are exactly zero.  Construction checks
-    every key against the header bounds and every amplitude for finiteness,
-    all at once; an error's `item` is the position of the first bad entry
-    in the order given.  It then indexes the entries by helicity pair.
+    Held as read-only arrays: sorted int64 `keys` rows (J, Omega, Omega'),
+    their `amps`, and the dense `table` of the ascending `js` by the sorted
+    helicity `pairs` (Omega, Omega'), exactly zero where `present` is False.
+    Construction checks every key against the header bounds and every
+    amplitude for finiteness, all at once; an error's `item` is the
+    position of the first bad entry in the order given.
     """
 
     header: ChannelHeader
     keys: np.ndarray
     amps: np.ndarray
+    js: np.ndarray
+    pairs: np.ndarray
+    table: np.ndarray
+    present: np.ndarray
 
     def __init__(self, header: ChannelHeader, entries: Mapping[EntryKey, complex] = MappingProxyType({})):
         self._index(header, read_column([i for key in entries for i in key], int).reshape(-1, 3),
@@ -114,52 +119,53 @@ class SMatrixBlock:
             raise error(f"entry (J={Ji}, Omega={om}, Omega'={omp}): {message}", item=i)
         order = np.lexsort((omega_p, omega, J))
         keys, amps = keys[order].astype(np.int64, copy=False), amps[order]
-        # by helicity pair, then J: each pair's column is a read-only slice
-        order = np.lexsort((keys[:, 0], keys[:, 2], keys[:, 1]))
-        pairs, js, values = keys[order, 1:], keys[order, 0], amps[order]
-        for array in (keys, amps, js, values):
+        js, rows = np.unique(keys[:, 0], return_inverse=True)
+        width = 2 * h.j_final + 1  # Omega' + jp lies in 0..2jp, so the codes sort as the pairs do
+        codes, cols = np.unique((keys[:, 1] + h.j) * width + keys[:, 2] + h.j_final, return_inverse=True)
+        pairs = np.column_stack(np.divmod(codes, width)) - (h.j, h.j_final)
+        table = np.zeros((len(js), len(codes)), dtype=complex)
+        present = np.zeros(table.shape, dtype=bool)
+        table[rows, cols], present[rows, cols] = amps, True
+        for array in (keys, amps, js, pairs, table, present):
             array.setflags(write=False)
-        bounds = [0, *(np.flatnonzero(np.any(pairs[1:] != pairs[:-1], axis=1)) + 1).tolist(), len(order)]
-        vars(self).update(header=h, keys=keys, amps=amps, _columns={
-            tuple(pairs[lo].tolist()): (js[lo:hi], values[lo:hi])
-            for lo, hi in zip(bounds, bounds[1:]) if hi > lo
-        })
+        vars(self).update(header=h, keys=keys, amps=amps, js=js, pairs=pairs, table=table, present=present)
 
     @cached_property
     def entries(self) -> Mapping[EntryKey, complex]:
         """Read-only {key: amplitude} in key order, built on first access."""
         return MappingProxyType(dict(zip(map(tuple, self.keys.tolist()), self.amps.tolist())))
 
-    @cached_property
-    def _sum_sq(self) -> dict[int, float]:
-        # Python's sum() over each J's entries in sorted-key order; the
-        # opacity and sigma_j output bytes depend on this order
-        js, starts = np.unique(self.keys[:, 0], return_index=True)
-        return {J: sum(abs(v) ** 2 for v in group.tolist())
-                for J, group in zip(js.tolist(), np.split(self.amps, starts[1:]))}
-
     def __len__(self) -> int:
         return len(self.keys)
 
     def js_with_entries(self) -> list[int]:
-        return np.unique(self.keys[:, 0]).tolist()
+        return self.js.tolist()
 
     def helicity_pairs(self) -> list[tuple[int, int]]:
         """Sorted (Omega, OmegaPrime) pairs that have at least one entry."""
-        return sorted(self._columns)
+        return list(map(tuple, self.pairs.tolist()))
 
     def sum_sq_at_j(self, J: int) -> float:
         """sum over (Omega, OmegaPrime) of |S^J|^2; 0.0 where J has no entry."""
-        return self._sum_sq.get(J, 0.0)
+        row = self.js == J  # Python's sum() in key order: the opacity and sigma_j bytes depend on it
+        return sum((abs(v) ** 2 for v in self.table[row][self.present[row]].tolist()), 0.0)
+
+    def columns(self, pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+        """(amplitudes, present) of shape (len(js), len(pairs)): the table's
+        columns for the (Omega, OmegaPrime) pairs given, a pair without an
+        entry giving a zero column that is nowhere present."""
+        wanted, found = np.nonzero(np.all(np.reshape(pairs, (-1, 1, 2)) == self.pairs, axis=2))
+        amps = np.zeros((len(self.js), len(pairs)), dtype=complex)
+        present = np.zeros(amps.shape, dtype=bool)
+        amps[:, wanted], present[:, wanted] = self.table[:, found], self.present[:, found]
+        return amps, present
 
     def j_column(self, omega: int, omega_p: int) -> tuple[np.ndarray, np.ndarray]:
-        """(J values, amplitudes) present at a fixed helicity pair, ascending J.
-
-        Both arrays are read-only and shared by every call.
-        """
-        column = self._columns.get((omega, omega_p))
-        if column is None:
-            return np.array([], dtype=int), np.array([], dtype=complex)
+        """(J values, amplitudes) present at a fixed helicity pair, ascending J; both read-only."""
+        amps, present = self.columns([(omega, omega_p)])
+        column = self.js[present[:, 0]], amps[present[:, 0], 0]
+        for array in column:
+            array.setflags(write=False)
         return column
 
     def scaled(self, factor: complex) -> "SMatrixBlock":
@@ -296,6 +302,6 @@ def save_smatrix(block: SMatrixBlock, destination: Destination) -> None:
         out.write(f"# energy: {h.energy_label}\n")
     out.write(f"k {float(h.k)!r} {h.k_unit}\n")
     out.write(f"channel j={h.j} jp={h.j_final} v={h.v} vp={h.v_final} Jmax={h.J_max}\n")
-    for (J, omega, omega_p), value in sorted(block.entries.items()):
-        out.write(f"{J} {omega} {omega_p} {float(value.real)!r} {float(value.imag)!r}\n")
+    rows = zip(block.keys.tolist(), block.amps.real.tolist(), block.amps.imag.tolist())
+    out.writelines(f"{J} {omega} {omega_p} {real!r} {imag!r}\n" for (J, omega, omega_p), real, imag in rows)
     write_text(out.getvalue(), destination)

@@ -276,6 +276,15 @@ def _finite(text: str, key: str) -> float:
     raise InputError(f"bad {key} value {text!r}")
 
 
+# the keys each kind reads, besides kind, jmax and seed
+_KIND_KEYS = {
+    "classical": ("cbranch", "noise", "count", "sigma_r", "isotropic"),
+    "two-branch": ("branch", "k", "jp", "phase_offset"),
+    "linear": ("c", "j0", "w", "h", "k", "jp", "phase_offset"),
+    "quadratic": ("alpha", "j0", "w", "h", "k", "jp", "phase_offset"),
+}
+
+
 def parse_model_file(source: Union[str, Path, bytes]) -> SynthSpec:
     """Read a key = value model spec from a file (a Path) or from the spec
     text itself (str or bytes).
@@ -286,7 +295,8 @@ def parse_model_file(source: Union[str, Path, bytes]) -> SynthSpec:
     helicity-extended block.  Classical models use repeated
     'cbranch = weight t0 t1 ...' lines plus noise, count, sigma_r, and
     'isotropic = 1' for the no-correlation limit.  Every value but kind is
-    a finite number, and an error names the line of the value it rejects.
+    a finite number, a key other than branch and cbranch is given once, and
+    the kind reads every key given; an error names the line it rejects.
     """
     text = source if isinstance(source, str) else read_text(source)
     kind, values, lines = None, {}, {}
@@ -300,6 +310,8 @@ def parse_model_file(source: Union[str, Path, bytes]) -> SynthSpec:
         try:
             if not eq:
                 raise InputError("expected key = value")
+            if key in lines and key not in branches:
+                raise InputError(f"duplicate '{key} =' line")
             if key == "kind":
                 kind = val
             elif key in branches:
@@ -317,10 +329,15 @@ def parse_model_file(source: Union[str, Path, bytes]) -> SynthSpec:
                 values[key] = _finite(val, key)
         except InputError as exc:
             raise exc.on_line(lineno) from None
-        lines[key] = lineno
+        lines.setdefault(key, lineno)
 
     if kind is None:
         raise ValueError("model file is missing its 'kind' entry")
+    if kind not in _KIND_KEYS:
+        raise InputError(f"unknown model kind {kind!r}", lines["kind"])
+    for key in sorted([*values, *filter(branches.get, branches)], key=lines.get):
+        if key not in ("jmax", "seed", *_KIND_KEYS[kind]):
+            raise InputError(f"kind {kind} does not read '{key} ='", lines[key])
     get = values.get
     try:
         if kind == "classical":
@@ -335,8 +352,6 @@ def parse_model_file(source: Union[str, Path, bytes]) -> SynthSpec:
             model = linear_phase_model(get("c", -0.3), get("j0", 30.0), get("w", 8.0), get("h", 1.0))
         elif kind == "quadratic":
             model = quadratic_phase_model(get("alpha", 0.02), get("j0", 30.0), get("w", 8.0), get("h", 1.0))
-        else:
-            raise InputError(f"unknown model kind {kind!r}", item="kind")
         return SynthSpec(kind, model, get("k", 1.0), int(get("jmax", 60)), int(get("jp", 0)),
                          get("phase_offset", 0.4), int(get("count", 10000)), int(get("seed", 0)),
                          lines)

@@ -373,6 +373,15 @@ def test_params_line_per_command(block_file, traj_file, tmp_path, command, on_bl
     ("qct-sigma-j", ["--order-theta", "5"]),
     ("qct-sigma-j", ["--boundary-renormalize"]),
     ("qct-sigma-j", ["--smooth-theta-deg", "3"]),
+    # an option only the estimator not selected reads
+    ("qct-df", ["--smooth-j", "1e308", "--boundary-renormalize"]),
+    ("qct-df", ["--estimator", "legendre", "--smooth-j", "0"]),
+    ("qct-df", ["--smooth-theta-deg", "3"]),
+    ("qct-df", ["--boundary-renormalize"]),
+    ("qct-df", ["--estimator", "gaussian", "--order-theta", "20"]),
+    ("qct-df", ["--estimator", "gaussian", "--smooth-j", "1.5", "--order-j", "8"]),
+    ("qct-sigma-j", ["--smooth-j", "1.5"]),
+    ("qct-sigma-j", ["--estimator", "gaussian", "--order-j", "20"]),
 ])
 def test_options_a_command_does_not_read_exit_1(traj_file, tmp_path, command, extra):
     out = tmp_path / "x.csv"
@@ -380,6 +389,19 @@ def test_options_a_command_does_not_read_exit_1(traj_file, tmp_path, command, ex
         main([command, str(traj_file), "--out", str(out), *extra])
     assert excinfo.value.code == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,extra,flag,estimator", [
+    ("qct-df", ["--order-j", "8", "--estimator", "gaussian"], "--order-j", "gaussian"),
+    ("qct-df", ["--boundary-renormalize", "--order-theta", "4"], "--boundary-renormalize", "legendre"),
+    ("qct-sigma-j", ["--smooth-j", "1.5", "--estimator", "legendre"], "--smooth-j", "legendre"),
+])
+def test_option_of_the_estimator_not_selected_is_named(traj_file, tmp_path, capsys, command, extra, flag,
+                                                       estimator):
+    with pytest.raises(SystemExit):
+        main([command, str(traj_file), "--out", str(tmp_path / "x.csv"), *extra])
+    err = capsys.readouterr().err
+    assert err.endswith(f"qdeflect: error: {flag} is not read by --estimator {estimator}\n")
 
 
 @pytest.mark.parametrize("command,extra", [
@@ -541,6 +563,15 @@ def test_rejected_input_exits_1_naming_its_line(tmp_path, capsys, command, text,
     ("qct-dcs", TRAJ_HEADER + "# sigma_r = 2.0\n1.0 2.0 30.0\n", 3),
     ("qct-dcs", "# j_max = 10.0\n# sigma_r = 1.0\n1.0 2.0 30.0\n# j_max = 10.0\n", 4),
     ("qct-dcs", TRAJ_HEADER + "# n_tot 2 10\n1.0 2.0 30.0\n# n_tot 2 10\n", 5),
+    # a header line with tokens after its form
+    ("qct-dcs", "# sigma_r = 1.0 junk\n# j_max = 10.0\n1.0 2.0 30.0\n", 1),
+    ("qct-dcs", "# sigma_r = 1.0\n# j_max = 10 more\n1.0 2.0 30.0\n", 2),
+    ("qct-dcs", TRAJ_HEADER + "# n_tot 2 10 junk\n1.0 2.0 30.0\n", 3),
+    # a repeated model-file key fails on its later line, a key its kind does not read on its own
+    ("synth", "kind = linear\njmax = 20\njmax = 40\n", 3),
+    ("synth", "kind = linear\nkind = classical\njmax = 20\ncbranch = 1 2\n", 2),
+    ("synth", "kind = quadratic\njmax = 20\nalhpa = 0.5\n", 3),
+    ("synth", "kind = classical\nk = 1.0\njmax = 20\ncbranch = 1 2\n", 2),
 ])
 def test_malformed_header_or_overflow_exits_1_naming_its_line(tmp_path, capsys, command, text, line):
     path = tmp_path / "input.txt"
@@ -687,7 +718,24 @@ def test_unset_width_on_a_single_value_axis_exits_1(tmp_path, capsys):
     path.write_text("# sigma_r = 1.0\n# j_max = 10.0\n1.0 3.0 20.0\n1.0 3.0 40.0\n")
     assert main(["qct-df", str(path), "--out", str(tmp_path / "x.csv"), "--estimator", "gaussian"]) == 1
     err = capsys.readouterr().err
-    assert err == "qdeflect: error: kernel width heuristic needs at least two distinct values\n"
+    assert err == ("qdeflect: error: every record has the same J, so no J kernel width can be worked out: "
+                   "give --smooth-j\n")
+
+
+@pytest.mark.parametrize("command,records,extra,axis,flag", [
+    ("qct-df", "1.0 2.0 20.0\n1.0 5.0 20.0\n", [], "theta", "--smooth-theta-deg"),
+    ("qct-df", "1.0 2.0 20.0\n1.0 5.0 20.0\n", ["--smooth-j", "1.5"], "theta", "--smooth-theta-deg"),
+    ("qct-sigma-j", "1.0 3.0 20.0\n1.0 3.0 40.0\n", [], "J", "--smooth-j"),
+])
+def test_unset_width_on_a_single_value_axis_names_the_axis_and_flag(tmp_path, capsys, command, records, extra,
+                                                                     axis, flag):
+    path = tmp_path / "ens.traj"
+    path.write_text(TRAJ_HEADER + records)
+    out = tmp_path / "x.csv"
+    assert main([command, str(path), "--out", str(out), "--estimator", "gaussian", *extra]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"qdeflect: error: every record has the same {axis}, so no {axis} kernel width can be "
+                   f"worked out: give {flag}\n")
 
 
 WIDTH_EXTRA = {"qmdf": ["--grid-deg", "2"], "random-phase": ["--grid-deg", "2"],

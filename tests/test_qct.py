@@ -428,10 +428,21 @@ class TestTrajectoryIO:
             load_trajectories(b"# sigma_r = 1\n# j_max = 5\n1.0 2.0\n# n_tot 2 abc\n")
 
     def test_header_lines_that_parse_and_comments_that_only_look_alike(self):
-        text = (b"#sigma_r=2\n# j_max = 5 (rounded up)\n# n_tot 2 10 trajectories\n"
+        text = (b"#sigma_r=2\n#  j_max   =   5  \n#n_tot 2   10\n"
                 b"# n_totals 7\n# sigma_r_note: ignored\n1.0 2.0 30.0\n")
         ens = load_trajectories(text)
         assert (ens.sigma_r, ens.j_max, dict(ens.n_tot_by_j)) == (2.0, 5.0, {2: 10})
+
+    @pytest.mark.parametrize("header, line, key", [
+        (b"# sigma_r = 1.0 junk\n# j_max = 5\n", 1, "sigma_r"),
+        (b"# sigma_r = 1.0\n# j_max = 5 (rounded up)\n", 2, "j_max"),
+        (b"# sigma_r = 1.0\n# j_max = 5\n# n_tot 2 10 trajectories\n", 3, "n_tot"),
+        (b"# sigma_r = 1.0\n# j_max = 5\n# n_tot 2 10 3\n", 3, "n_tot"),
+    ])
+    def test_header_line_with_tokens_after_its_form_is_rejected(self, header, line, key):
+        with pytest.raises(ValueError) as excinfo:
+            load_trajectories(header + b"1.0 2.0 30.0\n")
+        assert str(excinfo.value) == f"line {line}: malformed '# {key}' line"
 
 
 class TestValidation:

@@ -16,6 +16,8 @@ from qdeflect import (
     save_smatrix,
     validate_unitarity,
 )
+from qdeflect.observables import partial_amplitudes, scattering_amplitude
+from qdeflect.qmdf import j_partial_amplitude
 from conftest import make_block, random_block
 
 MINIMAL = """\
@@ -165,6 +167,36 @@ def test_index_matches_a_scan_of_the_entries(rng):
         assert block.sum_sq_at_j(J) == scan
     assert block.helicity_pairs() == sorted({k[1:] for k in entries})
     assert block.js_with_entries() == sorted({k[0] for k in entries})
+    # the dense table holds every entry at (its J row, its pair column), exact 0 elsewhere
+    assert block.js.tolist() == block.js_with_entries()
+    assert list(map(tuple, block.pairs.tolist())) == block.helicity_pairs()
+    assert block.table.shape == block.present.shape == (len(block.js), len(block.pairs))
+    for r, J in enumerate(block.js.tolist()):
+        for c, (omega, omega_p) in enumerate(block.pairs.tolist()):
+            value, want = block.table[r, c], entries.get((J, omega, omega_p), 0j)
+            assert block.present[r, c] == ((J, omega, omega_p) in entries)
+            assert value == want
+            assert np.signbit([value.real, value.imag]).tolist() == np.signbit([want.real, want.imag]).tolist()
+    assert int(block.present.sum()) == len(entries)
+    for array in (block.js, block.pairs, block.table, block.present):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        block.table[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("entries", [{}, {(0, 0, 0): 0.5 + 0.1j, (3, 0, 0): -0.2j}])
+def test_an_empty_block_or_a_pair_it_lacks_gives_zero_curves(entries, grid181):
+    block = SMatrixBlock(ChannelHeader(k=1.0, j=1, j_final=1, J_max=4), entries)
+    for J, omega_p, omega in ((2, 0, 1), (3, -1, 1), (4, 1, 0)):
+        curve = j_partial_amplitude(block, J, omega_p, omega, grid181)
+        assert curve.values.shape == grid181.thetas.shape and not curve.values.any()
+    for omega_p, omega in ((1, 1), (-1, 0), (0, 1)):
+        curve = scattering_amplitude(block, omega_p, omega, grid181)
+        assert curve.values.shape == grid181.thetas.shape and not curve.values.any()
+    assert block.j_column(1, 1)[0].size == block.j_column(1, 1)[1].size == 0
+    # a lacking pair's rows are zero, next to a pair the block has
+    for _, f_j in partial_amplitudes(block, [(1, -1), (0, 0), (-1, 0)], grid181):
+        assert not f_j[[0, 2]].any() and f_j[1].any()
 
 
 @pytest.mark.parametrize("bad", [complex("nan"), complex(0.1, float("inf")), complex("-inf")])

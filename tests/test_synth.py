@@ -234,6 +234,38 @@ class TestModelFileLines:
         assert excinfo.value.line == line
         assert str(excinfo.value).startswith(f"line {line}: ")
 
+    @pytest.mark.parametrize("text, line, match", [
+        ("kind = linear\njmax = 20\njmax = 40\n", 3, "duplicate 'jmax =' line"),
+        ("kind = linear\nkind = classical\njmax = 20\n", 2, "duplicate 'kind =' line"),
+        ("kind = linear\nc = 0.1\njmax = 20\n# note\nc = 0.2\n", 5, "duplicate 'c =' line"),
+        ("kind = classical\njmax = 20\ncbranch = 1 2\nseed = 1\nSEED = 2\n", 5, "duplicate 'seed =' line"),
+    ])
+    def test_repeated_key_fails_on_its_later_line(self, text, line, match):
+        with pytest.raises(ValueError, match=match) as excinfo:
+            parse_model_file(text)
+        assert excinfo.value.line == line
+
+    def test_branch_lines_repeat(self):
+        spec = parse_model_file("kind = classical\njmax = 20\ncbranch = 1 2\ncbranch = 1 3\ncbranch = 1 4\n")
+        assert len(spec.model.branches) == 3
+
+    @pytest.mark.parametrize("text, line, match", [
+        ("kind = quadratic\njmax = 20\nalhpa = 0.5\n", 3, "kind quadratic does not read 'alhpa ='"),
+        ("kind = linear\njmax = 20\nalpha = 0.5\n", 3, "kind linear does not read 'alpha ='"),
+        ("kind = quadratic\nc = -0.4\njmax = 20\n", 2, "kind quadratic does not read 'c ='"),
+        ("jmax = 20\nk = 1.0\nkind = classical\ncbranch = 1 2\n", 2, "kind classical does not read 'k ='"),
+        ("kind = classical\njmax = 20\nbranch = 0.8 10 4 0.1\ncbranch = 1 2\n", 3,
+         "kind classical does not read 'branch ='"),
+        ("kind = two-branch\njmax = 30\nbranch = 0.8 10 4 0.1\nbranch = 0.8 20 4 0.1\nj0 = 3\n", 5,
+         "kind two-branch does not read 'j0 ='"),
+        ("kind = linear\njmax = 20\ncount = 10\nnoise = 0.1\n", 3, "kind linear does not read 'count ='"),
+    ])
+    def test_key_the_kind_does_not_read_fails_on_its_line(self, text, line, match):
+        with pytest.raises(ValueError, match=match) as excinfo:
+            parse_model_file(text)
+        assert excinfo.value.line == line
+        assert str(excinfo.value).startswith(f"line {line}: ")
+
     @pytest.mark.parametrize("text, line", [
         ("kind = linear\njmax = 1\n", 2),
         ("kind = linear\njmax = 20\nk = -1\n", 3),
