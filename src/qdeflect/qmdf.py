@@ -212,15 +212,20 @@ def _convolve_zero_padded(values: np.ndarray, kernel: np.ndarray, axis: int) -> 
     Taps are paired as x[i] w[r] + sum_{j=r..1} (x[i-j] + x[i+j]) w[r-j]
     and accumulated in that order, the order of the standard line-buffer
     correlation for symmetric kernels; the tests compare the two bit for bit.
+    A tap j >= n reaches only padding and adds (+0 + +0) w: one += 0.0 stands
+    for all of them, so a -0.0 cell still turns to +0.0.
     """
     r = kernel.size // 2
     x = np.moveaxis(values, axis, 0)
     n = x.shape[0]
-    padded = np.zeros((n + 2 * r,) + x.shape[1:])
-    padded[r : r + n] = x
-    out = padded[r : r + n] * kernel[r]
-    for j in range(r, 0, -1):
-        out += (padded[r - j : r - j + n] + padded[r + j : r + j + n]) * kernel[r - j]
+    m = min(r, n - 1)  # the taps that reach data
+    padded = np.zeros((n + 2 * m,) + x.shape[1:])
+    padded[m : m + n] = x
+    out = padded[m : m + n] * kernel[r]
+    if m < r:
+        out += 0.0
+    for j in range(m, 0, -1):
+        out += (padded[m - j : m - j + n] + padded[m + j : m + j + n]) * kernel[r - j]
     return np.moveaxis(out, 0, axis)
 
 

@@ -252,7 +252,9 @@ def load_smatrix(source: Source) -> SMatrixBlock:
                     k = float(fields[1])
                 except ValueError:
                     raise SMatrixParseError(f"bad wavenumber {fields[1]!r}", lineno) from None
-                if len(fields) >= 3:
+                if len(fields) > 3:
+                    raise SMatrixParseError(f"unexpected {fields[3]!r} after the k unit", lineno)
+                if len(fields) == 3:
                     k_unit = fields[2]
                 k_line = lineno
             else:
@@ -262,6 +264,9 @@ def load_smatrix(source: Source) -> SMatrixBlock:
                     if "=" not in item:
                         raise SMatrixParseError(f"bad channel field {item!r}", lineno)
                     name, _, val = item.partition("=")
+                    if name in channel or name not in ("j", "jp", "v", "vp", "Jmax"):
+                        raise SMatrixParseError(
+                            f"{'repeated' if name in channel else 'unknown'} channel field {name!r}", lineno)
                     try:
                         channel[name] = int(val)
                     except ValueError:

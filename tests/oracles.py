@@ -129,6 +129,20 @@ def brute_force_qmdf(block, grid):
     return values.real, worst_imag
 
 
+def convolve_all_taps(values, kernel, axis):
+    """qmdf._convolve_zero_padded as it was before it skipped the taps that
+    reach only padding: every tap of the kernel, padded by its full radius."""
+    r = kernel.size // 2
+    x = np.moveaxis(values, axis, 0)
+    n = x.shape[0]
+    padded = np.zeros((n + 2 * r,) + x.shape[1:])
+    padded[r : r + n] = x
+    out = padded[r : r + n] * kernel[r]
+    for j in range(r, 0, -1):
+        out += (padded[r - j : r - j + n] + padded[r + j : r + j + n]) * kernel[r - j]
+    return np.moveaxis(out, 0, axis)
+
+
 def load_smatrix_per_line(source):
     """The S-matrix loader as it read one line at a time: per-line checks in
     file order, the entries in a dict, and the line of a block error found
@@ -158,7 +172,9 @@ def load_smatrix_per_line(source):
                 k = float(fields[1])
             except ValueError:
                 raise SMatrixParseError(f"bad wavenumber {fields[1]!r}", lineno) from None
-            if len(fields) >= 3:
+            if len(fields) > 3:
+                raise SMatrixParseError(f"unexpected {fields[3]!r} after the k unit", lineno)
+            if len(fields) == 3:
                 k_unit = fields[2]
             k_line = lineno
         elif fields[0] == "channel":
@@ -168,6 +184,9 @@ def load_smatrix_per_line(source):
                 if "=" not in item:
                     raise SMatrixParseError(f"bad channel field {item!r}", lineno)
                 name, _, val = item.partition("=")
+                if name in channel or name not in ("j", "jp", "v", "vp", "Jmax"):
+                    raise SMatrixParseError(
+                        f"{'repeated' if name in channel else 'unknown'} channel field {name!r}", lineno)
                 try:
                     channel[name] = int(val)
                 except ValueError:

@@ -496,7 +496,7 @@ def test_non_unitary_block_warns_in_one_line(tmp_path, capsys, monkeypatch, comm
     assert capsys.readouterr().err.splitlines() == [
         "qdeflect: warning: 2 entries with |S| > 1 (worst |S| = 3 at J=2, Omega=0, Omega'=0)"]
     # the check only reports: the same run without it writes the same bytes
-    monkeypatch.setattr("qdeflect.cli.validate_unitarity", lambda block: UnitarityReport((), 1e-9))
+    monkeypatch.setattr("qdeflect.smatrix.validate_unitarity", lambda block: UnitarityReport((), 1e-9))
     assert main([command, str(path), "--out", str(ref), *extra]) == 0
     assert capsys.readouterr().err == ""
     assert out.read_bytes() == ref.read_bytes()

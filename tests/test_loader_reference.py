@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import load_smatrix_per_line
-from qdeflect import _text, load_smatrix
+from qdeflect import _text, load_smatrix, save_smatrix
 from qdeflect.smatrix import SMatrixParseError
 from test_input_fuzz import SMATRIX
 
@@ -134,3 +134,25 @@ def test_missing_header_line_is_reported_on_the_last_line(text, message):
     reported on the file's last line, as the per-line loader does."""
     for load in (load_smatrix, load_smatrix_per_line):
         assert outcome(load, text) == (SMatrixParseError, message)
+
+
+@pytest.mark.parametrize("k_line, channel_line, message", [
+    ("k 1.0 1/angstrom junk", "channel j=0 jp=0 v=0 vp=0 Jmax=1",
+     "line 1: unexpected 'junk' after the k unit"),
+    ("k 1.0 1/angstrom", "channel j=0 jp=0 v=0 vp=0 Jmax=1 foo=3", "line 2: unknown channel field 'foo'"),
+    ("k 1.0", "channel j=0 jp=0 v=0 j=2 vp=0 Jmax=1", "line 2: repeated channel field 'j'"),
+    ("k 1.0 u", "channel j=0 jp=0 v=0 vp=0 Jmax=1 Jmax=1", "line 2: repeated channel field 'Jmax'"),
+])
+def test_stray_k_tokens_and_channel_fields_are_rejected_on_their_line(k_line, channel_line, message):
+    text = f"{k_line}\n{channel_line}\n0 0 0 0.5 0.5\n"
+    for load in (load_smatrix, load_smatrix_per_line):
+        assert outcome(load, text) == (SMatrixParseError, message)
+
+
+def test_saved_blocks_and_a_unit_k_line_still_load(tmp_path):
+    block = load_smatrix(COMMENTED.encode())
+    save_smatrix(block, tmp_path / "b.smat")
+    for load in (load_smatrix, load_smatrix_per_line):
+        again = load(tmp_path / "b.smat")
+        assert again.header == block.header and np.array_equal(again.amps, block.amps)
+        assert load(b"k 2.0 1/angstrom\nchannel j=0 jp=0 v=0 vp=0 Jmax=0\n").header.k_unit == "1/angstrom"

@@ -22,9 +22,9 @@ from qdeflect import (
     smooth_map,
     sum_over_j,
 )
-from qdeflect.qmdf import DeflectionMap, _gauss_kernel
+from qdeflect.qmdf import DeflectionMap, _convolve_zero_padded, _gauss_kernel
 from conftest import make_block, random_block
-from oracles import brute_force_qmdf
+from oracles import brute_force_qmdf, convolve_all_taps
 
 GRID = default_grid()
 TWO_WAVE = make_block({(0, 0, 0): 1.0, (1, 0, 0): 1.0}, j_max=1)
@@ -339,6 +339,16 @@ class TestSmoothMap:
             want = convolve1d(want, kernel, axis=0, mode="constant", cval=0.0)
         got = smooth_map(DeflectionMap(grid, np.arange(11), values), s_j, s_theta).values
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 1), (1, 5), (9, 4), (181, 11)])
+    @pytest.mark.parametrize("radius", [1, 3, 4, 10, 200])
+    def test_taps_past_the_axis_skipped_bit_for_bit(self, rng, shape, radius):
+        values = rng.standard_normal(shape)
+        values[rng.random(shape) < 0.3] = -0.0  # a lone -0.0 cell must still come out +0.0
+        kernel = _gauss_kernel(radius, 1.0, 0.5)
+        for axis in (0, 1):
+            got = _convolve_zero_padded(values, kernel, axis)
+            assert got.tobytes() == convolve_all_taps(values, kernel, axis).tobytes()
 
     def test_negative_width_rejected(self, rng):
         dmap = qmdf_map(random_block(rng, j_max=4), GRID)
