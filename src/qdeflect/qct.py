@@ -177,7 +177,7 @@ def fit_legendre_df(
 
     raw_a = vt.T @ w
     raw_b = vx.T @ w
-    raw_alpha = (vt * w[:, None]).T @ vx
+    raw_alpha = np.multiply(vt, w[:, None], out=vt).T @ vx  # weighted in place: vt is not read again
 
     m = np.arange(order_theta + 1)
     n = np.arange(order_j + 1)
@@ -322,12 +322,14 @@ def qct_df_gaussian(
                              * inside(ensemble.j_values, ensemble.j_max, config.s_j))
 
     values = np.zeros((len(grid), j_values.size))
+    # one workspace holds every chunk's theta kernel in turn, so no two kernels are alive at once
+    workspace = np.empty(len(grid) * min(len(ensemble), _CHUNK))
     for lo in range(0, len(ensemble), _CHUNK):
         blk = slice(lo, lo + _CHUNK)
-        # a fresh contiguous BLAS operand, filled in cache-sized row blocks:
-        # the matmul's bits depend on its layout
+        # the kernel is the workspace's head as one C-contiguous (grid, chunk) array, never a strided
+        # slice: the matmul's bits depend on its operand's layout; filled in cache-sized row blocks
         thetas = ensemble.thetas[blk]
-        g_theta = np.empty((len(grid), thetas.size))
+        g_theta = workspace[: len(grid) * thetas.size].reshape(len(grid), thetas.size)
         for r0 in range(0, len(grid), _ROWS):
             rows = slice(r0, r0 + _ROWS)
             _gauss(np.subtract(grid.thetas[rows, None], thetas, out=g_theta[rows]), config.s_theta)

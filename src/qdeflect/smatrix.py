@@ -35,6 +35,17 @@ DEFAULT_K_UNIT = "1/angstrom"
 EntryKey = tuple[int, int, int]  # (J, Omega, OmegaPrime)
 
 
+def _distinct(ascending: np.ndarray) -> np.ndarray:
+    """The distinct values of an ascending array of nonnegative integers.  A plain
+    np.unique call would import numpy.ma, a start-up cost for every CLI process."""
+    return ascending[np.diff(ascending, prepend=-1) != 0]
+
+
+def _pair_codes(h: "ChannelHeader", omega: np.ndarray, omega_p: np.ndarray) -> np.ndarray:
+    """Integer codes of (Omega, Omega') pairs that sort as the pairs do: Omega' + jp lies in 0..2jp."""
+    return (omega + h.j) * (2 * h.j_final + 1) + omega_p + h.j_final
+
+
 class SMatrixParseError(InputError):
     """Malformed input text; carries the 1-based line number."""
 
@@ -74,8 +85,10 @@ class SMatrixBlock:
     from a {(J, Omega, Omega'): amplitude} mapping.
 
     Held as read-only arrays: sorted int64 `keys` rows (J, Omega, Omega'),
-    their `amps`, and the dense `table` of the ascending `js` by the sorted
-    helicity `pairs` (Omega, Omega'), exactly zero where `present` is False.
+    their `amps`, the ascending `js` and the sorted helicity `pairs`
+    (Omega, Omega').  The dense `table` of js by pairs, exactly zero where
+    `present` is False, is built on first use, so sparse blocks pay for it
+    only in the observables that stream over it.
     Construction checks every key against the header bounds and every
     amplitude for finiteness, all at once; an error's `item` is the
     position of the first bad entry in the order given.
@@ -86,8 +99,6 @@ class SMatrixBlock:
     amps: np.ndarray
     js: np.ndarray
     pairs: np.ndarray
-    table: np.ndarray
-    present: np.ndarray
 
     def __init__(self, header: ChannelHeader, entries: Mapping[EntryKey, complex] = MappingProxyType({})):
         self._index(header, read_column([i for key in entries for i in key], int).reshape(-1, 3),
@@ -119,16 +130,32 @@ class SMatrixBlock:
             raise error(f"entry (J={Ji}, Omega={om}, Omega'={omp}): {message}", item=i)
         order = np.lexsort((omega_p, omega, J))
         keys, amps = keys[order].astype(np.int64, copy=False), amps[order]
-        js, rows = np.unique(keys[:, 0], return_inverse=True)
-        width = 2 * h.j_final + 1  # Omega' + jp lies in 0..2jp, so the codes sort as the pairs do
-        codes, cols = np.unique((keys[:, 1] + h.j) * width + keys[:, 2] + h.j_final, return_inverse=True)
-        pairs = np.column_stack(np.divmod(codes, width)) - (h.j, h.j_final)
-        table = np.zeros((len(js), len(codes)), dtype=complex)
-        present = np.zeros(table.shape, dtype=bool)
-        table[rows, cols], present[rows, cols] = amps, True
-        for array in (keys, amps, js, pairs, table, present):
+        js = _distinct(keys[:, 0])
+        codes = _distinct(np.sort(_pair_codes(h, keys[:, 1], keys[:, 2])))
+        pairs = np.column_stack(np.divmod(codes, 2 * h.j_final + 1)) - (h.j, h.j_final)
+        for array in (keys, amps, js, pairs):
             array.setflags(write=False)
-        vars(self).update(header=h, keys=keys, amps=amps, js=js, pairs=pairs, table=table, present=present)
+        vars(self).update(header=h, keys=keys, amps=amps, js=js, pairs=pairs)
+
+    def _dense(self, values: np.ndarray | bool, dtype: type) -> np.ndarray:
+        """Read-only (len(js), len(pairs)) array of `values` at the entries' cells, exactly 0 elsewhere."""
+        h = self.header
+        rows = np.searchsorted(self.js, self.keys[:, 0])
+        cols = np.searchsorted(_pair_codes(h, *self.pairs.T), _pair_codes(h, self.keys[:, 1], self.keys[:, 2]))
+        dense = np.zeros((len(self.js), len(self.pairs)), dtype)
+        dense[rows, cols] = values
+        dense.setflags(write=False)
+        return dense
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The amplitudes, 0 where `present` is False; built on first access."""
+        return self._dense(self.amps, complex)
+
+    @cached_property
+    def present(self) -> np.ndarray:
+        """Which `table` cells hold an entry; built on first access."""
+        return self._dense(True, bool)
 
     @cached_property
     def entries(self) -> Mapping[EntryKey, complex]:
@@ -147,8 +174,10 @@ class SMatrixBlock:
 
     def sum_sq_at_j(self, J: int) -> float:
         """sum over (Omega, OmegaPrime) of |S^J|^2; 0.0 where J has no entry."""
-        row = self.js == J  # Python's sum() in key order: the opacity and sigma_j bytes depend on it
-        return sum((abs(v) ** 2 for v in self.table[row][self.present[row]].tolist()), 0.0)
+        by_j = self.keys[:, 0]
+        lo, hi = np.searchsorted(by_j, J, "left"), np.searchsorted(by_j, J, "right")
+        # Python's sum() in key order: the opacity and sigma_j bytes depend on it
+        return sum((abs(v) ** 2 for v in self.amps[lo:hi].tolist()), 0.0)
 
     def columns(self, pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
         """(amplitudes, present) of shape (len(js), len(pairs)): the table's
@@ -162,8 +191,8 @@ class SMatrixBlock:
 
     def j_column(self, omega: int, omega_p: int) -> tuple[np.ndarray, np.ndarray]:
         """(J values, amplitudes) present at a fixed helicity pair, ascending J; both read-only."""
-        amps, present = self.columns([(omega, omega_p)])
-        column = self.js[present[:, 0]], amps[present[:, 0], 0]
+        rows = (self.keys[:, 1] == omega) & (self.keys[:, 2] == omega_p)
+        column = self.keys[rows, 0], self.amps[rows]
         for array in column:
             array.setflags(write=False)
         return column

@@ -17,8 +17,9 @@ SRC = str(Path(qdeflect.__file__).resolve().parents[1])
 MODEL = "kind = quadratic\nk = 1.0\njmax = 60\nj0 = 30\nw = 8\nh = 1.0\nalpha = 0.02\n"
 CLASSICAL = ("kind = classical\njmax = 40\ncbranch = 1.0 3.14159 -3.14159\nnoise = 0.08\ncount = 20000\n"
              "seed = 1\nsigma_r = 1.0\n")
-# runs `python -m qdeflect ARGV` in this process, as -m does, then reports
-# the qdeflect modules it loaded and OPENBLAS_NUM_THREADS as the run left it
+# runs `python -m qdeflect ARGV` in this process, as -m does, then reports the
+# qdeflect modules it loaded, whether it loaded numpy.ma (a start-up cost that
+# a plain np.unique call brings in) and OPENBLAS_NUM_THREADS as the run left it
 AS_MAIN = """
 import json, os, runpy, sys
 sys.argv = ["qdeflect", *sys.argv[1:]]
@@ -26,7 +27,7 @@ try:
     runpy.run_module("qdeflect", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"code": code, "blas": os.environ.get("OPENBLAS_NUM_THREADS"),
+print(json.dumps({"code": code, "blas": os.environ.get("OPENBLAS_NUM_THREADS"), "numpy_ma": "numpy.ma" in sys.modules,
                   "modules": sorted(m for m in sys.modules if m.startswith("qdeflect"))}))
 """
 
@@ -82,6 +83,7 @@ def test_per_j_commands_load_only_what_they_run(block, tmp_path, command):
     assert report["code"] == 0
     assert report["modules"] == ["qdeflect", "qdeflect._text", "qdeflect.angular", "qdeflect.cli",
                                  "qdeflect.observables", "qdeflect.smatrix", "qdeflect.wigner"]
+    assert not report["numpy_ma"]
 
 
 @pytest.mark.parametrize("command", ["dcs", "qmdf", "random-phase", "sum-j", "partial-dcs"])
@@ -89,6 +91,7 @@ def test_smatrix_commands_load_no_qct_synth_or_cqdf(block, tmp_path, command):
     report = as_main([command, str(block), "--out", str(tmp_path / "x.csv")])
     assert report["code"] == 0
     assert not {"qdeflect.qct", "qdeflect.synth", "qdeflect.cqdf"} & set(report["modules"])
+    assert not report["numpy_ma"]
 
 
 @pytest.mark.parametrize("given, seen", [(None, "1"), ("3", "3"), ("", "")])

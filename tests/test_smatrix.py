@@ -12,6 +12,7 @@ from qdeflect import (
     dcs,
     load_smatrix,
     opacity,
+    partial_cross_section,
     qmdf_map,
     save_smatrix,
     validate_unitarity,
@@ -182,6 +183,33 @@ def test_index_matches_a_scan_of_the_entries(rng):
         assert not array.flags.writeable
     with pytest.raises(ValueError):
         block.table[0, 0] = 1.0
+
+
+def test_a_sparse_block_builds_no_dense_table_for_its_per_j_and_per_pair_reads():
+    # one entry per J across 121 x 121 helicity pairs: its dense table would be 2941 x ~2700 cells
+    rng = np.random.default_rng(3)
+    lines = ["k 1.5 1/angstrom", "channel j=60 jp=60 v=0 vp=0 Jmax=3000"]
+    lines += [f"{J} {omega} {omega_p} {rng.normal()!r} {rng.normal()!r}"
+              for J, (omega, omega_p) in zip(range(60, 3001), rng.integers(-60, 61, (2941, 2)).tolist())]
+    block = load_smatrix(io.StringIO("\n".join(lines) + "\n"))
+    h, entries = block.header, block.entries
+    at_j = {J: [] for J in range(h.J_max + 1)}
+    for key, v in sorted(entries.items()):
+        at_j[key[0]].append(v)
+    for J, values in at_j.items():
+        scan = sum(abs(v) ** 2 for v in values)
+        assert block.sum_sq_at_j(J) == scan
+        assert opacity(block, J) == scan / (2 * min(J, h.j) + 1)
+        assert partial_cross_section(block, J) == np.pi / h.k**2 * (2 * J + 1) / (2 * h.j + 1) * scan
+    for omega, omega_p in block.helicity_pairs()[::50]:
+        items = sorted((k[0], v) for k, v in entries.items() if k[1:] == (omega, omega_p))
+        js, amps = block.j_column(omega, omega_p)
+        assert (js.tolist(), amps.tolist()) == ([J for J, _ in items], [v for _, v in items])
+    assert "table" not in vars(block) and "present" not in vars(block)
+    # the streaming observables build it on first use
+    block.columns(block.helicity_pairs()[:1])
+    assert "table" in vars(block) and "present" in vars(block)
+    assert block.table.shape == (2941, len(block.pairs)) and int(block.present.sum()) == 2941
 
 
 @pytest.mark.parametrize("entries", [{}, {(0, 0, 0): 0.5 + 0.1j, (3, 0, 0): -0.2j}])
