@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .angular import AngularGrid
-from .smatrix import SMatrixBlock
+from .smatrix import SMatrixBlock, _pair_codes
 from .wigner import wigner_d_rows
 
 
@@ -94,16 +94,30 @@ def partial_amplitudes(
     one row per (Omega, Omega') in pairs, shape (len(pairs), len(grid));
     rows of pairs without an entry at J are zero.  One Wigner recurrence
     step feeds every pair, and nothing of shape (J, pair, theta) is held:
-    the yielded array is one buffer, refilled at every step.
+    the yielded array is one buffer, refilled at every step.  The block's
+    sorted entries are read in place, so memory is O(entries + pairs x theta).
     """
-    amps, present = block.columns(pairs)
-    rows = present.any(axis=1) & (block.js >= j_lo) & (j_hi is None or block.js <= j_hi)
-    # absent cells stay exactly zero rather than take the signs of 0 * (2J+1) / 2ik
-    coef = np.where(present, (1.0 / (2j * block.header.k) * (2 * block.js + 1))[:, None] * amps, 0)[rows]
-    d_pairs = [(omega_p, omega) for omega, omega_p in pairs]
+    h, n = block.header, len(block.pairs)
+    codes = _pair_codes(h, *block.pairs.T)
+    column = np.searchsorted(codes, _pair_codes(h, block.keys[:, 1], block.keys[:, 2]))
+    wanted = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    slot = np.searchsorted(codes, _pair_codes(h, *wanted.T))
+    # a pair the block lacks reads slot n, which stays zero
+    slot[np.any(np.vstack([block.pairs, [[0, 0]]])[slot] != wanted, axis=1)] = n
+    entry_j = block.keys[:, 0]
+    keep = (np.bincount(slot, minlength=n + 1) > 0)[column] & (entry_j >= j_lo)
+    keep &= j_hi is None or entry_j <= j_hi
+    entry_j, column = entry_j[keep], column[keep]
+    coef = (1.0 / (2j * h.k) * (2 * entry_j + 1)) * block.amps[keep]
+    # one run of consecutive entries per J: coef[lo:hi] for neighbouring bounds lo, hi
+    bounds = np.flatnonzero(np.diff(entry_j, prepend=-1, append=h.J_max + 1)).tolist()
+    steps = wigner_d_rows([(op, o) for o, op in pairs], grid.thetas, entry_j[bounds[:-1]].tolist())
+    row = np.zeros(n + 1, dtype=complex)
     f_j = np.empty((len(pairs), len(grid)), dtype=complex)
-    for c, (J, d) in zip(coef, wigner_d_rows(d_pairs, grid.thetas, block.js[rows].tolist())):
-        np.multiply(c[:, None], d, out=f_j)
+    for lo, hi, (J, d) in zip(bounds, bounds[1:], steps):
+        row[column[lo:hi]] = coef[lo:hi]
+        np.multiply(row[slot][:, None], d, out=f_j)
+        row[column[lo:hi]] = 0
         yield J, f_j
 
 

@@ -37,6 +37,7 @@ from ._text import (NUMBER_START, Destination, InputError, Source, first_failure
 from .angular import AngularGrid
 from .observables import AngularCurve
 from .qmdf import DeflectionMap
+from .smatrix import _distinct
 
 _CHUNK = 4096
 _ROWS = 16  # theta-kernel rows per block: 16 x _CHUNK doubles stay in cache
@@ -251,7 +252,7 @@ class KernelConfig:
 
 def kernel_width(values: np.ndarray) -> float:
     """The kernel width for one axis: twice the mean spacing of the distinct values."""
-    distinct = np.unique(values)
+    distinct = _distinct(np.sort(values, axis=None))
     if distinct.size < 2:
         raise ValueError("kernel width heuristic needs at least two distinct values")
     return 2.0 * float(np.mean(np.diff(distinct)))

@@ -23,7 +23,7 @@ import io
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -36,9 +36,10 @@ EntryKey = tuple[int, int, int]  # (J, Omega, OmegaPrime)
 
 
 def _distinct(ascending: np.ndarray) -> np.ndarray:
-    """The distinct values of an ascending array of nonnegative integers.  A plain
-    np.unique call would import numpy.ma, a start-up cost for every CLI process."""
-    return ascending[np.diff(ascending, prepend=-1) != 0]
+    """The distinct values of an ascending array, by np.unique's own neighbour
+    rule (so -0.0 and 0.0 are one value).  A plain np.unique call would import
+    numpy.ma, a start-up cost for every CLI process."""
+    return np.concatenate([ascending[:1], ascending[1:][ascending[1:] != ascending[:-1]]])
 
 
 def _pair_codes(h: "ChannelHeader", omega: np.ndarray, omega_p: np.ndarray) -> np.ndarray:
@@ -84,11 +85,10 @@ class SMatrixBlock:
     """Complex amplitudes S^J_{Omega' Omega} for one channel pair, built
     from a {(J, Omega, Omega'): amplitude} mapping.
 
-    Held as read-only arrays: sorted int64 `keys` rows (J, Omega, Omega'),
-    their `amps`, the ascending `js` and the sorted helicity `pairs`
-    (Omega, Omega').  The dense `table` of js by pairs, exactly zero where
-    `present` is False, is built on first use, so sparse blocks pay for it
-    only in the observables that stream over it.
+    Held as read-only arrays, and only these: sorted int64 `keys` rows
+    (J, Omega, Omega'), their `amps`, the ascending `js` and the sorted
+    helicity `pairs` (Omega, Omega').  Every reader works from the sorted
+    entries, so a sparse block costs what its entries cost.
     Construction checks every key against the header bounds and every
     amplitude for finiteness, all at once; an error's `item` is the
     position of the first bad entry in the order given.
@@ -137,26 +137,6 @@ class SMatrixBlock:
             array.setflags(write=False)
         vars(self).update(header=h, keys=keys, amps=amps, js=js, pairs=pairs)
 
-    def _dense(self, values: np.ndarray | bool, dtype: type) -> np.ndarray:
-        """Read-only (len(js), len(pairs)) array of `values` at the entries' cells, exactly 0 elsewhere."""
-        h = self.header
-        rows = np.searchsorted(self.js, self.keys[:, 0])
-        cols = np.searchsorted(_pair_codes(h, *self.pairs.T), _pair_codes(h, self.keys[:, 1], self.keys[:, 2]))
-        dense = np.zeros((len(self.js), len(self.pairs)), dtype)
-        dense[rows, cols] = values
-        dense.setflags(write=False)
-        return dense
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        """The amplitudes, 0 where `present` is False; built on first access."""
-        return self._dense(self.amps, complex)
-
-    @cached_property
-    def present(self) -> np.ndarray:
-        """Which `table` cells hold an entry; built on first access."""
-        return self._dense(True, bool)
-
     @cached_property
     def entries(self) -> Mapping[EntryKey, complex]:
         """Read-only {key: amplitude} in key order, built on first access."""
@@ -178,16 +158,6 @@ class SMatrixBlock:
         lo, hi = np.searchsorted(by_j, J, "left"), np.searchsorted(by_j, J, "right")
         # Python's sum() in key order: the opacity and sigma_j bytes depend on it
         return sum((abs(v) ** 2 for v in self.amps[lo:hi].tolist()), 0.0)
-
-    def columns(self, pairs: Sequence[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-        """(amplitudes, present) of shape (len(js), len(pairs)): the table's
-        columns for the (Omega, OmegaPrime) pairs given, a pair without an
-        entry giving a zero column that is nowhere present."""
-        wanted, found = np.nonzero(np.all(np.reshape(pairs, (-1, 1, 2)) == self.pairs, axis=2))
-        amps = np.zeros((len(self.js), len(pairs)), dtype=complex)
-        present = np.zeros(amps.shape, dtype=bool)
-        amps[:, wanted], present[:, wanted] = self.table[:, found], self.present[:, found]
-        return amps, present
 
     def j_column(self, omega: int, omega_p: int) -> tuple[np.ndarray, np.ndarray]:
         """(J values, amplitudes) present at a fixed helicity pair, ascending J; both read-only."""

@@ -141,9 +141,9 @@ def wigner_d_rows(
     if ends.size:  # d(0) = delta_{m'm}, d(pi) = (-1)^(J-m) delta_{m',-m}
         pmp, pm = np.array(pairs, dtype=int).T[:, :, None]
         at_pi = thetas[ends] == np.pi
-        J3 = steps[:, None, None]
-        hit = np.where(at_pi, pmp == -pm, pmp == pm) & (np.maximum(np.abs(pmp), np.abs(pm)) <= J3)
-        end_values = np.where(hit, np.where(at_pi & ((J3 - pm) % 2 == 1), -1.0, 1.0), 0.0)
+        hit, seed_j = np.where(at_pi, pmp == -pm, pmp == pm), np.maximum(np.abs(pmp), np.abs(pm))
+        # the values at even and at odd J once every pair is seeded
+        at_parity = [np.where(hit, np.where(at_pi & ((p - pm) % 2 == 1), -1.0, 1.0), 0.0) for p in (0, 1)]
 
     x = np.cos(thetas)
     cur = np.zeros((2 * n_r, thetas.size))
@@ -174,7 +174,7 @@ def wigner_d_rows(
             np.negative(cur[:n_r], out=cur[n_r:])
         np.take(cur, index, axis=0, out=rows, mode="clip")
         if ends.size:
-            rows[:, ends] = end_values[J]
+            rows[:, ends] = at_parity[J % 2] if J >= j0[-1] else np.where(seed_j <= J, at_parity[J % 2], 0.0)
         yield J, rows
 
 

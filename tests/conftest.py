@@ -1,7 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
-from qdeflect import AngularGrid, ChannelHeader, SMatrixBlock
+from qdeflect import AngularGrid, ChannelHeader, SMatrixBlock, load_smatrix
 
 
 def make_block(entries, k=1.0, j=0, jp=0, j_max=None):
@@ -33,6 +35,16 @@ def random_block(rng, j_max=None, j=None, jp=None, k=None, density=0.8):
     if not entries:
         entries[(0, 0, 0)] = 0.5 + 0.1j
     return make_block(entries, k=k, j=j, jp=jp, j_max=j_max)
+
+
+def sparse_probe_block():
+    """One entry per J across 121 x 121 helicity pairs (j = jp = 60, J_max = 3000,
+    2941 entries over 2664 pairs): a dense J x pair table of it would be 2941 x 2664 cells."""
+    rng = np.random.default_rng(3)
+    lines = ["k 1.5 1/angstrom", "channel j=60 jp=60 v=0 vp=0 Jmax=3000"]
+    lines += [f"{J} {omega} {omega_p} {rng.normal()!r} {rng.normal()!r}"
+              for J, (omega, omega_p) in zip(range(60, 3001), rng.integers(-60, 61, (2941, 2)).tolist())]
+    return load_smatrix(io.StringIO("\n".join(lines) + "\n"))
 
 
 @pytest.fixture

@@ -94,6 +94,16 @@ def test_smatrix_commands_load_no_qct_synth_or_cqdf(block, tmp_path, command):
     assert not report["numpy_ma"]
 
 
+def test_gaussian_qct_df_without_widths_loads_no_numpy_ma(tmp_path):
+    # the widths then come from the distinct J and theta values of the ensemble
+    (tmp_path / "classical.txt").write_text(CLASSICAL.replace("count = 20000", "count = 500"))
+    fresh(["-m", "qdeflect", "synth", str(tmp_path / "classical.txt"), "--out", str(tmp_path / "ens.traj")])
+    report = as_main(["qct-df", str(tmp_path / "ens.traj"), "--out", str(tmp_path / "x.csv"), "--estimator",
+                      "gaussian"])
+    assert report["code"] == 0
+    assert not report["numpy_ma"]
+
+
 @pytest.mark.parametrize("given, seen", [(None, "1"), ("3", "3"), ("", "")])
 def test_cli_sets_single_threaded_blas_only_when_unset(block, tmp_path, given, seen):
     env = None if given is None else {"OPENBLAS_NUM_THREADS": given}

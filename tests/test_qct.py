@@ -354,6 +354,15 @@ class TestWidths:
         with pytest.raises(ValueError, match="at least two distinct values"):
             KernelConfig.from_ensemble(ensemble_of([2.0, 2.0], [0.1, 0.2], j_max=5.0))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kernel_width_equals_the_np_unique_form(self, seed):
+        # repeats, and -0.0 next to 0.0, which np.unique counts as one value
+        rng = np.random.default_rng(seed)
+        values = np.concatenate([rng.integers(-5, 6, 40) * 0.25, [-0.0, 0.0, -0.0], rng.random(20)])
+        rng.shuffle(values)
+        assert kernel_width(values) == 2.0 * float(np.mean(np.diff(np.unique(values))))
+        assert kernel_width(values.reshape(7, 9)) == kernel_width(values)
+
 
 class TestGibbsWarning:
     def test_concentrated_ensemble_warns(self):

@@ -19,7 +19,10 @@ from qdeflect import (
 )
 from qdeflect.observables import partial_amplitudes, scattering_amplitude
 from qdeflect.qmdf import j_partial_amplitude
-from conftest import make_block, random_block
+from conftest import make_block, random_block, sparse_probe_block
+from oracles import partial_amplitude_rows
+from qdeflect.wigner import wigner_d_rows
+from test_amplitude_core import BLOCKS, assert_bits, ragged_block
 
 MINIMAL = """\
 k 1.0 1/angstrom
@@ -168,30 +171,41 @@ def test_index_matches_a_scan_of_the_entries(rng):
         assert block.sum_sq_at_j(J) == scan
     assert block.helicity_pairs() == sorted({k[1:] for k in entries})
     assert block.js_with_entries() == sorted({k[0] for k in entries})
-    # the dense table holds every entry at (its J row, its pair column), exact 0 elsewhere
     assert block.js.tolist() == block.js_with_entries()
     assert list(map(tuple, block.pairs.tolist())) == block.helicity_pairs()
-    assert block.table.shape == block.present.shape == (len(block.js), len(block.pairs))
-    for r, J in enumerate(block.js.tolist()):
-        for c, (omega, omega_p) in enumerate(block.pairs.tolist()):
-            value, want = block.table[r, c], entries.get((J, omega, omega_p), 0j)
-            assert block.present[r, c] == ((J, omega, omega_p) in entries)
-            assert value == want
-            assert np.signbit([value.real, value.imag]).tolist() == np.signbit([want.real, want.imag]).tolist()
-    assert int(block.present.sum()) == len(entries)
-    for array in (block.js, block.pairs, block.table, block.present):
+    for array in (block.js, block.pairs):
         assert not array.flags.writeable
     with pytest.raises(ValueError):
-        block.table[0, 0] = 1.0
+        block.pairs[0, 0] = 1
+
+
+@pytest.mark.parametrize("case", BLOCKS)
+@pytest.mark.parametrize("window", [(0, None), (3, 9), (12, 12)])
+def test_partial_amplitudes_stream_the_sorted_entries(case, window, grid181):
+    # every pair of the channel in no order, some twice, and one outside it; the block lacks some
+    block = ragged_block(*case)
+    h, entries = block.header, block.entries
+    every = [(omega, omega_p) for omega in range(-h.j, h.j + 1) for omega_p in range(-h.j_final, h.j_final + 1)]
+    pairs = [every[i] for i in np.random.default_rng(case[0]).permutation(len(every))]
+    pairs[1:1] = [(h.j + 1, h.j_final), pairs[-1], every[0]]
+    refs = {pair: partial_amplitude_rows(block, *pair, grid181) for pair in set(pairs)}
+    j_lo, j_hi = window
+    streamed = [(J, f_j.copy()) for J, f_j in partial_amplitudes(block, pairs, grid181, j_lo, j_hi)]
+    js = [J for J, _ in streamed]
+    assert js == sorted({J for J, omega, omega_p in entries
+                         if (omega, omega_p) in refs and j_lo <= J <= (h.J_max if j_hi is None else j_hi)})
+    d_rows = wigner_d_rows([(omega_p, omega) for omega, omega_p in pairs], grid181.thetas, js)
+    for (J, f_j), (_, d) in zip(streamed, d_rows):
+        for (omega, omega_p), row, d_row in zip(pairs, f_j, d):
+            if (J, omega, omega_p) in entries:
+                assert_bits(row, refs[omega, omega_p][J])
+            else:  # exactly 0, with the signs of 0 times the stacked recurrence's d^J row
+                assert not row.any()
+                assert_bits(row, 0j * d_row)
 
 
 def test_a_sparse_block_builds_no_dense_table_for_its_per_j_and_per_pair_reads():
-    # one entry per J across 121 x 121 helicity pairs: its dense table would be 2941 x ~2700 cells
-    rng = np.random.default_rng(3)
-    lines = ["k 1.5 1/angstrom", "channel j=60 jp=60 v=0 vp=0 Jmax=3000"]
-    lines += [f"{J} {omega} {omega_p} {rng.normal()!r} {rng.normal()!r}"
-              for J, (omega, omega_p) in zip(range(60, 3001), rng.integers(-60, 61, (2941, 2)).tolist())]
-    block = load_smatrix(io.StringIO("\n".join(lines) + "\n"))
+    block = sparse_probe_block()
     h, entries = block.header, block.entries
     at_j = {J: [] for J in range(h.J_max + 1)}
     for key, v in sorted(entries.items()):
@@ -205,11 +219,8 @@ def test_a_sparse_block_builds_no_dense_table_for_its_per_j_and_per_pair_reads()
         items = sorted((k[0], v) for k, v in entries.items() if k[1:] == (omega, omega_p))
         js, amps = block.j_column(omega, omega_p)
         assert (js.tolist(), amps.tolist()) == ([J for J, _ in items], [v for _, v in items])
-    assert "table" not in vars(block) and "present" not in vars(block)
-    # the streaming observables build it on first use
-    block.columns(block.helicity_pairs()[:1])
-    assert "table" in vars(block) and "present" in vars(block)
-    assert block.table.shape == (2941, len(block.pairs)) and int(block.present.sum()) == 2941
+    # the sorted entries are the block's one amplitude representation
+    assert not any(hasattr(block, name) for name in ("table", "present", "columns", "_dense"))
 
 
 @pytest.mark.parametrize("entries", [{}, {(0, 0, 0): 0.5 + 0.1j, (3, 0, 0): -0.2j}])
