@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
 from typing import IO, Union
 
@@ -48,7 +49,6 @@ def first_failure(*passes: np.ndarray) -> tuple[int, int] | None:
     return (int(hits[0]), int(failed[:, hits[0]].argmax())) if hits.size else None
 
 
-_CHUNK = 4096  # record lines read at once; bounds the tokens held in memory
 NUMBER_START = frozenset("0123456789+-.")  # a line starting with one is not a header or comment
 
 
@@ -67,31 +67,29 @@ def other_lines(numbers: list[int], count: int) -> list[int]:
 
 
 def read_records(lines: list[str], numbers: list[int], types: tuple[type, ...],
-                 comment: str | None = None, chunk: int | None = None) -> tuple[list[np.ndarray], int]:
+                 comment: str | None = None) -> tuple[list[np.ndarray], int]:
     """(columns, n): column c holds types[c](token) of the record lines
     `numbers` (1-based) of `lines`, for their first n records.  n <
     len(numbers) indexes the first record that is not len(types) tokens or
     holds a token its type rejects; no record after it is read.  Text from
-    `comment` on is not part of a line.  Lines are split `chunk` at a time
-    (default _CHUNK), each chunk at once."""
-    width, chunk = len(types), chunk or _CHUNK
-    parts = [[read_column([], t) for t in types]]
-    for lo in range(0, len(numbers), chunk):
-        some = numbers[lo : lo + chunk]
-        text = " ; ".join([lines[n - 1] for n in some])
-        if comment is not None and comment in text:
-            text = " ; ".join([lines[n - 1].partition(comment)[0] for n in some])
-        # one split per chunk, ";" between the lines: as no type reads ";",
-        # the columns read only if every line is exactly `width` tokens
-        tokens = text.split()
+    `comment` on is not part of a line; no record line is blank.  numpy's
+    reader reads all records at once; where it refuses, int() and float()
+    read them line by line, as they accept all numpy accepts and more
+    (`1_0`, non-ASCII digits, ints beyond 64 bits)."""
+    if numbers:  # np.loadtxt warns on no lines
+        dtype = [("", np.int64 if t is int else float) for t in types]
         try:
-            if len(tokens) == (width + 1) * len(some) - 1:
-                parts.append([read_column(tokens[c :: width + 1], t) for c, t in enumerate(types)])
-                continue
+            with warnings.catch_warnings():  # numpy 1.x reads '1.0' as an int with this warning
+                warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+                table = np.loadtxt([lines[n - 1] for n in numbers], dtype, comments=comment, ndmin=1)
+            return [np.ascontiguousarray(table[name]) for name in table.dtype.names], len(numbers)
         except ValueError:
             pass
-        if chunk == 1:
-            return [np.concatenate(column) for column in zip(*parts)], lo
-        columns, n = read_records(lines, some, types, comment, chunk=1)
-        return [np.concatenate(column) for column in zip(*parts, columns)], lo + n
-    return [np.concatenate(column) for column in zip(*parts)], len(numbers)
+    rows = []
+    for n in numbers:
+        tokens = (lines[n - 1] if comment is None else lines[n - 1].partition(comment)[0]).split()
+        try:
+            rows.append([t(token) for t, token in zip(types, tokens, strict=True)])
+        except ValueError:  # also a record that is not len(types) tokens
+            break
+    return [read_column([row[c] for row in rows], t) for c, t in enumerate(types)], len(rows)

@@ -104,6 +104,9 @@ def _orbits(pairs: Sequence[tuple[int, int]]) -> tuple[list[tuple[int, int]], li
     return reps, rows
 
 
+_STEPS = 64  # recurrence steps tabulated at once: coefficient memory O(orbits), not O(J_max x orbits)
+
+
 def wigner_d_rows(
     pairs: Sequence[tuple[int, int]], thetas: np.ndarray, js: Sequence[int]
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -128,14 +131,9 @@ def wigner_d_rows(
     index = np.array(index)
     j0 = [max(abs(mp), abs(m)) for mp, m in reps]  # ascending: the started rows are a prefix
     rmp, rm = np.array(reps, dtype=int).T
-    steps = np.arange(j_max + 1)
     # step jj -> jj + 1: d^{jj+1} = (c1 d^jj - c2 d^{jj-1}) / c3 with
     # c1 = (2jj+1)(jj(jj+1) x - m'm); products below the seed order are unused
     mm = (rmp * rm).astype(float)[:, None]
-    n2 = np.arange(j_max + 2)[:, None] ** 2
-    root = np.sqrt(np.maximum((n2 - rmp**2) * (n2 - rm**2), 0).astype(float))
-    c2 = (steps + 1)[:, None] * root[:-1]
-    c3 = steps[:, None] * root[1:]
 
     ends = np.nonzero((thetas == 0.0) | (thetas == np.pi))[0]
     if ends.size:  # d(0) = delta_{m'm}, d(pi) = (-1)^(J-m) delta_{m',-m}
@@ -151,6 +149,10 @@ def wigner_d_rows(
     c1 = np.empty_like(cur)
     rows = np.empty((len(pairs), thetas.size))
     for J in range(j_max + 1):
+        if J % _STEPS == 1:  # c2 and c3 of the next _STEPS steps, from step J - 1
+            steps = np.arange(J - 1, J + _STEPS)[:, None]
+            root = np.sqrt(np.maximum((steps**2 - rmp**2) * (steps**2 - rm**2), 0).astype(float))
+            c2, c3 = (steps[:-1] + 1) * root[:-1], steps[:-1] * root[1:]
         k = bisect_left(j0, J)  # representatives seeded below J step to J
         if k:
             step = J - 1
@@ -162,9 +164,9 @@ def wigner_d_rows(
                 np.subtract(step * (step + 1) * x, mm[:k], out=t)
                 t *= 2 * step + 1
                 t *= now
-                nxt *= c2[step, :k, None]
+                nxt *= c2[step % _STEPS, :k, None]
                 np.subtract(t, nxt, out=nxt)
-                nxt /= c3[step, :k, None]
+                nxt /= c3[step % _STEPS, :k, None]
             prev, cur = cur, prev
         for r in range(k, bisect_right(j0, J)):
             cur[r] = _seed_values(J, *reps[r], thetas)

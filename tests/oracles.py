@@ -1,13 +1,14 @@
 """Independent reference implementations used only by the tests."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
 
 from qdeflect import wigner_d_table
-from qdeflect._text import read_text
-from qdeflect.qct import _CHUNK
+from qdeflect._text import InputError, read_text
+from qdeflect.qct import _CHUNK, TrajectoryEnsemble
 from qdeflect.qmdf import DeflectionMap
 from qdeflect.smatrix import (DEFAULT_K_UNIT, ChannelHeader, SMatrixBlock, SMatrixParseError,
                               SMatrixValidationError)
@@ -230,6 +231,60 @@ def load_smatrix_per_line(source):
         entry_lines = [n for n, raw in enumerate(lines, start=1)
                        if raw.partition("#")[0].split()[:1] not in ([], ["k"], ["channel"])]
         raise exc.on_line(entry_lines[exc.item]) from None
+
+
+def load_trajectories_per_line(source):
+    """The trajectory loader one line at a time: each header and each
+    record read and checked in file order, the first fault raised on its
+    line.  The reference for the column-wise loader."""
+    lines = read_text(source).splitlines()
+    meta, meta_lines, n_tot, records, record_lines = {}, {}, {}, [], []
+    for lineno, raw in enumerate(lines, start=1):
+        if raw.lstrip()[:1] in ("", "#"):
+            m = re.match(r"#\s*(sigma_r|j_max|n_tot)\b(.*)", raw.strip())
+            if not m:
+                continue
+            value = re.fullmatch(r"\s+(\d+)\s+(\d+)" if m[1] == "n_tot" else r"\s*=\s*(\S+)", m[2])
+            if not value:
+                raise InputError(f"malformed '# {m[1]}' line", lineno)
+            key = f"n_tot {int(value[1])}" if m[1] == "n_tot" else m[1]
+            if key in meta_lines:
+                raise InputError(f"duplicate '# {key}' line", lineno)
+            meta_lines[key] = lineno
+            try:
+                if m[1] == "n_tot":
+                    n_tot[int(value[1])] = int(value[2])
+                else:
+                    meta[m[1]] = float(value[1])
+            except ValueError:
+                raise InputError(f"bad {m[1]} value {value[1]!r}", lineno) from None
+            continue
+        fields = raw.split()
+        if len(fields) != 3:
+            raise InputError("expected 'w J theta_deg'", lineno)
+        try:
+            records.append([float(field) for field in fields])
+        except ValueError:
+            raise InputError(f"malformed record {raw.strip()!r}", lineno) from None
+        record_lines.append(lineno)
+
+    for key in ("sigma_r", "j_max"):
+        if key not in meta:
+            raise ValueError(f"trajectory header is missing '# {key} = ...'")
+    sigma_r, j_max = meta["sigma_r"], meta["j_max"]
+    if not (math.isfinite(j_max) and j_max > 0):
+        raise InputError("j_max must be positive and finite", meta_lines["j_max"])
+    if not (math.isfinite(sigma_r) and sigma_r >= 0):
+        raise InputError("sigma_r must be nonnegative and finite", meta_lines["sigma_r"])
+    weights, j_values, degrees = np.array(records, dtype=float).reshape(-1, 3).T
+    thetas = np.radians(degrees)
+    for lineno, w, j, theta in zip(record_lines, weights.tolist(), j_values.tolist(), thetas.tolist()):
+        for ok, message in ((0 <= w < math.inf, "weights must be finite and nonnegative"),
+                            (0 <= theta <= math.pi, "thetas must lie in [0, pi]"),
+                            (0 <= j <= j_max, "j_values must lie in [0, j_max]")):
+            if not ok:
+                raise InputError(message, lineno)
+    return TrajectoryEnsemble(weights, j_values, thetas, sigma_r, j_max, n_tot or None)
 
 
 def gauss_reference(u, s):

@@ -1,26 +1,26 @@
-"""The column-wise S-matrix loader against the per-line loader it replaced.
+"""The column-wise S-matrix and trajectory loaders against per-line loaders.
 
 Each example applies one to three edits to a small valid file: a token
 becomes one from a pool of hard cases (what int() and float() accept or
-reject, 64-bit overflow, header words, the ';' and '#' the loader treats
-specially), is negated, dropped or doubled; or a line is duplicated,
-deleted, joined to the next one, split in two, swapped with the next,
-or copied to the end.
-For every text the two loaders must return the same header, keys and
-amplitudes, or raise the same exception class with the same message.
-Records are also read two lines at a time, so that faults fall on chunk
-boundaries.
+reject, 64-bit overflow, header words, ';', and the '#' that starts an
+S-matrix comment but not a trajectory one), is negated, dropped or
+doubled; or a line is duplicated, deleted, joined to the next one, split
+in two, swapped with the next, or copied to the end.
+For every text the two loaders must return the same header and arrays,
+or raise the same exception class with the same message.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import load_smatrix_per_line
-from qdeflect import _text, load_smatrix, save_smatrix
+from oracles import load_smatrix_per_line, load_trajectories_per_line
+from qdeflect import _text, load_smatrix, load_trajectories, save_smatrix
 from qdeflect.smatrix import SMatrixParseError
-from test_input_fuzz import SMATRIX
+from test_input_fuzz import SMATRIX, TRAJECTORIES
 
 COMMENTED = """\
 
@@ -39,12 +39,24 @@ k 0.75 1/bohr
 TOKENS = ("abc", "nan", "-nan", "inf", "1_0", "0x1", "1.0", "1e2", "-0", "+1", "1e500", "9" * 25,
           "-" + "9" * 25, "٣", "٣.5", ";", "1;2", "#", "0.5#x", "k", "channel", "Jmax=2",
           "j=x", "j=-1", "Jmax=-1", "0", "-2", "energy:", "1\x00", "")
+COMMENTED_TRAJECTORIES = """\
+
+   # an indented comment
+1.0 2.0 30.0
+# sigma_r = 1.5
+0.25 7.5 180.0
+
+# j_max = 8.0
+# n_tot 3 12
+\t0.0 3.0 45.5
+"""
+
 EDITS = ("token", "negate", "drop", "double", "duplicate", "delete", "join", "split", "swap", "copy")
 
 
 @st.composite
-def edited(draw):
-    lines = draw(st.sampled_from([SMATRIX, COMMENTED])).splitlines()
+def edited(draw, texts):
+    lines = draw(st.sampled_from(texts)).splitlines()
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(lines) - 1))
         tokens = lines[i].split()
@@ -78,13 +90,10 @@ def outcome(load, text):
     return block
 
 
-@pytest.mark.parametrize("chunk", [None, 2])
 @settings(max_examples=400, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
-@given(text=edited())
-def test_loader_matches_the_per_line_loader(chunk, text):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_text, "_CHUNK", chunk or _text._CHUNK)
-        got, want = outcome(load_smatrix, text), outcome(load_smatrix_per_line, text)
+@given(text=edited([SMATRIX, COMMENTED]))
+def test_loader_matches_the_per_line_loader(text):
+    got, want = outcome(load_smatrix, text), outcome(load_smatrix_per_line, text)
     if isinstance(want, tuple):
         assert got == want
     else:
@@ -95,18 +104,60 @@ def test_loader_matches_the_per_line_loader(chunk, text):
         assert np.array_equal(np.signbit(got.amps.view(float)), np.signbit(want.amps.view(float)))
 
 
-@pytest.mark.parametrize("token", ["1_0", "0x1", "1.0", "nan", "inf", "-0", "٣", "1\x00", "9" * 25])
+@settings(max_examples=400, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=edited([TRAJECTORIES, COMMENTED_TRAJECTORIES]))
+def test_trajectory_loader_matches_the_per_line_loader(text):
+    got, want = outcome(load_trajectories, text), outcome(load_trajectories_per_line, text)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert not isinstance(got, tuple), got
+        assert (got.sigma_r, got.j_max, got.n_tot_by_j) == (want.sigma_r, want.j_max, want.n_tot_by_j)
+        for name in ("weights", "j_values", "thetas"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+@pytest.mark.parametrize("token", ["1_0", "0x1", "1.0", "nan", "inf", "-0", "٣", "1\x00", "9" * 25, "4.9e-324",
+                                   "1e400", "1e-400", "-0.0", "-nan", "infinity", "-iNF", "+.5", "5.", "+1", "007",
+                                   "١.٥", "１"])
 def test_tokens_read_as_int_and_float_read_them(token):
+    """read_column, and read_records on a one-token record line, give what
+    int() or float() gives, bit for bit, a Python int beyond 64 bits, or no
+    value where they raise ValueError."""
     for t in (int, float):
         try:
             want = np.array([t(token)], dtype=np.int64 if t is int else float)
         except ValueError:
             with pytest.raises(ValueError):
                 _text.read_column([token], t)
+            assert _text.read_records([token], [1], (t,))[1] == 0
+            continue
         except OverflowError:
-            assert _text.read_column([token], t).tolist() == [t(token)]
-        else:
-            assert np.array_equal(_text.read_column([token], t), want, equal_nan=True)
+            want = np.array([t(token)], dtype=object)
+        columns, n = _text.read_records([token], [1], (t,))
+        for got in (_text.read_column([token], t), columns[0]):
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+            assert got.tolist() == want.tolist() if t is int else got.tobytes() == want.tobytes()
+        assert n == 1
+
+
+def test_a_numpy_1x_int_via_float_warning_is_a_refusal(monkeypatch):
+    """numpy 1.23-1.26 read '1.0' into an int column with a DeprecationWarning
+    only.  The loader makes that warning an error, which numpy raises as a
+    ValueError, so that int() decides as the per-line loader does."""
+    loadtxt = np.loadtxt
+
+    def numpy_1x_loadtxt(lines, dtype, **kwargs):
+        try:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        except DeprecationWarning as exc:
+            raise ValueError("could not convert string '1.0' to int64 at row 0, column 1.") from exc
+        return loadtxt([line.replace("1.0", "1", 1) for line in lines], dtype, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", numpy_1x_loadtxt)
+    text = "k 1.0 u\nchannel j=0 jp=0 v=0 vp=0 Jmax=2\n1.0 0 0 0.5 0.5\n"
+    assert outcome(load_smatrix, text) == outcome(load_smatrix_per_line, text) == (
+        SMatrixParseError, "line 3: malformed entry '1.0 0 0 0.5 0.5'")
 
 
 def test_keys_beyond_64_bits_fail_the_bounds_check():

@@ -6,7 +6,8 @@ map reuses its theta-kernel workspace across chunks of both sizes.  Each
 peak is counted in units of the estimator's largest array: one chunk's
 theta kernel, or one N x 21 Vandermonde matrix.  The amplitude stream
 reads a block's sorted entries, so one pair of a sparse block with
-thousands of helicity pairs costs what its entries cost.
+thousands of helicity pairs costs what its entries cost, and the Wigner
+rows of all its pairs hold no J x orbit coefficient table.
 """
 
 import tracemalloc
@@ -19,6 +20,7 @@ from oracles import partial_amplitude_rows, sum_rows
 from qdeflect import (AngularGrid, KernelConfig, TrajectoryEnsemble, qct_df_gaussian, qct_df_legendre,
                       scattering_amplitude)
 from qdeflect.qct import _CHUNK
+from qdeflect.wigner import wigner_d_rows
 from test_amplitude_core import assert_bits
 
 
@@ -64,3 +66,18 @@ def test_one_pair_of_a_sparse_block_streams_its_entries_only():
     peak = peak_bytes(lambda: curves.append(scattering_amplitude(block, omega_p, omega, grid)))
     assert peak <= 4e6, peak
     assert_bits(curves[0].values, sum_rows(partial_amplitude_rows(block, omega, omega_p, grid)))
+
+
+def test_wigner_rows_of_a_sparse_block_hold_no_coefficient_table_per_j():
+    # root, c2 and c3 over every J step x orbit would take 3 x 3001 x 2018 x 8 bytes, 145 MB; what
+    # stays is three 2 x 2018 x 181 recurrence buffers and the 2664 x 181 rows, 21 MB
+    block, grid = sparse_probe_block(), AngularGrid.uniform(1.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows = wigner_d_rows(block.helicity_pairs(), grid.thetas, range(block.header.J_max + 1))
+        next(rows)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 40e6, held

@@ -24,6 +24,7 @@ from qdeflect import (
 )
 from qdeflect.qct import (GibbsOscillationWarning, fwhm_from_width, kernel_width, reduced_x,
                           width_from_fwhm_log2_rule)
+from qdeflect.synth import parse_model_file
 
 
 def ensemble_of(j, theta, w=None, sigma_r=1.0, j_max=None, n_tot=None):
@@ -382,6 +383,18 @@ class TestTrajectoryIO:
         assert np.array_equal(back.weights, ens.weights)
         assert np.array_equal(back.j_values, ens.j_values)
         assert np.allclose(back.thetas, ens.thetas, atol=1e-12)
+
+    def test_synth_ensemble_reloads_with_theta_within_one_ulp(self):
+        """The file holds degrees and the loader converts back to radians, so
+        theta can come back 1 ulp off; weights and J come back exact."""
+        ens = parse_model_file(b"kind = classical\njmax = 40\ncbranch = 1.0 3.14159 -3.14159\n"
+                               b"noise = 0.08\ncount = 5000\nseed = 1\nsigma_r = 1.0\n").generate()
+        buf = io.StringIO()
+        save_trajectories(ens, buf)
+        back = load_trajectories(buf.getvalue().encode())
+        assert np.array_equal(back.weights, ens.weights) and np.array_equal(back.j_values, ens.j_values)
+        assert np.all(np.nextafter(ens.thetas, -np.inf) <= back.thetas)
+        assert np.all(back.thetas <= np.nextafter(ens.thetas, np.inf))
 
     def test_n_tot_round_trip(self):
         ens = ensemble_of([1.0, 2.0], [0.3, 0.4], n_tot={1: 10, 2: 20}, j_max=4.0)
