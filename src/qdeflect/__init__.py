@@ -10,15 +10,15 @@ from types import ModuleType
 __version__ = "0.1.0"
 
 _SUBMODULE_NAMES = {
-    "angular": "AngularGrid default_grid integrate_curve",
+    "angular": "AngularCurve AngularGrid DeflectionMap default_grid integrate_curve",
     "cqdf": "CqdfCurve PhaseSequence PhaseUnwrapError cqdf fold_to_observable modified_smatrix "
             "predicted_scattering_angle unwrap_arg",
-    "observables": "AmplitudeCurve AngularCurve dcs integral_cross_section opacity partial_cross_section "
+    "observables": "AmplitudeCurve dcs integral_cross_section opacity partial_cross_section "
                    "scattering_amplitude",
     "qct": "KernelConfig LegendreDF TrajectoryEnsemble fit_legendre_df load_trajectories qct_dcs_legendre "
            "qct_df_gaussian qct_df_legendre qct_opacity qct_sigma_j_gaussian qct_sigma_j_legendre "
            "sample_ell_continuous save_trajectories",
-    "qmdf": "DeflectionMap JWindow integrate_over_theta j_partial_amplitude partial_dcs qmdf_helicity_map "
+    "qmdf": "JWindow integrate_over_theta j_partial_amplitude partial_dcs qmdf_helicity_map "
             "qmdf_map random_phase_map smooth_map sum_over_j",
     "smatrix": "ChannelHeader SMatrixBlock SMatrixParseError SMatrixValidationError UnitarityReport "
                "load_smatrix save_smatrix validate_unitarity",

@@ -1,4 +1,4 @@
-"""Text input and output shared by the file formats, and their line error."""
+"""Text input and output shared by the file formats, their line error, and array helpers."""
 
 from __future__ import annotations
 
@@ -61,9 +61,11 @@ def read_column(values, t: type) -> np.ndarray:
         return np.array(list(map(int, values)), dtype=object)
 
 
-def other_lines(numbers: list[int], count: int) -> list[int]:
-    """The line numbers 1..count that are not in the ascending `numbers`."""
-    return [n for lo, hi in zip([0, *numbers], [*numbers, count + 1]) for n in range(lo + 1, hi)]
+def distinct_values(ascending: np.ndarray) -> np.ndarray:
+    """The distinct values of an ascending array, by np.unique's own neighbour
+    rule (so -0.0 and 0.0 are one value).  A plain np.unique call would import
+    numpy.ma, a start-up cost for every CLI process."""
+    return np.concatenate([ascending[:1], ascending[1:][ascending[1:] != ascending[:-1]]])
 
 
 def read_records(lines: list[str], numbers: list[int], types: tuple[type, ...],

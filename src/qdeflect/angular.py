@@ -1,9 +1,12 @@
-"""Scattering-angle grids on [0, pi] and theta quadrature.
+"""Scattering-angle grids on [0, pi], theta quadrature, and the curve and
+(theta, J) map types.  This module and `_text` are all that the partial-wave
+half (smatrix, wigner, observables, qmdf, cqdf) and the trajectory half (qct)
+share; neither half imports the other.
 
-Intensity curves produced from partial-wave sums are trigonometric
-polynomials that vanish at both endpoints (they carry a sin(theta) factor),
-so on a uniform grid covering the full interval they can be integrated
-essentially exactly through their discrete sine series.  Irregular grids
+sin(theta)-weighted intensities from partial-wave sums are sin(theta) times
+a polynomial in cos(theta), that is sine polynomials, so on a uniform grid
+over the full interval with more intervals than their degree they integrate
+exactly, to rounding, through their discrete sine series.  Irregular grids
 fall back to composite Simpson quadrature.
 """
 
@@ -81,12 +84,62 @@ def default_grid() -> AngularGrid:
     return AngularGrid.uniform(DEFAULT_STEP_DEG)
 
 
+@dataclass(frozen=True, eq=False)
+class AngularCurve:
+    """Real-valued curve over an angular grid (length^2 / sr unless noted)."""
+
+    grid: AngularGrid
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        v = np.asarray(self.values, dtype=float)
+        if v.shape != self.grid.thetas.shape:
+            raise ValueError("curve values must match the grid shape")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("curve values must be finite")
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
+
+
+@dataclass(frozen=True, eq=False)
+class DeflectionMap:
+    """Real matrix over (theta, J); sin(theta)-weighted intensity per unit
+    theta per J, units length^2.  Individual entries may be negative."""
+
+    grid: AngularGrid
+    j_values: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        jv = np.asarray(self.j_values, dtype=int)
+        v = np.asarray(self.values, dtype=float)
+        if jv.ndim != 1 or np.any(np.diff(jv) != 1):
+            raise ValueError("j_values must be consecutive integers")
+        if v.shape != (len(self.grid), jv.size):
+            raise ValueError("map values must have shape (n_theta, n_J)")
+        jv.setflags(write=False)
+        v.setflags(write=False)
+        object.__setattr__(self, "j_values", jv)
+        object.__setattr__(self, "values", v)
+
+    def j_index(self, J: int) -> int:
+        lo, hi = int(self.j_values[0]), int(self.j_values[-1])
+        if not lo <= J <= hi:
+            raise ValueError(f"J={J} outside map range {lo}..{hi}")
+        return J - lo
+
+    def column(self, J: int) -> np.ndarray:
+        return self.values[:, self.j_index(J)]
+
+
 def fourier_sine_quadrature(grid: AngularGrid, values: np.ndarray) -> float:
     """Integrate values(theta) over [0, pi] through the discrete sine series.
 
-    Exact (to rounding) whenever the integrand is a trigonometric polynomial
-    of degree below the grid size that vanishes at 0 and pi.  Requires a
-    uniform grid spanning the full interval; endpoint samples are ignored.
+    Exact, to rounding, for a sine polynomial sum_m c_m sin(m theta) of
+    degree below the number of grid intervals; higher harmonics alias, and
+    other curves that vanish at 0 and pi (2 sin(theta)^2) are not exact.
+    Requires a uniform grid spanning the full interval; endpoint samples
+    are ignored.
     """
     if not (grid.is_uniform and grid.spans_full_range):
         raise ValueError("sine-series quadrature needs a uniform grid over [0, pi]")

@@ -17,26 +17,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .angular import AngularGrid
+from .angular import AngularCurve, AngularGrid
 from .smatrix import SMatrixBlock, _pair_codes
 from .wigner import wigner_d_rows
-
-
-@dataclass(frozen=True, eq=False)
-class AngularCurve:
-    """Real-valued curve over an angular grid (length^2 / sr unless noted)."""
-
-    grid: AngularGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != self.grid.thetas.shape:
-            raise ValueError("curve values must match the grid shape")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("curve values must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,12 +32,9 @@ from typing import Callable, Mapping, Union
 import numpy as np
 from numpy.polynomial.legendre import legval, legvander
 
-from ._text import (NUMBER_START, Destination, InputError, Source, first_failure, other_lines, read_records,
+from ._text import (NUMBER_START, Destination, InputError, Source, distinct_values, first_failure, read_records,
                     read_text, write_text)
-from .angular import AngularGrid
-from .observables import AngularCurve
-from .qmdf import DeflectionMap
-from .smatrix import _distinct
+from .angular import AngularCurve, AngularGrid, DeflectionMap
 
 _CHUNK = 4096
 _ROWS = 16  # theta-kernel rows per block: 16 x _CHUNK doubles stay in cache
@@ -252,7 +249,7 @@ class KernelConfig:
 
 def kernel_width(values: np.ndarray) -> float:
     """The kernel width for one axis: twice the mean spacing of the distinct values."""
-    distinct = _distinct(np.sort(values, axis=None))
+    distinct = distinct_values(np.sort(values, axis=None))
     if distinct.size < 2:
         raise ValueError("kernel width heuristic needs at least two distinct values")
     return 2.0 * float(np.mean(np.diff(distinct)))
@@ -368,36 +365,33 @@ def load_trajectories(source: Source) -> TrajectoryEnsemble:
     meta_lines: dict[str, int] = {}
     n_tot: dict[int, int] = {}
     lines = read_text(source).splitlines()
-    head_lines = [n for n, raw in enumerate(lines, start=1)
-                  if raw[:1] not in NUMBER_START and raw.lstrip()[:1] in ("", "#")]
-    record_lines = other_lines(head_lines, len(lines))
+    record_lines: list[int] = []
     fault = None
-    for lineno in head_lines:
-        if not (m := _HEADER_RE.match(lines[lineno - 1].strip())):
-            continue
-        if not (value := re.fullmatch(_HEADER_FORMS[m[1]], m[2])):
-            fault = InputError(f"malformed '# {m[1]}' line", lineno)
-            break
-        key = f"n_tot {int(value[1])}" if m[1] == "n_tot" else m[1]
-        if key in meta_lines:
-            fault = InputError(f"duplicate '# {key}' line", lineno)
-            break
-        meta_lines[key] = lineno
-        try:
-            if m[1] == "n_tot":
-                n_tot[int(value[1])] = int(value[2])
-            else:
-                meta[m[1]] = float(value[1])
-        except ValueError:
-            fault = InputError(f"bad {m[1]} value {value[1]!r}", lineno)
-            break
-    # a fault on an earlier record line comes first
-    numbers = [n for n in record_lines if fault is None or n < fault.line]
-    columns, n_read = read_records(lines, numbers, (float, float, float))
-    if n_read < len(numbers):
-        raw = lines[numbers[n_read] - 1]
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            if raw[:1] in NUMBER_START or raw.lstrip()[:1] not in ("", "#"):
+                record_lines.append(lineno)
+            elif m := _HEADER_RE.match(raw.strip()):
+                if not (value := re.fullmatch(_HEADER_FORMS[m[1]], m[2])):
+                    raise InputError(f"malformed '# {m[1]}' line", lineno)
+                key = f"n_tot {int(value[1])}" if m[1] == "n_tot" else m[1]
+                if key in meta_lines:
+                    raise InputError(f"duplicate '# {key}' line", lineno)
+                meta_lines[key] = lineno
+                try:
+                    if m[1] == "n_tot":
+                        n_tot[int(value[1])] = int(value[2])
+                    else:
+                        meta[m[1]] = float(value[1])
+                except ValueError:
+                    raise InputError(f"bad {m[1]} value {value[1]!r}", lineno) from None
+    except InputError as exc:
+        fault = exc  # the record lines gathered are the ones before it, and a fault on one comes first
+    columns, n_read = read_records(lines, record_lines, (float, float, float))
+    if n_read < len(record_lines):
+        raw = lines[record_lines[n_read] - 1]
         raise InputError(f"malformed record {raw.strip()!r}" if len(raw.split()) == 3 else
-                         "expected 'w J theta_deg'", numbers[n_read])
+                         "expected 'w J theta_deg'", record_lines[n_read])
     if fault is not None:
         raise fault
     for key in ("sigma_r", "j_max"):

@@ -29,8 +29,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .angular import AngularGrid, integrate_curve
-from .observables import AngularCurve, AmplitudeCurve, partial_amplitudes, summed_amplitudes
+from .angular import AngularCurve, AngularGrid, DeflectionMap, integrate_curve
+from .observables import AmplitudeCurve, partial_amplitudes, summed_amplitudes
 from .smatrix import SMatrixBlock
 
 
@@ -44,37 +44,6 @@ class JWindow:
     def __post_init__(self) -> None:
         if not 0 <= self.j_lo <= self.j_hi:
             raise ValueError(f"need 0 <= j_lo <= j_hi, got [{self.j_lo}, {self.j_hi}]")
-
-
-@dataclass(frozen=True, eq=False)
-class DeflectionMap:
-    """Real matrix over (theta, J); sin(theta)-weighted intensity per unit
-    theta per J, units length^2.  Individual entries may be negative."""
-
-    grid: AngularGrid
-    j_values: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        jv = np.asarray(self.j_values, dtype=int)
-        v = np.asarray(self.values, dtype=float)
-        if jv.ndim != 1 or np.any(np.diff(jv) != 1):
-            raise ValueError("j_values must be consecutive integers")
-        if v.shape != (len(self.grid), jv.size):
-            raise ValueError("map values must have shape (n_theta, n_J)")
-        jv.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "j_values", jv)
-        object.__setattr__(self, "values", v)
-
-    def j_index(self, J: int) -> int:
-        lo, hi = int(self.j_values[0]), int(self.j_values[-1])
-        if not lo <= J <= hi:
-            raise ValueError(f"J={J} outside map range {lo}..{hi}")
-        return J - lo
-
-    def column(self, J: int) -> np.ndarray:
-        return self.values[:, self.j_index(J)]
 
 
 def j_partial_amplitude(
@@ -193,8 +162,10 @@ def partial_dcs(block: SMatrixBlock, window: JWindow, grid: AngularGrid) -> Angu
 def integrate_over_theta(dmap: DeflectionMap, J: int) -> float:
     """2 pi Int Q(theta, J) dtheta; equals sigma^J to quadrature accuracy.
 
-    Grids of >= 500 points are recommended; the sine-series rule used on
-    uniform full-range grids is exact for band-limited columns.
+    Column J is a sine polynomial of degree J + J_max + 1 (J_max the largest
+    J with an entry), so on a uniform grid over [0, pi] the sine-series rule
+    gives sigma^J to rounding when the grid has more intervals than that:
+    more than 2 J_max + 1 for every column.  Coarser grids alias.
     """
     return 2.0 * np.pi * integrate_curve(dmap.grid, dmap.column(J))
 

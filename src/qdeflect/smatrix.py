@@ -27,19 +27,12 @@ from typing import Mapping
 
 import numpy as np
 
-from ._text import (NUMBER_START, Destination, InputError, Source, first_failure, other_lines, read_column,
-                    read_records, read_text, write_text)
+from ._text import (NUMBER_START, Destination, InputError, Source, distinct_values, first_failure,
+                    read_column, read_records, read_text, write_text)
 
 DEFAULT_K_UNIT = "1/angstrom"
 
 EntryKey = tuple[int, int, int]  # (J, Omega, OmegaPrime)
-
-
-def _distinct(ascending: np.ndarray) -> np.ndarray:
-    """The distinct values of an ascending array, by np.unique's own neighbour
-    rule (so -0.0 and 0.0 are one value).  A plain np.unique call would import
-    numpy.ma, a start-up cost for every CLI process."""
-    return np.concatenate([ascending[:1], ascending[1:][ascending[1:] != ascending[:-1]]])
 
 
 def _pair_codes(h: "ChannelHeader", omega: np.ndarray, omega_p: np.ndarray) -> np.ndarray:
@@ -130,8 +123,8 @@ class SMatrixBlock:
             raise error(f"entry (J={Ji}, Omega={om}, Omega'={omp}): {message}", item=i)
         order = np.lexsort((omega_p, omega, J))
         keys, amps = keys[order].astype(np.int64, copy=False), amps[order]
-        js = _distinct(keys[:, 0])
-        codes = _distinct(np.sort(_pair_codes(h, keys[:, 1], keys[:, 2])))
+        js = distinct_values(keys[:, 0])
+        codes = distinct_values(np.sort(_pair_codes(h, keys[:, 1], keys[:, 2])))
         pairs = np.column_stack(np.divmod(codes, 2 * h.j_final + 1)) - (h.j, h.j_final)
         for array in (keys, amps, js, pairs):
             array.setflags(write=False)
@@ -223,20 +216,20 @@ def load_smatrix(source: Source) -> SMatrixBlock:
     column by column.  A fault is reported on the first line that has one.
     """
     lines = read_text(source).splitlines()
-    head_lines = [n for n, raw in enumerate(lines, start=1) if raw[:1] not in NUMBER_START
-                  and raw.partition("#")[0].split()[:1] in ([], ["k"], ["channel"])]
-    entry_lines = other_lines(head_lines, len(lines))
-    first_entry = entry_lines[0] if entry_lines else len(lines) + 1
-
+    entry_lines: list[int] = []
     k = None
     k_unit = DEFAULT_K_UNIT
     channel: dict[str, int] = {}
     energy_label = ""
+    fault = None
     try:
-        for lineno in head_lines:
-            if lineno > first_entry and (k is None or not channel):
-                break  # an entry came before the k and channel lines
-            body, _, comment = lines[lineno - 1].partition("#")
+        for lineno, raw in enumerate(lines, start=1):
+            if raw[:1] in NUMBER_START or raw.partition("#")[0].split()[:1] not in ([], ["k"], ["channel"]):
+                if k is None or not channel:
+                    raise SMatrixParseError("entries must follow the k and channel lines", lineno)
+                entry_lines.append(lineno)
+                continue
+            body, _, comment = raw.partition("#")
             fields = body.split()
             if not fields:
                 comment = comment.strip()
@@ -274,13 +267,11 @@ def load_smatrix(source: Source) -> SMatrixBlock:
                 if missing:
                     raise SMatrixParseError(f"channel line missing {sorted(missing)}", lineno)
                 channel_line = lineno
-        if entry_lines and (k is None or not channel):
-            raise SMatrixParseError("entries must follow the k and channel lines", first_entry)
     except SMatrixParseError as exc:
-        # a fault on an earlier entry line comes first
-        _entry_arrays(lines, [n for n in entry_lines if n < exc.line])
-        raise
+        fault = exc  # the entry lines gathered are the ones before it, and a fault on one comes first
     keys, amps = _entry_arrays(lines, entry_lines)
+    if fault is not None:
+        raise fault
 
     if k is None:
         raise SMatrixParseError("missing k line", len(lines) or 1)

@@ -94,6 +94,30 @@ def test_smatrix_commands_load_no_qct_synth_or_cqdf(block, tmp_path, command):
     assert not report["numpy_ma"]
 
 
+@pytest.fixture(scope="module")
+def ensemble(tmp_path_factory):
+    where = tmp_path_factory.mktemp("start")
+    (where / "classical.txt").write_text(CLASSICAL.replace("count = 20000", "count = 500"))
+    fresh(["-m", "qdeflect", "synth", str(where / "classical.txt"), "--out", str(where / "ens.traj")])
+    return where / "ens.traj"
+
+
+@pytest.mark.parametrize("command", ["qct-df --estimator legendre", "qct-df --estimator gaussian", "qct-dcs",
+                                     "qct-sigma-j --estimator legendre", "qct-sigma-j --estimator gaussian"])
+def test_qct_commands_load_no_partial_wave_module(ensemble, tmp_path, command):
+    name, *options = command.split()
+    report = as_main([name, str(ensemble), "--out", str(tmp_path / "x.csv"), *options])
+    assert report["code"] == 0
+    unwanted = {"qdeflect." + m for m in ("smatrix", "wigner", "observables", "qmdf", "cqdf", "synth")}
+    assert not unwanted & set(report["modules"])
+
+
+def test_shared_types_are_the_angular_modules():
+    from qdeflect import angular, observables, qmdf
+    assert qdeflect.AngularCurve is observables.AngularCurve is angular.AngularCurve
+    assert qdeflect.DeflectionMap is qmdf.DeflectionMap is angular.DeflectionMap
+
+
 def test_gaussian_qct_df_without_widths_loads_no_numpy_ma(tmp_path):
     # the widths then come from the distinct J and theta values of the ensemble
     (tmp_path / "classical.txt").write_text(CLASSICAL.replace("count = 20000", "count = 500"))

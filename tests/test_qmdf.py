@@ -137,6 +137,19 @@ def test_map_identities_hold_for_arbitrary_blocks(block):
         assert abs(quad - sigma) <= max(1e-6 * max(sigma, 1e-30), floor * np.sqrt(sigma))
 
 
+@pytest.mark.parametrize("j_max, intervals, exact", [(40, 82, True), (40, 81, False), (40, 60, False),
+                                                      (20, 42, True), (20, 41, False)])
+def test_theta_integral_is_exact_above_two_j_max_plus_one_intervals(j_max, intervals, exact):
+    # column J is a sine polynomial of degree J + J_max + 1, which the sine-series
+    # rule integrates to rounding on more intervals than that, and aliases on fewer
+    block = random_block(np.random.default_rng(3), j_max, 2, 2, 1.3, 0.9)
+    dmap = qmdf_map(block, AngularGrid(np.linspace(0.0, np.pi, intervals + 1)))
+    sigma = np.array([partial_cross_section(block, J) for J in range(j_max + 1)])
+    error = np.abs([integrate_over_theta(dmap, J) for J in range(j_max + 1)] - sigma) / sigma.max()
+    assert (error.max() < 1e-13) if exact else (error.max() > 1e-4)
+    assert error[: intervals - j_max - 1].max() < 1e-13  # the columns with J + J_max + 1 < intervals
+
+
 class TestHelicityMap:
     def test_single_helicity_equals_full(self):
         block = make_block({(0, 0, 0): 1.0, (1, 0, 0): 0.5j}, j_max=1)
