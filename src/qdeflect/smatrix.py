@@ -22,6 +22,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from types import MappingProxyType
 from typing import Mapping
 
@@ -38,6 +39,13 @@ EntryKey = tuple[int, int, int]  # (J, Omega, OmegaPrime)
 def _pair_codes(h: "ChannelHeader", omega: np.ndarray, omega_p: np.ndarray) -> np.ndarray:
     """Integer codes of (Omega, Omega') pairs that sort as the pairs do: Omega' + jp lies in 0..2jp."""
     return (omega + h.j) * (2 * h.j_final + 1) + omega_p + h.j_final
+
+
+def _integral(value) -> bool:
+    try:
+        return int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 class SMatrixParseError(InputError):
@@ -82,9 +90,10 @@ class SMatrixBlock:
     (J, Omega, Omega'), their `amps`, the ascending `js` and the sorted
     helicity `pairs` (Omega, Omega').  Every reader works from the sorted
     entries, so a sparse block costs what its entries cost.
-    Construction checks every key against the header bounds and every
-    amplitude for finiteness, all at once; an error's `item` is the
-    position of the first bad entry in the order given.
+    Construction checks that every key is three integers, every key
+    against the header bounds and every amplitude for finiteness; an
+    error's `item` is the position of the first bad entry in the order
+    given.
     """
 
     header: ChannelHeader
@@ -94,8 +103,17 @@ class SMatrixBlock:
     pairs: np.ndarray
 
     def __init__(self, header: ChannelHeader, entries: Mapping[EntryKey, complex] = MappingProxyType({})):
-        self._index(header, read_column([i for key in entries for i in key], int).reshape(-1, 3),
-                    np.array(list(entries.values()), dtype=complex))
+        flat = [i for key in entries for i in key]
+        try:
+            exact = len(flat) == 3 * len(entries) and (keys := read_column(flat, int)).tolist() == flat
+        except (TypeError, ValueError, OverflowError):
+            exact = False
+        if not exact:  # a key that is not three components int() keeps; an earlier entry's fault comes first
+            i, key = next((i, key) for i, key in enumerate(entries)
+                          if len(key) != 3 or not all(map(_integral, key)))
+            SMatrixBlock(header, dict(islice(entries.items(), i)))
+            raise SMatrixValidationError(f"entry {key!r}: a key must be three integers (J, Omega, Omega')", item=i)
+        self._index(header, keys.reshape(-1, 3), np.array(list(entries.values()), dtype=complex))
 
     @classmethod
     def _from_arrays(cls, header: ChannelHeader, keys: np.ndarray, amps: np.ndarray) -> "SMatrixBlock":

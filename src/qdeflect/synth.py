@@ -295,8 +295,9 @@ def parse_model_file(source: Union[str, Path, bytes]) -> SynthSpec:
     helicity-extended block.  Classical models use repeated
     'cbranch = weight t0 t1 ...' lines plus noise, count, sigma_r, and
     'isotropic = 1' for the no-correlation limit.  Every value but kind is
-    a finite number, a key other than branch and cbranch is given once, and
-    the kind reads every key given; an error names the line it rejects.
+    a finite number (an integer for jp, count, seed and a phase kind's
+    jmax), a key other than branch and cbranch is given once, and the kind
+    reads every key given; an error names the line it rejects.
     """
     text = source if isinstance(source, str) else read_text(source)
     kind, values, lines = None, {}, {}
@@ -335,9 +336,12 @@ def parse_model_file(source: Union[str, Path, bytes]) -> SynthSpec:
         raise ValueError("model file is missing its 'kind' entry")
     if kind not in _KIND_KEYS:
         raise InputError(f"unknown model kind {kind!r}", lines["kind"])
+    integral = ("count", "seed") if kind == "classical" else ("jp", "seed", "jmax")  # classical jmax is real
     for key in sorted([*values, *filter(branches.get, branches)], key=lines.get):
         if key not in ("jmax", "seed", *_KIND_KEYS[kind]):
             raise InputError(f"kind {kind} does not read '{key} ='", lines[key])
+        if key in integral and not values[key].is_integer():
+            raise InputError(f"'{key} =' must be an integer, got {values[key]!r}", lines[key])
     get = values.get
     try:
         if kind == "classical":

@@ -19,11 +19,10 @@ and, with 400 digits, at (m', m) = (0, 0), (3, 5), (-5, 2) for J = 400,
 exactly at 0 or pi take the Kronecker-delta closed forms.
 
 wigner_d_rows is the one implementation: it steps many (m', m) pairs at
-once, one row per symmetry orbit.  The recurrence is symmetric under the
-first symmetry above (its coefficients depend on m'm, m'^2 and m^2 only,
-and the seeds differ by the sign alone), so from the seed order on the
-expanded rows equal each pair's own recurrence bit for bit;
-wigner_d_table and wigner_d are its one-pair calls.
+once, one row per symmetry orbit, carried by the orbit's member with
+m' = J0 and expanded to the others by the first symmetry above; so a
+pair's row depends on the pair, theta and J alone, not on the other
+pairs asked for.  wigner_d_table and wigner_d are its one-pair calls.
 
 All functions are pure and safe for concurrent callers.
 """
@@ -39,69 +38,40 @@ import numpy as np
 from .angular import AngularGrid
 
 
-def _check_helicities(J: int, omega_p: int, omega: int) -> None:
-    if J < 0:
-        raise ValueError(f"J must be nonnegative, got {J}")
-    if abs(omega) > J or abs(omega_p) > J:
-        raise ValueError(
-            f"helicity bounds violated: |{omega}|, |{omega_p}| must not exceed J={J}"
-        )
-
-
-def _seed_values(j0: int, omega_p: int, omega: int, thetas: np.ndarray) -> np.ndarray:
-    """d^{j0}_{omega_p, omega}(theta) with j0 = max(|omega_p|, |omega|).
+def _seed_values(j0: int, omega: int, thetas: np.ndarray) -> np.ndarray:
+    """d^{j0}_{j0, omega}(theta), the seed of an orbit's carrier (see _orbits).
 
     The factorial sum collapses to a single term at the seed order;
     cos(theta/2), sin(theta/2) >= 0 on [0, pi], and exp(-inf) underflows
     to zero at the endpoints without special-casing.
     """
-    if j0 == 0:
-        return np.ones_like(thetas)
-    if omega_p == j0:
-        sign = -1.0 if (j0 - omega) % 2 else 1.0
-        a, b = j0 + omega, j0 - omega
-    elif omega_p == -j0:
-        sign = 1.0
-        a, b = j0 - omega, j0 + omega
-    elif omega == j0:
-        sign = 1.0
-        a, b = j0 + omega_p, j0 - omega_p
-    else:  # omega == -j0
-        sign = -1.0 if (j0 + omega_p) % 2 else 1.0
-        a, b = j0 - omega_p, j0 + omega_p
-    log_term = 0.5 * math.log(math.comb(2 * j0, b))
-    with np.errstate(divide="ignore"):
+    a, b = j0 + omega, j0 - omega
+    log_term = np.full_like(thetas, 0.5 * math.log(math.comb(2 * j0, b)))
+    with np.errstate(divide="ignore"):  # zero powers are skipped: 0 * log(0) is nan
         if a:
-            log_term = log_term + a * np.log(np.cos(0.5 * thetas))
+            log_term += a * np.log(np.cos(0.5 * thetas))
         if b:
-            log_term = log_term + b * np.log(np.sin(0.5 * thetas))
-    return sign * np.exp(log_term)
+            log_term += b * np.log(np.sin(0.5 * thetas))
+    return (-1.0 if b % 2 else 1.0) * np.exp(log_term)
 
 
 def _orbits(pairs: Sequence[tuple[int, int]]) -> tuple[list[tuple[int, int]], list[int]]:
-    """Orbit representatives, by seed order j0, and each pair's row in the
-    stacked state [d_reps; -d_reps].
+    """Orbit carriers, by seed order j0, and each pair's row in the
+    stacked state [d_carriers; -d_carriers].
 
     d_{m'm} = (-1)^(m'-m) d_{mm'} = d_{-m,-m'}, so the orbit of (m', m)
     is {(m', m), (-m, -m'), (m, m'), (-m', -m)}, the last two with the sign
-    (-1)^(m'-m).  The first pair met carries its orbit.
+    (-1)^(m'-m).  Its one member with m' = j0 = max(|m'|, |m|) carries it,
+    whichever pairs are asked for and in whatever order.
     """
-    carrier: dict[tuple[int, int], tuple[tuple[int, int], bool]] = {}
-    reps = []
+    carriers = []
     for mp, m in pairs:
-        if (mp, m) not in carrier:
-            flip = (mp - m) % 2 == 1
-            for member, negated in (((mp, m), False), ((-m, -mp), False),
-                                    ((m, mp), flip), ((-mp, -m), flip)):
-                carrier.setdefault(member, ((mp, m), negated))
-            reps.append((mp, m))
-    reps.sort(key=lambda rep: max(abs(rep[0]), abs(rep[1])))
+        j0, flip = max(abs(mp), abs(m)), (mp - m) % 2 == 1
+        carriers.append(((mp, m), False) if mp == j0 else ((-m, -mp), False) if m == -j0
+                        else ((m, mp), flip) if m == j0 else ((-mp, -m), flip))
+    reps = sorted({rep for rep, _ in carriers})  # by m' = j0 first
     slot = {rep: i for i, rep in enumerate(reps)}
-    rows = []
-    for pair in pairs:
-        rep, negated = carrier[pair]
-        rows.append(slot[rep] + len(reps) * negated)
-    return reps, rows
+    return reps, [slot[rep] + len(reps) * negated for rep, negated in carriers]
 
 
 _STEPS = 64  # recurrence steps tabulated at once: coefficient memory O(orbits), not O(J_max x orbits)
@@ -114,11 +84,11 @@ def wigner_d_rows(
     one row per (m', m) in pairs.
 
     The yielded array, of shape (len(pairs), len(thetas)), is one buffer
-    refilled at every yield; a pair's row is zero while J < max(|m'|, |m|).
-    The recurrence runs once per J step, stacked over one row per symmetry
-    orbit of the pairs (see _orbits), and is expanded to the pairs by index
-    and sign; a one-pair call is that pair's own recurrence.  Angles
-    exactly at 0 or pi take the Kronecker-delta closed forms.
+    refilled at every yield.  The recurrence runs once per J step, stacked
+    over one row per symmetry orbit of the pairs (see _orbits), and is
+    expanded to the pairs by index and sign.  A row depends on the pair,
+    theta and J alone, and is +0.0 below its seed order max(|m'|, |m|).
+    Angles exactly at 0 or pi take the Kronecker-delta closed forms.
     """
     thetas = np.asarray(thetas, dtype=float)
     wanted = set(js)
@@ -129,7 +99,7 @@ def wigner_d_rows(
     n_r = len(reps)
     negate = max(index) >= n_r
     index = np.array(index)
-    j0 = [max(abs(mp), abs(m)) for mp, m in reps]  # ascending: the started rows are a prefix
+    j0 = [mp for mp, _ in reps]  # ascending: the started rows are a prefix
     rmp, rm = np.array(reps, dtype=int).T
     # step jj -> jj + 1: d^{jj+1} = (c1 d^jj - c2 d^{jj-1}) / c3 with
     # c1 = (2jj+1)(jj(jj+1) x - m'm); products below the seed order are unused
@@ -153,7 +123,7 @@ def wigner_d_rows(
             steps = np.arange(J - 1, J + _STEPS)[:, None]
             root = np.sqrt(np.maximum((steps**2 - rmp**2) * (steps**2 - rm**2), 0).astype(float))
             c2, c3 = (steps[:-1] + 1) * root[:-1], steps[:-1] * root[1:]
-        k = bisect_left(j0, J)  # representatives seeded below J step to J
+        k = bisect_left(j0, J)  # carriers seeded below J step to J
         if k:
             step = J - 1
             now, nxt = cur[:k], prev[:k]  # nxt holds d^{J-2} until overwritten
@@ -169,11 +139,12 @@ def wigner_d_rows(
                 nxt /= c3[step % _STEPS, :k, None]
             prev, cur = cur, prev
         for r in range(k, bisect_right(j0, J)):
-            cur[r] = _seed_values(J, *reps[r], thetas)
+            cur[r] = _seed_values(J, reps[r][1], thetas)
         if J not in wanted:
             continue
-        if negate:
-            np.negative(cur[:n_r], out=cur[n_r:])
+        if negate:  # only the started carriers: a row below its seed order stays +0.0
+            started = bisect_right(j0, J)
+            np.negative(cur[:started], out=cur[n_r:n_r + started])
         np.take(cur, index, axis=0, out=rows, mode="clip")
         if ends.size:
             rows[:, ends] = at_parity[J % 2] if J >= j0[-1] else np.where(seed_j <= J, at_parity[J % 2], 0.0)
@@ -196,7 +167,8 @@ def wigner_d_table(j_max: int, omega_p: int, omega: int, grid: AngularGrid) -> n
 
 def wigner_d(J: int, omega_p: int, omega: int, theta: float) -> float:
     """Single element d^J_{omega_p, omega}(theta), theta in [0, pi]."""
-    _check_helicities(J, omega_p, omega)
+    if J < 0 or abs(omega) > J or abs(omega_p) > J:
+        raise ValueError(f"helicity bounds violated: need 0 <= |{omega}|, |{omega_p}| <= J={J}")
     if not 0.0 <= theta <= np.pi + 1e-12:
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
     for _, rows in wigner_d_rows([(omega_p, omega)], np.array([min(theta, np.pi)]), [J]):

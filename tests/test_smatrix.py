@@ -246,6 +246,19 @@ def test_library_block_rejects_non_finite_amplitude(bad):
     assert excinfo.value.item == 1  # the position of the failing entry
 
 
+@pytest.mark.parametrize("key", [(1.5, 0, 0), ("2", 0, 0), (np.inf, 0, 0), (np.nan, 0, 0), (1, None, 0),
+                                 (1, 0), (1, 0, 0, 0)])
+def test_key_that_is_not_three_integers_is_rejected(key):
+    # int() would truncate 1.5 onto the key (1, 0, 0), read '2' as 2, or raise a bare
+    # error; a key of two or four components would shift the components of the keys after it
+    header = ChannelHeader(k=1.0, j=0, j_final=1, J_max=3)
+    with pytest.raises(SMatrixValidationError, match="must be three integers") as excinfo:
+        SMatrixBlock(header, {(1, 0, 0): 0.1, key: 0.5, (0, 0, 0): 0.2})
+    assert excinfo.value.item == 1
+    block = SMatrixBlock(header, {(2.0, 0, 0): 0.1, (np.int64(3), np.int32(0), 0): 0.5})
+    assert block.keys.tolist() == [[2, 0, 0], [3, 0, 0]]
+
+
 def test_first_failing_entry_is_reported(rng):
     # the second entry breaks a helicity bound, the third J_max: the first one wins
     header = ChannelHeader(k=1.0, j=1, j_final=0, J_max=3)
@@ -260,12 +273,17 @@ def test_vectorized_checks_match_a_per_entry_check(rng):
 
     def rejected(key, value):
         J, omega, omega_p = key
-        return (not 0 <= J <= 6 or abs(omega) > min(J, 1) or abs(omega_p) > min(J, 2)
+        return (int(J) != J or not 0 <= J <= 6 or abs(omega) > min(J, 1) or abs(omega_p) > min(J, 2)
                 or not np.isfinite(value))
+
+    def draw_j():
+        # mostly ints, else an integral float, a half-integer or a numeric string
+        J = int(rng.integers(-1, 8))
+        return (J, float(J), J + 0.5, str(J))[int(rng.choice(4, p=[0.7, 0.1, 0.1, 0.1]))]
 
     for _ in range(300):
         entries = {
-            (int(rng.integers(-1, 8)), int(rng.integers(-2, 3)), int(rng.integers(-3, 4))):
+            (draw_j(), int(rng.integers(-2, 3)), int(rng.integers(-3, 4))):
                 complex(rng.choice([0.5, 0.5j, 0.5, np.nan, np.inf]))
             for _ in range(int(rng.integers(1, 8)))
         }

@@ -266,6 +266,24 @@ class TestModelFileLines:
         assert excinfo.value.line == line
         assert str(excinfo.value).startswith(f"line {line}: ")
 
+    @pytest.mark.parametrize("text, line, key", [
+        ("kind = quadratic\njmax = 60.7\n", 2, "jmax"),
+        ("kind = quadratic\njmax = 20\njp = 2.5\n", 3, "jp"),
+        ("kind = linear\nseed = 2.7\njmax = 20\n", 2, "seed"),
+        ("kind = classical\njmax = 20\ncbranch = 1 2\ncount = 10.9\n", 4, "count"),
+        ("kind = classical\nseed = 1e-3\ncbranch = 1 2\n", 2, "seed"),
+    ])
+    def test_non_integral_integer_key_fails_on_its_line(self, text, line, key):
+        with pytest.raises(ValueError, match=f"line {line}: '{key} =' must be an integer") as excinfo:
+            parse_model_file(text)
+        assert excinfo.value.line == line
+
+    def test_integral_floats_and_a_real_classical_jmax_are_read(self):
+        spec = parse_model_file("kind = quadratic\njmax = 20.0\njp = 2e0\nseed = 3.0\n")
+        assert (spec.j_max_int, spec.j_final, spec.seed) == (20, 2, 3)
+        spec = parse_model_file("kind = classical\njmax = 20.5\ncbranch = 1 2\ncount = 1e1\n")
+        assert (spec.model.j_max, spec.count) == (20.5, 10)
+
     @pytest.mark.parametrize("text, line", [
         ("kind = linear\njmax = 1\n", 2),
         ("kind = linear\njmax = 20\nk = -1\n", 3),

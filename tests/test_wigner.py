@@ -140,13 +140,12 @@ def test_orbit_tables_are_bit_exact():
         flip = (-1.0) ** (mp - m)
         for partner, sign in (((-m, -mp), 1.0), ((m, mp), flip), ((-mp, -m), flip)):
             assert np.array_equal(tables[partner], sign * table)
-    # the stacked recurrence over all 169 pairs (30 of them carrying an
-    # orbit) expands to the one-pair tables, signs of zeros included from
-    # the seed order on
-    for J, rows in wigner_d_rows(pairs, grid.thetas, range(121)):
-        for i, pair in enumerate(pairs):
-            if J >= max(map(abs, pair)):
-                assert np.array_equal(rows[i], tables[pair][J])
-                assert np.array_equal(np.signbit(rows[i]), np.signbit(tables[pair][J]))
-            else:
-                assert not rows[i].any()
+    # the stacked recurrence over all 169 pairs (49 orbits), asked for in
+    # either order, expands to the one-pair tables bit for bit at every J,
+    # signs of zeros included: a row is +0.0 below its seed order
+    for pair, table in tables.items():
+        assert not np.signbit(table[:max(map(abs, pair))]).any()
+    for request in (pairs, pairs[::-1]):
+        for J, rows in wigner_d_rows(request, grid.thetas, range(121)):
+            for row, pair in zip(rows, request):
+                assert row.tobytes() == tables[pair][J].tobytes()
