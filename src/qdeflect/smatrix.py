@@ -22,7 +22,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import islice, takewhile
 from types import MappingProxyType
 from typing import Mapping
 
@@ -41,9 +41,10 @@ def _pair_codes(h: "ChannelHeader", omega: np.ndarray, omega_p: np.ndarray) -> n
     return (omega + h.j) * (2 * h.j_final + 1) + omega_p + h.j_final
 
 
-def _integral(value) -> bool:
+def _is_key(key) -> bool:
+    """Three components, each an int or an integral number int() keeps."""
     try:
-        return int(value) == value
+        return len(key) == 3 and all(int(v) == v for v in key)
     except (TypeError, ValueError, OverflowError):
         return False
 
@@ -103,17 +104,15 @@ class SMatrixBlock:
     pairs: np.ndarray
 
     def __init__(self, header: ChannelHeader, entries: Mapping[EntryKey, complex] = MappingProxyType({})):
-        flat = [i for key in entries for i in key]
-        try:
-            exact = len(flat) == 3 * len(entries) and (keys := read_column(flat, int)).tolist() == flat
-        except (TypeError, ValueError, OverflowError):
-            exact = False
-        if not exact:  # a key that is not three components int() keeps; an earlier entry's fault comes first
-            i, key = next((i, key) for i, key in enumerate(entries)
-                          if len(key) != 3 or not all(map(_integral, key)))
-            SMatrixBlock(header, dict(islice(entries.items(), i)))
-            raise SMatrixValidationError(f"entry {key!r}: a key must be three integers (J, Omega, Omega')", item=i)
-        self._index(header, keys.reshape(-1, 3), np.array(list(entries.values()), dtype=complex))
+        # the entries before the first key that is not three integers are checked
+        # first, so an earlier entry's fault is the one reported
+        keys = list(takewhile(_is_key, entries))
+        n = len(keys)
+        self._index(header, read_column([i for key in keys for i in key], int).reshape(-1, 3),
+                    np.array(list(islice(entries.values(), n)), dtype=complex))
+        if n < len(entries):
+            key = next(islice(entries, n, None))
+            raise SMatrixValidationError(f"entry {key!r}: a key must be three integers (J, Omega, Omega')", item=n)
 
     @classmethod
     def _from_arrays(cls, header: ChannelHeader, keys: np.ndarray, amps: np.ndarray) -> "SMatrixBlock":

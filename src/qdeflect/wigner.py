@@ -138,12 +138,12 @@ def wigner_d_rows(
                 np.subtract(t, nxt, out=nxt)
                 nxt /= c3[step % _STEPS, :k, None]
             prev, cur = cur, prev
-        for r in range(k, bisect_right(j0, J)):
+        started = bisect_right(j0, J)
+        for r in range(k, started):
             cur[r] = _seed_values(J, reps[r][1], thetas)
         if J not in wanted:
             continue
         if negate:  # only the started carriers: a row below its seed order stays +0.0
-            started = bisect_right(j0, J)
             np.negative(cur[:started], out=cur[n_r:n_r + started])
         np.take(cur, index, axis=0, out=rows, mode="clip")
         if ends.size:

@@ -255,6 +255,10 @@ def test_key_that_is_not_three_integers_is_rejected(key):
     with pytest.raises(SMatrixValidationError, match="must be three integers") as excinfo:
         SMatrixBlock(header, {(1, 0, 0): 0.1, key: 0.5, (0, 0, 0): 0.2})
     assert excinfo.value.item == 1
+    # a two- and a four-component key together still hold six components
+    with pytest.raises(SMatrixValidationError, match="must be three integers") as excinfo:
+        SMatrixBlock(header, {(1, 0, 0): 0.1, (1, 0): 0.5, (1, 0, 0, 0): 0.2})
+    assert excinfo.value.item == 1
     block = SMatrixBlock(header, {(2.0, 0, 0): 0.1, (np.int64(3), np.int32(0), 0): 0.5})
     assert block.keys.tolist() == [[2, 0, 0], [3, 0, 0]]
 
