@@ -36,8 +36,10 @@ from ._text import (NUMBER_START, Destination, InputError, Source, distinct_valu
                     read_text, write_text)
 from .angular import AngularCurve, AngularGrid, DeflectionMap
 
-_CHUNK = 4096
-_ROWS = 16  # theta-kernel rows per block: 16 x _CHUNK doubles stay in cache
+# records per chunk: one chunk's theta kernel is len(grid) x _CHUNK doubles (11.8 MB on the 0.25 deg
+# grid), and the map's record sum is grouped by chunk, so its last bits follow _CHUNK
+_CHUNK = 2048
+_ROWS = (1 << 16) // _CHUNK  # theta-kernel rows per block: a block of 2^16 doubles (512 KB) stays in cache
 _EXP_FLOOR, _EXP_ZERO = -700.0, -746.0  # np.exp is on its fast SIMD lanes above, exactly 0 below
 
 
@@ -332,7 +334,7 @@ def qct_df_gaussian(
             rows = slice(r0, r0 + _ROWS)
             _gauss(np.subtract(grid.thetas[rows, None], thetas, out=g_theta[rows]), config.s_theta)
         g_j = _gauss(ensemble.j_values[blk][:, None] - j_values[None, :].astype(float), config.s_j)
-        values += g_theta @ (weights[blk][:, None] * g_j)
+        values += g_theta @ np.multiply(g_j, weights[blk][:, None], out=g_j)
     values *= ensemble.sigma_r / (2.0 * np.pi * sw)
     return DeflectionMap(grid, j_values, values)
 

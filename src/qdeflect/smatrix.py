@@ -41,11 +41,19 @@ def _pair_codes(h: "ChannelHeader", omega: np.ndarray, omega_p: np.ndarray) -> n
     return (omega + h.j) * (2 * h.j_final + 1) + omega_p + h.j_final
 
 
-def _is_key(key) -> bool:
-    """Three components, each an int or an integral number int() keeps."""
+def _is_integral(v) -> bool:
+    """An int, or an integral number int() keeps."""
     try:
-        return len(key) == 3 and all(int(v) == v for v in key)
+        return int(v) == v
     except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _is_key(key) -> bool:
+    """Three components, each _is_integral."""
+    try:
+        return len(key) == 3 and all(map(_is_integral, key))
+    except TypeError:
         return False
 
 
@@ -63,7 +71,11 @@ class _NonFiniteAmplitude(SMatrixValidationError, SMatrixParseError):
 
 @dataclass(frozen=True)
 class ChannelHeader:
-    """Channel labels and the quantities every downstream formula needs."""
+    """Channel labels and the quantities every downstream formula needs.
+
+    j, j_final, v, v_final and J_max must each be _is_integral, and are
+    stored as int; an error's `item` is the field's name.
+    """
 
     k: float
     j: int
@@ -77,6 +89,11 @@ class ChannelHeader:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.k) and self.k > 0.0):
             raise SMatrixValidationError(f"wavenumber must be positive, got {self.k}", item="k")
+        for name in ("j", "j_final", "v", "v_final", "J_max"):
+            value = getattr(self, name)
+            if not _is_integral(value):
+                raise SMatrixValidationError(f"{name} must be an integer, got {value!r}", item=name)
+            object.__setattr__(self, name, int(value))
         for name in ("j", "j_final", "J_max"):
             if getattr(self, name) < 0:
                 raise SMatrixValidationError(f"{name} must be nonnegative", item=name)

@@ -49,6 +49,8 @@ def test_gaussian_map_holds_one_theta_kernel_at_a_time(ensemble):
     kernel = len(grid) * _CHUNK * 8
     peak = peak_bytes(lambda: qct_df_gaussian(ensemble, KernelConfig(1.5, np.radians(3.0)), grid))
     assert peak <= 1.25 * kernel, peak / kernel
+    # and absolutely: one chunk's 0.25 deg kernel is 721 x 2048 doubles, 11.8 MB
+    assert peak <= 14 * 2**20, peak
 
 
 def test_legendre_map_weights_its_vandermonde_in_place(ensemble):

@@ -98,6 +98,25 @@ def test_negative_quantum_numbers_rejected():
         ChannelHeader(k=1.0, j=0, j_final=0, J_max=-2)
 
 
+@pytest.mark.parametrize("name", ["j", "j_final", "v", "v_final", "J_max"])
+@pytest.mark.parametrize("bad", [1.5, "2", np.inf, np.nan, None])
+def test_non_integral_quantum_number_rejected(name, bad):
+    fields = dict(k=1.0, j=1, j_final=0, J_max=5)
+    with pytest.raises(SMatrixValidationError, match="must be an integer") as excinfo:
+        ChannelHeader(**{**fields, name: bad})
+    assert excinfo.value.item == name
+
+
+def test_integral_quantum_numbers_are_stored_as_int():
+    header = ChannelHeader(k=1.0, j=2.0, j_final=np.int64(1), v=np.int32(3), v_final=0.0, J_max=np.float64(5))
+    values = [header.j, header.j_final, header.v, header.v_final, header.J_max]
+    assert values == [2, 1, 3, 0, 5] and all(type(v) is int for v in values)
+    # before, j = 1.5 decoded the key (1, 1, 0) as the helicity pair (0.5, 0.5)
+    with pytest.raises(SMatrixValidationError) as excinfo:
+        SMatrixBlock(ChannelHeader(k=1.0, j=1.5, j_final=0, J_max=5), {(1, 1, 0): 0.5})
+    assert excinfo.value.item == "j"
+
+
 def test_round_trip_bit_exact(rng):
     block = random_block(rng, j_max=17, j=2, jp=1)
     buf = io.StringIO()
