@@ -41,6 +41,16 @@ def _pair_codes(h: "ChannelHeader", omega: np.ndarray, omega_p: np.ndarray) -> n
     return (omega + h.j) * (2 * h.j_final + 1) + omega_p + h.j_final
 
 
+def _times(a: np.ndarray, p) -> np.ndarray:
+    """a * p for a complex array a, rounding each real product and sum on its
+    own (one ufunc per operation): the bits of a per-entry scalar complex
+    product, where numpy's complex array multiply may fuse a multiply and an add."""
+    out = np.empty_like(a)
+    out.real = np.subtract(np.multiply(a.real, p.real), np.multiply(a.imag, p.imag))
+    out.imag = np.add(np.multiply(a.real, p.imag), np.multiply(a.imag, p.real))
+    return out
+
+
 def _is_integral(v) -> bool:
     """An int, or an integral number int() keeps."""
     try:
@@ -74,7 +84,10 @@ class ChannelHeader:
     """Channel labels and the quantities every downstream formula needs.
 
     j, j_final, v, v_final and J_max must each be _is_integral, and are
-    stored as int; an error's `item` is the field's name.
+    stored as int; j, j_final and J_max must be nonnegative.  k_unit must
+    be one word without '#', and energy_label one line, stored stripped,
+    so that save_smatrix writes a file load_smatrix reads back to an equal
+    header.  An error's `item` is the field's name.
     """
 
     k: float
@@ -97,6 +110,12 @@ class ChannelHeader:
         for name in ("j", "j_final", "J_max"):
             if getattr(self, name) < 0:
                 raise SMatrixValidationError(f"{name} must be nonnegative", item=name)
+        unit, label = self.k_unit, self.energy_label
+        if not (isinstance(unit, str) and unit.split() == [unit] and "#" not in unit):
+            raise SMatrixValidationError(f"k_unit must be one word without '#', got {unit!r}", item="k_unit")
+        if not (isinstance(label, str) and len(label.strip().splitlines()) <= 1):
+            raise SMatrixValidationError(f"energy_label must be one line, got {label!r}", item="energy_label")
+        object.__setattr__(self, "energy_label", label.strip())
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -196,7 +215,7 @@ class SMatrixBlock:
 
     def scaled(self, factor: complex) -> "SMatrixBlock":
         """New block with every amplitude multiplied by factor."""
-        return SMatrixBlock(self.header, {k: v * factor for k, v in self.entries.items()})
+        return SMatrixBlock._from_arrays(self.header, self.keys, _times(self.amps, complex(factor)))
 
 
 @dataclass(frozen=True)

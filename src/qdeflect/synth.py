@@ -23,7 +23,7 @@ from numpy.polynomial.polynomial import polyval
 
 from ._text import InputError, read_text
 from .qct import TrajectoryEnsemble, sample_ell_continuous
-from .smatrix import ChannelHeader, SMatrixBlock
+from .smatrix import ChannelHeader, SMatrixBlock, _times
 
 PHASE_KINDS = ("linear", "quadratic", "two-branch")
 
@@ -107,15 +107,24 @@ def _check_finite(amps: np.ndarray, js, key: str) -> None:
 
 
 def synth_smatrix(model: PhaseModel, k: float, j_max: int) -> SMatrixBlock:
-    """Single-helicity block S^J_00 = sum over branches of A(J) e^{2 i eta(J)}.
+    """Single-helicity block S^J_00: synth_smatrix_helicity with j_final = 0."""
+    return synth_smatrix_helicity(model, k, 0, j_max)
 
-    Branch sums exceeding unit magnitude are rescaled to the unit circle,
-    which keeps every generated block flux-conserving by construction.
+
+def synth_smatrix_helicity(model: PhaseModel, k: float, j_final: int, j_max: int,
+                           phase_offset: float = 0.4) -> SMatrixBlock:
+    """Block S^J_{Omega' 0} = S^J exp(i Omega' phase_offset) at every |Omega'| <= min(J, j_final),
+    S^J being the sum over the model's branches of A(J) e^{2 i eta(J)}.
+
+    A two-branch sum exceeding unit magnitude is rescaled to the unit circle, which keeps
+    every generated block flux-conserving by construction.  Faults come in this order:
+    j_max below 2, a branch that overflows, |S| > 1, the header (k, j_final), then an
+    offset phase that is not finite.
     """
     if j_max < 2:
         raise InputError("j_max must be at least 2", item="j_max")
     js = np.arange(j_max + 1)
-    amps = np.zeros(j_max + 1, dtype=complex)
+    amps = np.zeros(j_max + 1, dtype=complex)  # from +0.0: no -0.0 part, so Omega' = 0 keeps its bits
     for i, branch in enumerate(model.branches, start=1):
         with np.errstate(all="ignore"):
             term = branch.amplitudes(js.astype(float))
@@ -126,32 +135,16 @@ def synth_smatrix(model: PhaseModel, k: float, j_max: int) -> SMatrixBlock:
         amps = amps / top
     if np.abs(amps).max() > 1.0 + 1e-12:
         raise ValueError("model produced |S| > 1")
-    header = ChannelHeader(k=k, j=0, j_final=0, J_max=j_max)
-    entries = {(int(J), 0, 0): complex(amps[J]) for J in js}
-    return SMatrixBlock(header, entries)
-
-
-def synth_smatrix_helicity(
-    model: PhaseModel,
-    k: float,
-    j_final: int,
-    j_max: int,
-    phase_offset: float = 0.4,
-) -> SMatrixBlock:
-    """Replicate the model block across product helicities Omega'.
-
-    Each Omega' column carries a fixed extra phase Omega' * phase_offset;
-    entries appear only where |Omega'| <= min(J, j_final).
-    """
-    base = synth_smatrix(model, k, j_max)
-    entries: dict[tuple[int, int, int], complex] = {}
-    with np.errstate(all="ignore"):
-        for (J, _, _), s in base.entries.items():
-            for omega_p in range(-min(J, j_final), min(J, j_final) + 1):
-                entries[(J, 0, omega_p)] = s * np.exp(1j * omega_p * phase_offset)
-    _check_finite(np.array(list(entries.values())), [J for J, _, _ in entries], "phase_offset")
     header = ChannelHeader(k=k, j=0, j_final=j_final, J_max=j_max)
-    return SMatrixBlock(header, entries)
+    # the keys (J, 0, Omega') in sorted order: Omega' runs -width..width at each J
+    width = np.minimum(js, header.j_final)
+    count = 2 * width + 1
+    J = np.repeat(js, count)
+    omega_p = np.arange(len(J)) - np.repeat(np.cumsum(count) - width - 1, count)
+    with np.errstate(all="ignore"):
+        s = _times(amps[J], np.exp(1j * omega_p * phase_offset))
+    _check_finite(s, J, "phase_offset")
+    return SMatrixBlock._from_arrays(header, np.column_stack((J, np.zeros_like(J), omega_p)), s)
 
 
 @dataclass(frozen=True)
@@ -174,7 +167,7 @@ class ClassicalModel:
     """Deflection branches for trajectory synthesis.
 
     isotropic = True ignores the branches and samples theta uniformly in
-    cos(theta), the no-correlation limit.
+    cos(theta), the no-correlation limit; 0 or 1 is stored as bool.
     """
 
     j_max: float
@@ -188,6 +181,9 @@ class ClassicalModel:
             raise InputError("j_max must be positive", item="j_max")
         if self.noise_width < 0:
             raise InputError("noise width must be nonnegative", item="noise_width")
+        if self.isotropic not in (0, 1):
+            raise InputError(f"isotropic must be 0 or 1, got {self.isotropic!r}", item="isotropic")
+        object.__setattr__(self, "isotropic", bool(self.isotropic))
         if not self.isotropic and not self.branches:
             raise ValueError("classical model needs branches unless isotropic")
 
@@ -227,7 +223,7 @@ def synth_trajectories(
 
 
 # constructor field -> model-file key, where the two names differ
-_KEY_OF_FIELD = {"width": "w", "height": "h", "j_max": "jmax", "noise_width": "noise"}
+_KEY_OF_FIELD = {"width": "w", "height": "h", "j_max": "jmax", "noise_width": "noise", "j_final": "jp"}
 
 
 def _on_key_line(exc: InputError, lines: Mapping[str, int]) -> InputError:
@@ -259,10 +255,7 @@ class SynthSpec:
         try:
             if isinstance(self.model, ClassicalModel):
                 return synth_trajectories(self.model, self.count, self.seed if seed is None else seed)
-            if self.j_final > 0:
-                return synth_smatrix_helicity(self.model, self.k, self.j_final, self.j_max_int,
-                                              self.phase_offset)
-            return synth_smatrix(self.model, self.k, self.j_max_int)
+            return synth_smatrix_helicity(self.model, self.k, self.j_final, self.j_max_int, self.phase_offset)
         except InputError as exc:
             raise _on_key_line(exc, self.lines) from None
 
@@ -291,13 +284,14 @@ def parse_model_file(source: Union[str, Path, bytes]) -> SynthSpec:
 
     Common keys: kind, jmax, seed.  Phase kinds use k, j0, w, h plus c
     (linear slope) or alpha (quadratic curvature), or repeated
-    'branch = h j0 w c0 c1 ...' lines; jp and phase_offset request the
-    helicity-extended block.  Classical models use repeated
+    'branch = h j0 w c0 c1 ...' lines; jp >= 0 and phase_offset give the
+    block its Omega' columns.  Classical models use repeated
     'cbranch = weight t0 t1 ...' lines plus noise, count, sigma_r, and
-    'isotropic = 1' for the no-correlation limit.  Every value but kind is
-    a finite number (an integer for jp, count, seed and a phase kind's
-    jmax), a key other than branch and cbranch is given once, and the kind
-    reads every key given; an error names the line it rejects.
+    'isotropic = 1' (0 or 1) for the no-correlation limit.  Every value
+    but kind is a finite number (an integer for jp, count, seed and a
+    phase kind's jmax), a key other than branch and cbranch is given once,
+    and the kind reads every key given; an error names the line it
+    rejects, here or when the spec generates.
     """
     text = source if isinstance(source, str) else read_text(source)
     kind, values, lines = None, {}, {}
@@ -347,7 +341,7 @@ def parse_model_file(source: Union[str, Path, bytes]) -> SynthSpec:
         if kind == "classical":
             model: Union[PhaseModel, ClassicalModel] = ClassicalModel(
                 j_max=get("jmax", 60.0), branches=tuple(branches["cbranch"]), noise_width=get("noise", 0.0),
-                sigma_r=get("sigma_r", 1.0), isotropic=bool(get("isotropic", 0)))
+                sigma_r=get("sigma_r", 1.0), isotropic=get("isotropic", 0))
         elif kind == "two-branch":
             if len(branches["branch"]) < 2:
                 raise ValueError("two-branch model needs two 'branch = ...' lines")

@@ -12,6 +12,7 @@ from qdeflect.qct import _CHUNK, TrajectoryEnsemble
 from qdeflect.qmdf import DeflectionMap
 from qdeflect.smatrix import (DEFAULT_K_UNIT, ChannelHeader, SMatrixBlock, SMatrixParseError,
                               SMatrixValidationError)
+from qdeflect.synth import _PHASE_KEY, PhaseModel, _check_finite
 
 
 def wigner_d_exact(J, omega_p, omega, theta, dps=140):
@@ -329,3 +330,59 @@ def qct_df_gaussian_reference(ensemble, config, grid, j_values=None, renormalize
         values += g_theta @ (weights[blk][:, None] * g_j)
     values *= ensemble.sigma_r / (2.0 * np.pi * sw)
     return DeflectionMap(grid, j_values, values)
+
+
+# The synth generators as they were before the array path: a dict per
+# block and one scalar product per entry; the array generator keeps their bits.
+
+def synth_smatrix_per_entry(model: PhaseModel, k: float, j_max: int) -> SMatrixBlock:
+    """Single-helicity block S^J_00 = sum over branches of A(J) e^{2 i eta(J)}.
+
+    Branch sums exceeding unit magnitude are rescaled to the unit circle,
+    which keeps every generated block flux-conserving by construction.
+    """
+    if j_max < 2:
+        raise InputError("j_max must be at least 2", item="j_max")
+    js = np.arange(j_max + 1)
+    amps = np.zeros(j_max + 1, dtype=complex)
+    for i, branch in enumerate(model.branches, start=1):
+        with np.errstate(all="ignore"):
+            term = branch.amplitudes(js.astype(float))
+        _check_finite(term, js, _PHASE_KEY.get(model.kind, f"branch {i}"))
+        amps = amps + term
+    top = np.abs(amps).max()
+    if model.kind == "two-branch" and top > 1.0:
+        amps = amps / top
+    if np.abs(amps).max() > 1.0 + 1e-12:
+        raise ValueError("model produced |S| > 1")
+    header = ChannelHeader(k=k, j=0, j_final=0, J_max=j_max)
+    entries = {(int(J), 0, 0): complex(amps[J]) for J in js}
+    return SMatrixBlock(header, entries)
+
+
+def synth_smatrix_helicity_per_entry(
+    model: PhaseModel,
+    k: float,
+    j_final: int,
+    j_max: int,
+    phase_offset: float = 0.4,
+) -> SMatrixBlock:
+    """Replicate the model block across product helicities Omega'.
+
+    Each Omega' column carries a fixed extra phase Omega' * phase_offset;
+    entries appear only where |Omega'| <= min(J, j_final).
+    """
+    base = synth_smatrix_per_entry(model, k, j_max)
+    entries: dict[tuple[int, int, int], complex] = {}
+    with np.errstate(all="ignore"):
+        for (J, _, _), s in base.entries.items():
+            for omega_p in range(-min(J, j_final), min(J, j_final) + 1):
+                entries[(J, 0, omega_p)] = s * np.exp(1j * omega_p * phase_offset)
+    _check_finite(np.array(list(entries.values())), [J for J, _, _ in entries], "phase_offset")
+    header = ChannelHeader(k=k, j=0, j_final=j_final, J_max=j_max)
+    return SMatrixBlock(header, entries)
+
+
+def scaled_per_entry(block: SMatrixBlock, factor: complex) -> SMatrixBlock:
+    """block.scaled(factor) as one scalar product per entry of a dict."""
+    return SMatrixBlock(block.header, {k: v * factor for k, v in block.entries.items()})

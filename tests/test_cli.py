@@ -625,7 +625,7 @@ def test_writer_is_byte_identical_to_per_row_formatting(block_file, tmp_path, se
 def test_memory_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
-    monkeypatch.setattr("qdeflect.synth.synth_smatrix", exhausted)
+    monkeypatch.setattr("qdeflect.synth.synth_smatrix_helicity", exhausted)
     model = tmp_path / "model.txt"
     model.write_text(LINEAR_MODEL)
     assert main(["synth", str(model), "--out", str(tmp_path / "b.smat")]) == 1

@@ -136,6 +136,28 @@ def test_energy_label_round_trip():
     assert load_smatrix(buf.getvalue().encode()).header.energy_label == "E = 0.73 eV"
 
 
+@pytest.mark.parametrize("name, bad", [
+    ("k_unit", ""), ("k_unit", "1/ang strom"), ("k_unit", "1/a#x"), ("k_unit", "1/a\n"), ("k_unit", None),
+    ("energy_label", "E = 1\n0 0 0 1 0"), ("energy_label", "E\r= 1"), ("energy_label", "E\u2028= 1"),
+    ("energy_label", None),
+])
+def test_header_text_the_loader_cannot_read_back_is_rejected(name, bad):
+    with pytest.raises(SMatrixValidationError) as excinfo:
+        ChannelHeader(k=1.0, j=0, j_final=0, **{name: bad})
+    assert excinfo.value.item == name
+
+
+@pytest.mark.parametrize("k_unit, label", [
+    ("1/bohr", "  E = 0.73 eV\t"), ("1/\u00c5", "E = 1 eV # collision"), ("1/angstrom", " \n "),
+])
+def test_saved_header_loads_back_equal(k_unit, label):
+    header = ChannelHeader(k=0.1 + 0.2, j=2, j_final=1, v=3, v_final=1, J_max=4, k_unit=k_unit, energy_label=label)
+    assert header.energy_label == label.strip()  # as the loader reads it
+    buf = io.StringIO()
+    save_smatrix(SMatrixBlock(header, {(2, -1, 1): 0.5 - 0.25j}), buf)
+    assert load_smatrix(buf.getvalue().encode()).header == header
+
+
 def test_absent_entries_behave_as_zeros(rng):
     sparse = random_block(rng, j_max=12, j=1, jp=1, density=0.4)
     padded_entries = dict(sparse.entries)

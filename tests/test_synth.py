@@ -27,6 +27,9 @@ from qdeflect import (
     two_branch_model,
     validate_unitarity,
 )
+from conftest import random_block, sparse_probe_block
+from oracles import scaled_per_entry, synth_smatrix_helicity_per_entry, synth_smatrix_per_entry
+from test_amplitude_core import assert_bits
 
 
 class TestPhaseBlocks:
@@ -92,6 +95,44 @@ class TestPhaseBlocks:
             save_smatrix(block, buf)
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
+
+
+# README's quadratic model, a linear one and a two-branch sum that the flux cap rescales
+ORACLE_MODELS = [
+    quadratic_phase_model(0.02, 30.0, 8.0),
+    linear_phase_model(-0.3, 30.0, 8.0, 0.9),
+    two_branch_model((PhaseBranch(GaussianAmplitude(20.0, 6.0, 1.0), (0.0, -0.2)),
+                      PhaseBranch(GaussianAmplitude(24.0, 6.0, 1.0), (0.0, -0.35)))),
+]
+
+
+def assert_same_block(got, want):
+    assert got.header == want.header
+    assert_bits(got.keys, want.keys)
+    assert_bits(got.amps, want.amps)
+    texts = []
+    for block in (got, want):
+        save_smatrix(block, buf := io.StringIO())
+        texts.append(buf.getvalue())
+    assert texts[0] == texts[1]
+
+
+class TestArrayPathMatchesPerEntryReference:
+    @pytest.mark.parametrize("model", ORACLE_MODELS, ids=["quadratic", "linear", "two-branch"])
+    @pytest.mark.parametrize("jp", [0, 1, 2, 5])
+    @pytest.mark.parametrize("offset", [0.4, 0.7])
+    def test_generator_bits(self, model, jp, offset):
+        got = synth_smatrix_helicity(model, 1.0, jp, 60, offset)
+        assert_same_block(got, synth_smatrix_helicity_per_entry(model, 1.0, jp, 60, offset))
+        if jp == 0:
+            assert_same_block(synth_smatrix(model, 1.0, 60), synth_smatrix_per_entry(model, 1.0, 60))
+
+    @pytest.mark.parametrize("factor", [np.exp(1.9j), 0.3 - 2.1j], ids=["exp(1.9j)", "0.3-2.1j"])
+    def test_scaled_bits(self, factor):
+        rng = np.random.default_rng(20)
+        blocks = [random_block(rng) for _ in range(6)] + [random_block(rng, j=2, jp=2), sparse_probe_block()]
+        for block in blocks:
+            assert_same_block(block.scaled(factor), scaled_per_entry(block, factor))
 
 
 class TestTrajectories:
@@ -227,10 +268,14 @@ class TestModelFileLines:
         ("kind = classical\njmax = 20\ncbranch = -1 2\n", 3, "weight"),
         ("kind = classical\njmax = 20\ncbranch = 1 inf\n", 3, "bad cbranch value .inf."),
         ("kind = cubic\n", 1, "kind"),
+        ("kind = classical\njmax = 20\ncbranch = 1 2\nisotropic = 0.5\n", 4, "isotropic must be 0 or 1"),
+        ("kind = classical\njmax = 20\nisotropic = 2\n", 3, "isotropic must be 0 or 1"),
+        ("kind = classical\nisotropic = -1\njmax = 20\ncbranch = 1 2\n", 2, "isotropic must be 0 or 1"),
+        ("kind = quadratic\njmax = 20\njp = -2\nalpha = 0.01\n", 3, "j_final must be nonnegative"),
     ])
     def test_rejected_value_names_its_line(self, text, line, match):
         with pytest.raises(ValueError, match=match) as excinfo:
-            parse_model_file(text)
+            parse_model_file(text).generate()  # a fault the header finds shows when the block is built
         assert excinfo.value.line == line
         assert str(excinfo.value).startswith(f"line {line}: ")
 
@@ -289,6 +334,9 @@ class TestModelFileLines:
         ("kind = linear\njmax = 20\nk = -1\n", 3),
         ("kind = classical\njmax = 20\ncbranch = 1 2\ncount = 0\n", 4),
         ("kind = classical\njmax = 20\ncbranch = 1 2\nsigma_r = -1\n", 4),
+        # the header's faults come before an offset phase that overflows
+        ("kind = quadratic\njmax = 10\njp = 2\nphase_offset = 1e308\nk = -1\n", 5),
+        ("kind = quadratic\njmax = 10\nphase_offset = 1e308\njp = -2\n", 4),
     ])
     def test_generation_error_names_the_key_line(self, text, line):
         spec = parse_model_file(text)
