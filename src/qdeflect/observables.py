@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .angular import AngularCurve, AngularGrid
-from .smatrix import SMatrixBlock, _pair_codes
+from .smatrix import SMatrixBlock
 from .wigner import wigner_d_rows
 
 
@@ -60,82 +60,83 @@ def partial_cross_section(block: SMatrixBlock, J: int) -> float:
 
 
 def integral_cross_section(block: SMatrixBlock) -> float:
-    """Sum of the J-partial cross sections over the whole block."""
-    return sum(partial_cross_section(block, J) for J in block.js_with_entries())
+    """Sum of the J-partial cross sections over the whole block, left to
+    right from 0.0 (as sum() before Python 3.12): the sigma-j bytes depend on it."""
+    total = 0.0
+    for J in block.js_with_entries():
+        total += partial_cross_section(block, J)
+    return total
 
 
-def partial_amplitudes(
-    block: SMatrixBlock,
-    pairs: Sequence[tuple[int, int]],
-    grid: AngularGrid,
-    j_lo: int = 0,
-    j_hi: int | None = None,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (J, f^J) in ascending J for each J in j_lo..j_hi where some pair has an entry.
+def partial_amplitudes(block: SMatrixBlock, rows: Sequence[int], grid: AngularGrid, j_lo: int = 0,
+                       j_hi: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (J, f^J) in ascending J for each J in j_lo..j_hi where a pair in rows has an entry.
 
+    rows index block.pairs, so only pairs with entries are ever stepped.
     f^J_{Omega' Omega}(theta) = (2J+1) d^J_{Omega' Omega}(theta) S^J / (2ik),
-    one row per (Omega, Omega') in pairs, shape (len(pairs), len(grid));
-    rows of pairs without an entry at J are zero.  One Wigner recurrence
-    step feeds every pair, and nothing of shape (J, pair, theta) is held:
-    the yielded array is one buffer, refilled at every step.  The block's
-    sorted entries are read in place, so memory is O(entries + pairs x theta).
+    one row per index in rows, shape (len(rows), len(grid)); rows of pairs
+    without an entry at J are zero.  One Wigner recurrence step feeds every
+    pair, and nothing of shape (J, pair, theta) is held: the yielded array
+    is one buffer, refilled at every step.  The block's sorted entries and
+    their pair rows are read in place, so memory is O(entries + pairs x theta).
     """
-    h, n = block.header, len(block.pairs)
-    codes = _pair_codes(h, *block.pairs.T)
-    column = np.searchsorted(codes, _pair_codes(h, block.keys[:, 1], block.keys[:, 2]))
-    wanted = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    slot = np.searchsorted(codes, _pair_codes(h, *wanted.T))
-    # a pair the block lacks reads slot n, which stays zero
-    slot[np.any(np.vstack([block.pairs, [[0, 0]]])[slot] != wanted, axis=1)] = n
+    h = block.header
+    rows = np.asarray(rows, dtype=np.int64)
+    wanted = np.zeros(len(block.pairs), dtype=bool)
+    wanted[rows] = True
     entry_j = block.keys[:, 0]
-    keep = (np.bincount(slot, minlength=n + 1) > 0)[column] & (entry_j >= j_lo)
+    keep = wanted[block.pair_rows] & (entry_j >= j_lo)
     keep &= j_hi is None or entry_j <= j_hi
-    entry_j, column = entry_j[keep], column[keep]
+    entry_j, column = entry_j[keep], block.pair_rows[keep]
     coef = (1.0 / (2j * h.k) * (2 * entry_j + 1)) * block.amps[keep]
     # one run of consecutive entries per J: coef[lo:hi] for neighbouring bounds lo, hi
     bounds = np.flatnonzero(np.diff(entry_j, prepend=-1, append=h.J_max + 1)).tolist()
-    steps = wigner_d_rows([(op, o) for o, op in pairs], grid.thetas, entry_j[bounds[:-1]].tolist())
-    row = np.zeros(n + 1, dtype=complex)
-    f_j = np.empty((len(pairs), len(grid)), dtype=complex)
+    steps = wigner_d_rows(block.pairs[rows, ::-1].tolist(), grid.thetas, entry_j[bounds[:-1]].tolist())
+    row = np.zeros(len(block.pairs), dtype=complex)
+    f_j = np.empty((len(rows), len(grid)), dtype=complex)
     for lo, hi, (J, d) in zip(bounds, bounds[1:], steps):
         row[column[lo:hi]] = coef[lo:hi]
-        np.multiply(row[slot][:, None], d, out=f_j)
+        np.multiply(row[rows][:, None], d, out=f_j)
         row[column[lo:hi]] = 0
         yield J, f_j
 
 
-def summed_amplitudes(
-    block: SMatrixBlock,
-    pairs: Sequence[tuple[int, int]],
-    grid: AngularGrid,
-    j_lo: int = 0,
-    j_hi: int | None = None,
-) -> np.ndarray:
-    """sum_{J = j_lo..j_hi} f^J per pair, shape (len(pairs), len(grid)).
+def summed_amplitudes(block: SMatrixBlock, rows: Sequence[int], grid: AngularGrid, j_lo: int = 0,
+                      j_hi: int | None = None) -> np.ndarray:
+    """sum_{J = j_lo..j_hi} f^J per pair of rows (indices into block.pairs),
+    shape (len(rows), len(grid)).
 
     Accumulated in ascending J from zero, so it equals bit for bit the sum
     a caller forms from the partial amplitudes in that order.
     """
-    total = np.zeros((len(pairs), len(grid)), dtype=complex)
-    for _, f_j in partial_amplitudes(block, pairs, grid, j_lo, j_hi):
+    total = np.zeros((len(rows), len(grid)), dtype=complex)
+    for _, f_j in partial_amplitudes(block, rows, grid, j_lo, j_hi):
         total += f_j
     return total
 
 
-def scattering_amplitude(
-    block: SMatrixBlock, omega_p: int, omega: int, grid: AngularGrid
-) -> AmplitudeCurve:
+def _pair_row(block: SMatrixBlock, omega: int, omega_p: int) -> np.ndarray:
+    """The row of (omega, omega_p) in block.pairs, as rows of one index, or none if the block lacks it."""
+    return np.flatnonzero(np.all(block.pairs == (omega, omega_p), axis=1))
+
+
+def scattering_amplitude(block: SMatrixBlock, omega_p: int, omega: int, grid: AngularGrid) -> AmplitudeCurve:
     """f_{Omega' Omega}(theta) summed over every J present in the block."""
     h = block.header
     if abs(omega) > h.j or abs(omega_p) > h.j_final:
-        raise ValueError(
-            f"helicities (Omega'={omega_p}, Omega={omega}) outside channel range "
-            f"(j={h.j}, jp={h.j_final})"
-        )
-    return AmplitudeCurve(omega_p, omega, grid, summed_amplitudes(block, [(omega, omega_p)], grid)[0])
+        raise ValueError(f"helicities (Omega'={omega_p}, Omega={omega}) outside channel range "
+                         f"(j={h.j}, jp={h.j_final})")
+    # one row or none; a sum from zero holds no -0.0, so adding it to +0 keeps its bits
+    values = summed_amplitudes(block, _pair_row(block, omega, omega_p), grid).sum(axis=0)
+    return AmplitudeCurve(omega_p, omega, grid, values)
+
+
+def _coherent_dcs(block: SMatrixBlock, grid: AngularGrid, j_lo: int = 0, j_hi: int | None = None) -> AngularCurve:
+    """sum_{Omega' Omega} |sum_{J = j_lo..j_hi} f^J|^2 / (2j+1), over the block's pairs."""
+    amps = summed_amplitudes(block, range(len(block.pairs)), grid, j_lo, j_hi)
+    return AngularCurve(grid, (np.abs(amps) ** 2).sum(axis=0) / (2 * block.header.j + 1))
 
 
 def dcs(block: SMatrixBlock, grid: AngularGrid) -> AngularCurve:
     """sigma(theta) = sum_{Omega' Omega} |f_{Omega' Omega}(theta)|^2 / (2j+1)."""
-    amps = summed_amplitudes(block, block.helicity_pairs(), grid)
-    return AngularCurve(grid, (np.abs(amps) ** 2).sum(axis=0) / (2 * block.header.j + 1))
+    return _coherent_dcs(block, grid)

@@ -30,7 +30,8 @@ from typing import Iterator
 import numpy as np
 
 from .angular import AngularCurve, AngularGrid, DeflectionMap, integrate_curve
-from .observables import AmplitudeCurve, partial_amplitudes, summed_amplitudes
+from .observables import (AmplitudeCurve, _check_j, _coherent_dcs, _pair_row, partial_amplitudes,
+                          summed_amplitudes)
 from .smatrix import SMatrixBlock
 
 
@@ -46,49 +47,39 @@ class JWindow:
             raise ValueError(f"need 0 <= j_lo <= j_hi, got [{self.j_lo}, {self.j_hi}]")
 
 
-def j_partial_amplitude(
-    block: SMatrixBlock, J: int, omega_p: int, omega: int, grid: AngularGrid
-) -> AmplitudeCurve:
+def j_partial_amplitude(block: SMatrixBlock, J: int, omega_p: int, omega: int,
+                        grid: AngularGrid) -> AmplitudeCurve:
     """Single-J amplitude f^J_{Omega' Omega}(theta); zero curve if absent."""
     h = block.header
-    if not 0 <= J <= h.J_max:
-        raise ValueError(f"J={J} outside the block range 0..{h.J_max}")
+    _check_j(block, J)
     if abs(omega) > min(J, h.j) or abs(omega_p) > min(J, h.j_final):
-        raise ValueError(
-            f"helicities (Omega'={omega_p}, Omega={omega}) violate bounds at J={J}"
-        )
+        raise ValueError(f"helicities (Omega'={omega_p}, Omega={omega}) violate bounds at J={J}")
     values = np.zeros(len(grid), dtype=complex)
-    for _, f_j in partial_amplitudes(block, [(omega, omega_p)], grid, J, J):
+    for _, f_j in partial_amplitudes(block, _pair_row(block, omega, omega_p), grid, J, J):
         values = f_j[0]
     return AmplitudeCurve(omega_p, omega, grid, values)
 
 
 def _group_sums(
-    block: SMatrixBlock, omega_ps: list[int], grid: AngularGrid, j_lo: int = 0, j_hi: int | None = None
+    block: SMatrixBlock, rows: np.ndarray, grid: AngularGrid, j_lo: int = 0, j_hi: int | None = None
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (J, G) for J in j_lo..j_hi with G[g] = sum over the pairs
-    (Omega, omega_ps[g]) of Re(f^J F*), in ascending Omega, shape
-    (len(omega_ps), len(grid)).
-
-    F comes from a first pass over all the amplitudes and the second pass
-    recomputes f^J in the window only.  Every group is padded to the same
-    size with pairs the block lacks, whose zero terms leave the sums unchanged.
+    """Yield (J, G) for J in j_lo..j_hi, rows indexing block.pairs in (Omega', Omega) order:
+    G[g], one buffer refilled at every step, sums Re(f^J F*) over the g-th run of rows with
+    equal Omega', in row order.  F comes from a first pass over all the amplitudes and the
+    second pass recomputes f^J in the window only.
     """
-    present = set(block.helicity_pairs())
-    groups = [[w for w in range(-block.header.j, block.header.j + 1) if (w, op) in present]
-              for op in omega_ps]
-    size = max(map(len, groups), default=0)
-    pairs = []
-    for op, omegas in zip(omega_ps, groups):
-        fill = [w for w in range(-block.header.j, block.header.j + 1) if (w, op) not in present]
-        pairs += [(w, op) for w in omegas + fill[: size - len(omegas)]]
-    conj_full = np.conj(summed_amplitudes(block, pairs, grid))
+    jp = block.header.j_final
+    bounds = np.flatnonzero(np.diff(block.pairs[rows, 1], prepend=-jp - 1, append=jp + 1)).tolist()
+    conj_full = np.conj(summed_amplitudes(block, rows, grid))
     product = np.empty_like(conj_full)
-    for J, f_j in partial_amplitudes(block, pairs, grid, j_lo, j_hi):
+    sums = np.empty((len(bounds) - 1, len(grid)))
+    for J, f_j in partial_amplitudes(block, rows, grid, j_lo, j_hi):
         np.multiply(f_j, conj_full, out=product)
         # Re(f^J F*) = |f^J|^2 + half of every cross term with J1 != J;
         # numpy sums over a non-inner axis row by row from +0, as a loop would
-        yield J, product.real.reshape(len(omega_ps), size, len(grid)).sum(axis=1)
+        for g, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            product.real[lo:hi].sum(axis=0, out=sums[g])
+        yield J, sums
 
 
 def qmdf_helicity_map(block: SMatrixBlock, omega_p: int, grid: AngularGrid) -> DeflectionMap:
@@ -98,7 +89,7 @@ def qmdf_helicity_map(block: SMatrixBlock, omega_p: int, grid: AngularGrid) -> D
         raise ValueError(f"Omega'={omega_p} outside jp={h.j_final}")
     scale = grid.sin_thetas / (2 * h.j + 1)
     values = np.zeros((len(grid), h.J_max + 1))
-    for J, sums in _group_sums(block, [omega_p], grid):
+    for J, sums in _group_sums(block, np.flatnonzero(block.pairs[:, 1] == omega_p), grid):
         values[:, J] = sums[0] * scale
     return DeflectionMap(grid, np.arange(h.J_max + 1), values)
 
@@ -111,8 +102,7 @@ def qmdf_map(block: SMatrixBlock, grid: AngularGrid, window: JWindow | None = No
     _check_window(window, np.arange(h.J_max + 1))
     scale = grid.sin_thetas / (2 * h.j + 1)
     values = np.zeros((len(grid), window.j_hi - window.j_lo + 1))
-    omega_ps = sorted({op for _, op in block.helicity_pairs()})
-    for J, sums in _group_sums(block, omega_ps, grid, window.j_lo, window.j_hi):
+    for J, sums in _group_sums(block, np.lexsort(block.pairs.T), grid, window.j_lo, window.j_hi):
         values[:, J - window.j_lo] = (sums * scale).sum(axis=0)
     return DeflectionMap(grid, np.arange(window.j_lo, window.j_hi + 1), values)
 
@@ -122,9 +112,8 @@ def random_phase_map(block: SMatrixBlock, grid: AngularGrid) -> DeflectionMap:
     h = block.header
     scale = grid.sin_thetas / (2 * h.j + 1)
     values = np.zeros((len(grid), h.J_max + 1))
-    pairs = block.helicity_pairs()
-    intensity = np.empty((len(pairs), len(grid)))
-    for J, f_j in partial_amplitudes(block, pairs, grid):
+    intensity = np.empty((len(block.pairs), len(grid)))
+    for J, f_j in partial_amplitudes(block, range(len(block.pairs)), grid):
         np.abs(f_j, out=intensity)
         intensity **= 2
         values[:, J] = intensity.sum(axis=0) * scale
@@ -153,10 +142,8 @@ def partial_dcs(block: SMatrixBlock, window: JWindow, grid: AngularGrid) -> Angu
     Keeps coherences inside the window only, so disjoint windows do not
     add up to the full DCS when groups of partial waves interfere.
     """
-    h = block.header
-    _check_window(window, np.arange(h.J_max + 1))
-    amps = summed_amplitudes(block, block.helicity_pairs(), grid, window.j_lo, window.j_hi)
-    return AngularCurve(grid, (np.abs(amps) ** 2).sum(axis=0) / (2 * h.j + 1))
+    _check_window(window, np.arange(block.header.J_max + 1))
+    return _coherent_dcs(block, grid, window.j_lo, window.j_hi)
 
 
 def integrate_over_theta(dmap: DeflectionMap, J: int) -> float:

@@ -35,10 +35,8 @@ DEFAULT_K_UNIT = "1/angstrom"
 
 EntryKey = tuple[int, int, int]  # (J, Omega, OmegaPrime)
 
-
-def _pair_codes(h: "ChannelHeader", omega: np.ndarray, omega_p: np.ndarray) -> np.ndarray:
-    """Integer codes of (Omega, Omega') pairs that sort as the pairs do: Omega' + jp lies in 0..2jp."""
-    return (omega + h.j) * (2 * h.j_final + 1) + omega_p + h.j_final
+# the largest j, j_final and J_max: every index a block forms, the pair codes too, stays within int64
+_MAX_MOMENTUM = 1 << 30
 
 
 def _times(a: np.ndarray, p) -> np.ndarray:
@@ -84,7 +82,7 @@ class ChannelHeader:
     """Channel labels and the quantities every downstream formula needs.
 
     j, j_final, v, v_final and J_max must each be _is_integral, and are
-    stored as int; j, j_final and J_max must be nonnegative.  k_unit must
+    stored as int; j, j_final and J_max must lie in 0..2^30.  k_unit must
     be one word without '#', and energy_label one line, stored stripped,
     so that save_smatrix writes a file load_smatrix reads back to an equal
     header.  An error's `item` is the field's name.
@@ -108,8 +106,8 @@ class ChannelHeader:
                 raise SMatrixValidationError(f"{name} must be an integer, got {value!r}", item=name)
             object.__setattr__(self, name, int(value))
         for name in ("j", "j_final", "J_max"):
-            if getattr(self, name) < 0:
-                raise SMatrixValidationError(f"{name} must be nonnegative", item=name)
+            if not 0 <= getattr(self, name) <= _MAX_MOMENTUM:
+                raise SMatrixValidationError(f"{name} must be nonnegative and at most 2^30", item=name)
         unit, label = self.k_unit, self.energy_label
         if not (isinstance(unit, str) and unit.split() == [unit] and "#" not in unit):
             raise SMatrixValidationError(f"k_unit must be one word without '#', got {unit!r}", item="k_unit")
@@ -124,9 +122,10 @@ class SMatrixBlock:
     from a {(J, Omega, Omega'): amplitude} mapping.
 
     Held as read-only arrays, and only these: sorted int64 `keys` rows
-    (J, Omega, Omega'), their `amps`, the ascending `js` and the sorted
-    helicity `pairs` (Omega, Omega').  Every reader works from the sorted
-    entries, so a sparse block costs what its entries cost.
+    (J, Omega, Omega'), their `amps`, the ascending `js`, the sorted
+    helicity `pairs` (Omega, Omega') and each entry's row in `pairs`,
+    `pair_rows`.  Every reader works from the sorted entries, so a sparse
+    block costs what its entries cost.
     Construction checks that every key is three integers, every key
     against the header bounds and every amplitude for finiteness; an
     error's `item` is the position of the first bad entry in the order
@@ -138,6 +137,7 @@ class SMatrixBlock:
     amps: np.ndarray
     js: np.ndarray
     pairs: np.ndarray
+    pair_rows: np.ndarray
 
     def __init__(self, header: ChannelHeader, entries: Mapping[EntryKey, complex] = MappingProxyType({})):
         # the entries before the first key that is not three integers are checked
@@ -177,11 +177,14 @@ class SMatrixBlock:
         order = np.lexsort((omega_p, omega, J))
         keys, amps = keys[order].astype(np.int64, copy=False), amps[order]
         js = distinct_values(keys[:, 0])
-        codes = distinct_values(np.sort(_pair_codes(h, keys[:, 1], keys[:, 2])))
-        pairs = np.column_stack(np.divmod(codes, 2 * h.j_final + 1)) - (h.j, h.j_final)
-        for array in (keys, amps, js, pairs):
+        # pair codes (Omega + j)(2jp + 1) + Omega' + jp sort as the pairs do: Omega' + jp lies in 0..2jp
+        codes = (keys[:, 1] + h.j) * (2 * h.j_final + 1) + keys[:, 2] + h.j_final
+        distinct = distinct_values(np.sort(codes))
+        pairs = np.column_stack(np.divmod(distinct, 2 * h.j_final + 1)) - (h.j, h.j_final)
+        pair_rows = np.searchsorted(distinct, codes)
+        for array in (keys, amps, js, pairs, pair_rows):
             array.setflags(write=False)
-        vars(self).update(header=h, keys=keys, amps=amps, js=js, pairs=pairs)
+        vars(self).update(header=h, keys=keys, amps=amps, js=js, pairs=pairs, pair_rows=pair_rows)
 
     @cached_property
     def entries(self) -> Mapping[EntryKey, complex]:
@@ -202,8 +205,11 @@ class SMatrixBlock:
         """sum over (Omega, OmegaPrime) of |S^J|^2; 0.0 where J has no entry."""
         by_j = self.keys[:, 0]
         lo, hi = np.searchsorted(by_j, J, "left"), np.searchsorted(by_j, J, "right")
-        # Python's sum() in key order: the opacity and sigma_j bytes depend on it
-        return sum((abs(v) ** 2 for v in self.amps[lo:hi].tolist()), 0.0)
+        # left to right from 0.0, as sum() before Python 3.12: the opacity and sigma_j bytes depend on it
+        total = 0.0
+        for v in self.amps[lo:hi].tolist():
+            total += abs(v) ** 2
+        return total
 
     def j_column(self, omega: int, omega_p: int) -> tuple[np.ndarray, np.ndarray]:
         """(J values, amplitudes) present at a fixed helicity pair, ascending J; both read-only."""

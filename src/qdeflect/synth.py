@@ -118,11 +118,12 @@ def synth_smatrix_helicity(model: PhaseModel, k: float, j_final: int, j_max: int
 
     A two-branch sum exceeding unit magnitude is rescaled to the unit circle, which keeps
     every generated block flux-conserving by construction.  Faults come in this order:
-    j_max below 2, a branch that overflows, |S| > 1, the header (k, j_final), then an
-    offset phase that is not finite.
+    j_max below 2, the header (k, j_final, j_max), a branch that overflows, |S| > 1, then
+    an offset phase that is not finite.
     """
     if j_max < 2:
         raise InputError("j_max must be at least 2", item="j_max")
+    header = ChannelHeader(k=k, j=0, j_final=j_final, J_max=j_max)
     js = np.arange(j_max + 1)
     amps = np.zeros(j_max + 1, dtype=complex)  # from +0.0: no -0.0 part, so Omega' = 0 keeps its bits
     for i, branch in enumerate(model.branches, start=1):
@@ -135,7 +136,6 @@ def synth_smatrix_helicity(model: PhaseModel, k: float, j_final: int, j_max: int
         amps = amps / top
     if np.abs(amps).max() > 1.0 + 1e-12:
         raise ValueError("model produced |S| > 1")
-    header = ChannelHeader(k=k, j=0, j_final=j_final, J_max=j_max)
     # the keys (J, 0, Omega') in sorted order: Omega' runs -width..width at each J
     width = np.minimum(js, header.j_final)
     count = 2 * width + 1
@@ -223,7 +223,8 @@ def synth_trajectories(
 
 
 # constructor field -> model-file key, where the two names differ
-_KEY_OF_FIELD = {"width": "w", "height": "h", "j_max": "jmax", "noise_width": "noise", "j_final": "jp"}
+_KEY_OF_FIELD = {"width": "w", "height": "h", "j_max": "jmax", "J_max": "jmax", "noise_width": "noise",
+                 "j_final": "jp"}
 
 
 def _on_key_line(exc: InputError, lines: Mapping[str, int]) -> InputError:

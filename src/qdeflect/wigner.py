@@ -121,7 +121,8 @@ def wigner_d_rows(
     for J in range(j_max + 1):
         if J % _STEPS == 1:  # c2 and c3 of the next _STEPS steps, from step J - 1
             steps = np.arange(J - 1, J + _STEPS)[:, None]
-            root = np.sqrt(np.maximum((steps**2 - rmp**2) * (steps**2 - rm**2), 0).astype(float))
+            # the product in floats: in int64 it overflows past J = 55108
+            root = np.sqrt(np.maximum((steps**2 - rmp**2).astype(float) * (steps**2 - rm**2), 0))
             c2, c3 = (steps[:-1] + 1) * root[:-1], steps[:-1] * root[1:]
         k = bisect_left(j0, J)  # carriers seeded below J step to J
         if k:

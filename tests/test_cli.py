@@ -535,6 +535,8 @@ TRAJ_HEADER = "# sigma_r = 1.0\n# j_max = 10.0\n"
     ("dcs", HEADER + "0 0 0 1.0 0.0\n\n3 0 0 0.5 0\n", 5),  # J > Jmax
     ("dcs", "k -1.0 u\nchannel j=0 jp=0 v=0 vp=0 Jmax=2\n0 0 0 1.0 0.0\n", 1),
     ("dcs", "# c\nk 1.0 u\nchannel j=-1 jp=0 v=0 vp=0 Jmax=2\n0 0 0 1.0 0.0\n", 3),
+    ("opacity", f"k 1.0 u\nchannel j=0 jp={10**23} v=0 vp=0 Jmax=2\n0 0 0 1.0 0.0\n", 2),  # beyond int64
+    ("opacity", f"k 1.0 u\nchannel j=0 jp=0 v=0 vp=0 Jmax={2**30 + 1}\n0 0 0 1.0 0.0\n", 2),
     ("qct-dcs", TRAJ_HEADER + "1.0 2.0 30.0\n1.0 2.0 200.0\n", 4),  # theta > 180 deg
     ("qct-dcs", TRAJ_HEADER + "1.0 2.0 30.0\n-0.5 2.0 20.0\n", 4),  # negative weight
     ("qct-dcs", TRAJ_HEADER + "# note\n1.0 12.0 30.0\n", 4),  # J > j_max
@@ -542,6 +544,8 @@ TRAJ_HEADER = "# sigma_r = 1.0\n# j_max = 10.0\n"
     ("synth", "kind = linear\njmax = abc\n", 2),
     ("synth", "kind = classical\njmax = 20\ncbranch = 1 2\nisotropic = yes\n", 4),
     ("synth", "kind = classical\njmax = 20\ncbranch = 1 2\ncount = -3\n", 4),
+    ("synth", "kind = quadratic\njmax = 20\njp = 1e30\n", 3),
+    ("synth", "kind = linear\n\njmax = 1e30\n", 3),
 ])
 def test_rejected_input_exits_1_naming_its_line(tmp_path, capsys, command, text, line):
     path = tmp_path / "input.txt"

@@ -6,8 +6,9 @@ map reuses its theta-kernel workspace across chunks of both sizes.  Each
 peak is counted in units of the estimator's largest array: one chunk's
 theta kernel, or one N x 21 Vandermonde matrix.  The amplitude stream
 reads a block's sorted entries, so one pair of a sparse block with
-thousands of helicity pairs costs what its entries cost, and the Wigner
-rows of all its pairs hold no J x orbit coefficient table.
+thousands of helicity pairs costs what its entries cost, the Wigner
+rows of all its pairs hold no J x orbit coefficient table, and the
+coherent maps of a channel with j = 10^7 step only its pairs with entries.
 """
 
 import tracemalloc
@@ -17,8 +18,8 @@ import pytest
 
 from conftest import sparse_probe_block
 from oracles import partial_amplitude_rows, sum_rows
-from qdeflect import (AngularGrid, KernelConfig, TrajectoryEnsemble, qct_df_gaussian, qct_df_legendre,
-                      scattering_amplitude)
+from qdeflect import (AngularGrid, ChannelHeader, KernelConfig, SMatrixBlock, TrajectoryEnsemble, qct_df_gaussian,
+                      qct_df_legendre, qmdf_helicity_map, qmdf_map, scattering_amplitude)
 from qdeflect.qct import _CHUNK
 from qdeflect.wigner import wigner_d_rows
 from test_amplitude_core import assert_bits
@@ -83,3 +84,14 @@ def test_wigner_rows_of_a_sparse_block_hold_no_coefficient_table_per_j():
     finally:
         tracemalloc.stop()
     assert held <= 40e6, held
+
+
+@pytest.mark.parametrize("qmap", [lambda block, grid: qmdf_map(block, grid),
+                                  lambda block, grid: qmdf_helicity_map(block, 0, grid)])
+def test_coherent_maps_cost_what_the_entries_cost_whatever_j_is(qmap):
+    # a scan over Omega = -j..j builds Python lists of 2 x 10^7 ints, hundreds of MB; the
+    # map, a few 2 x 181 amplitude rows and the Wigner state stay below 0.1 MB
+    block = SMatrixBlock(ChannelHeader(k=1.0, j=10**7, j_final=0, J_max=2), {(0, 0, 0): 0.5, (2, 1, 0): 0.3j})
+    grid = AngularGrid.uniform(1.0)
+    peak = peak_bytes(lambda: qmap(block, grid))
+    assert peak <= 1e6, peak

@@ -23,8 +23,10 @@ from qdeflect import (
     sum_over_j,
 )
 from qdeflect.qmdf import DeflectionMap, _convolve_zero_padded, _gauss_kernel
+from qdeflect.wigner import wigner_d_rows
 from conftest import make_block, random_block
 from oracles import brute_force_qmdf, convolve_all_taps
+from test_amplitude_core import BLOCKS, ragged_block
 
 GRID = default_grid()
 TWO_WAVE = make_block({(0, 0, 0): 1.0, (1, 0, 0): 1.0}, j_max=1)
@@ -172,6 +174,22 @@ class TestHelicityMap:
     def test_out_of_range_error(self, rng):
         with pytest.raises(ValueError):
             qmdf_helicity_map(random_block(rng, j_max=5, jp=1), 2, GRID)
+
+
+@pytest.mark.parametrize("case", BLOCKS)
+def test_coherent_maps_step_only_the_blocks_pairs(case, monkeypatch):
+    # the blocks lack about a third of their channel's helicity pairs, so the groups differ in size
+    block, requests = ragged_block(*case), []
+
+    def spy(pairs, thetas, js):
+        requests.append(len(pairs))
+        return wigner_d_rows(pairs, thetas, js)
+
+    monkeypatch.setattr("qdeflect.observables.wigner_d_rows", spy)
+    qmdf_map(block, GRID)
+    for omega_p in range(-block.header.j_final, block.header.j_final + 1):
+        qmdf_helicity_map(block, omega_p, GRID)
+    assert requests and max(requests) <= len(block.pairs)
 
 
 class TestRandomPhaseMap:

@@ -24,6 +24,15 @@ from oracles import partial_amplitude_rows
 from qdeflect.wigner import wigner_d_rows
 from test_amplitude_core import BLOCKS, assert_bits, ragged_block
 
+
+def left_sum(values):
+    """Left to right from 0.0, as the block's own sums do (and sum() of floats before Python 3.12)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 MINIMAL = """\
 k 1.0 1/angstrom
 channel j=0 jp=0 v=0 vp=0 Jmax=0
@@ -105,6 +114,19 @@ def test_non_integral_quantum_number_rejected(name, bad):
     with pytest.raises(SMatrixValidationError, match="must be an integer") as excinfo:
         ChannelHeader(**{**fields, name: bad})
     assert excinfo.value.item == name
+
+
+@pytest.mark.parametrize("name", ["j", "j_final", "J_max"])
+@pytest.mark.parametrize("bad", [2**30 + 1, 10**23, 1e30])
+def test_momentum_beyond_two_to_the_30_rejected(name, bad):
+    # with each at most 2^30, every index a block forms (the pair codes too) stays within int64
+    fields = dict(k=1.0, j=1, j_final=0, J_max=5)
+    with pytest.raises(SMatrixValidationError, match=f"{name} must be nonnegative and at most 2\\^30") as excinfo:
+        ChannelHeader(**{**fields, name: bad})
+    assert excinfo.value.item == name
+    top = 2**30
+    block = SMatrixBlock(ChannelHeader(k=1.0, j=top, j_final=top, J_max=top), {(top, top, -top): 0.5, (0, 0, 0): 1.0})
+    assert block.pairs.tolist() == [[0, 0], [top, -top]] and block.pair_rows.tolist() == [0, 1]
 
 
 def test_integral_quantum_numbers_are_stored_as_int():
@@ -208,13 +230,14 @@ def test_index_matches_a_scan_of_the_entries(rng):
             assert amps.tolist() == [v for _, v in items]
             assert not (js.flags.writeable or amps.flags.writeable)
     for J in range(32):
-        scan = sum(abs(v) ** 2 for _, v in sorted((k, v) for k, v in entries.items() if k[0] == J))
+        scan = left_sum(abs(v) ** 2 for _, v in sorted((k, v) for k, v in entries.items() if k[0] == J))
         assert block.sum_sq_at_j(J) == scan
     assert block.helicity_pairs() == sorted({k[1:] for k in entries})
     assert block.js_with_entries() == sorted({k[0] for k in entries})
     assert block.js.tolist() == block.js_with_entries()
     assert list(map(tuple, block.pairs.tolist())) == block.helicity_pairs()
-    for array in (block.js, block.pairs):
+    assert np.array_equal(block.pairs[block.pair_rows], block.keys[:, 1:])
+    for array in (block.js, block.pairs, block.pair_rows):
         assert not array.flags.writeable
     with pytest.raises(ValueError):
         block.pairs[0, 0] = 1
@@ -223,15 +246,15 @@ def test_index_matches_a_scan_of_the_entries(rng):
 @pytest.mark.parametrize("case", BLOCKS)
 @pytest.mark.parametrize("window", [(0, None), (3, 9), (12, 12)])
 def test_partial_amplitudes_stream_the_sorted_entries(case, window, grid181):
-    # every pair of the channel in no order, some twice, and one outside it; the block lacks some
+    # the rows of every pair of the block in no order, some twice
     block = ragged_block(*case)
     h, entries = block.header, block.entries
-    every = [(omega, omega_p) for omega in range(-h.j, h.j + 1) for omega_p in range(-h.j_final, h.j_final + 1)]
-    pairs = [every[i] for i in np.random.default_rng(case[0]).permutation(len(every))]
-    pairs[1:1] = [(h.j + 1, h.j_final), pairs[-1], every[0]]
+    rows = np.random.default_rng(case[0]).permutation(len(block.pairs)).tolist()
+    rows[1:1] = [rows[-1], 0]
+    pairs = [tuple(pair) for pair in block.pairs[rows].tolist()]
     refs = {pair: partial_amplitude_rows(block, *pair, grid181) for pair in set(pairs)}
     j_lo, j_hi = window
-    streamed = [(J, f_j.copy()) for J, f_j in partial_amplitudes(block, pairs, grid181, j_lo, j_hi)]
+    streamed = [(J, f_j.copy()) for J, f_j in partial_amplitudes(block, rows, grid181, j_lo, j_hi)]
     js = [J for J, _ in streamed]
     assert js == sorted({J for J, omega, omega_p in entries
                          if (omega, omega_p) in refs and j_lo <= J <= (h.J_max if j_hi is None else j_hi)})
@@ -252,7 +275,7 @@ def test_a_sparse_block_builds_no_dense_table_for_its_per_j_and_per_pair_reads()
     for key, v in sorted(entries.items()):
         at_j[key[0]].append(v)
     for J, values in at_j.items():
-        scan = sum(abs(v) ** 2 for v in values)
+        scan = left_sum(abs(v) ** 2 for v in values)
         assert block.sum_sq_at_j(J) == scan
         assert opacity(block, J) == scan / (2 * min(J, h.j) + 1)
         assert partial_cross_section(block, J) == np.pi / h.k**2 * (2 * J + 1) / (2 * h.j + 1) * scan
@@ -274,9 +297,9 @@ def test_an_empty_block_or_a_pair_it_lacks_gives_zero_curves(entries, grid181):
         curve = scattering_amplitude(block, omega_p, omega, grid181)
         assert curve.values.shape == grid181.thetas.shape and not curve.values.any()
     assert block.j_column(1, 1)[0].size == block.j_column(1, 1)[1].size == 0
-    # a lacking pair's rows are zero, next to a pair the block has
-    for _, f_j in partial_amplitudes(block, [(1, -1), (0, 0), (-1, 0)], grid181):
-        assert not f_j[[0, 2]].any() and f_j[1].any()
+    # the stream runs on the block's own pairs: one here, or none
+    for _, f_j in partial_amplitudes(block, range(len(block.pairs)), grid181):
+        assert f_j.shape == (1, len(grid181)) and f_j.any()
 
 
 @pytest.mark.parametrize("bad", [complex("nan"), complex(0.1, float("inf")), complex("-inf")])

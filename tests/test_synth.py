@@ -272,6 +272,8 @@ class TestModelFileLines:
         ("kind = classical\njmax = 20\nisotropic = 2\n", 3, "isotropic must be 0 or 1"),
         ("kind = classical\nisotropic = -1\njmax = 20\ncbranch = 1 2\n", 2, "isotropic must be 0 or 1"),
         ("kind = quadratic\njmax = 20\njp = -2\nalpha = 0.01\n", 3, "j_final must be nonnegative"),
+        ("kind = quadratic\njmax = 20\njp = 1e30\n", 3, r"j_final must be nonnegative and at most 2\^30"),
+        ("kind = linear\njmax = 1073741825\n", 2, r"J_max must be nonnegative and at most 2\^30"),
     ])
     def test_rejected_value_names_its_line(self, text, line, match):
         with pytest.raises(ValueError, match=match) as excinfo:

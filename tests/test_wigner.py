@@ -52,6 +52,14 @@ def test_beyond_j_250_against_oracle(J, omega_p, omega):
         assert abs(wigner_d(J, omega_p, omega, theta) - exact) < 1e-11
 
 
+def test_recurrence_coefficients_do_not_overflow_past_j_55108():
+    # (J^2 - m'^2)(J^2 - m^2) leaves int64 at J = 55109: the recurrence then gave NaN
+    J = 60000
+    rows = np.array([row[0].copy() for _, row in wigner_d_rows([(0, 0)], np.array([0.3]), [55000, J])])
+    legendre = [np.polynomial.legendre.legval(np.cos(0.3), [0] * n + [1]) for n in (55000, J)]
+    assert_allclose(rows[:, 0], legendre, atol=1e-11)
+
+
 def test_column_matches_pointwise_exactly():
     grid = AngularGrid.uniform(0.5)
     assert len(grid) == 361
