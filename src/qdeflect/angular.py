@@ -6,8 +6,8 @@ share; neither half imports the other.
 sin(theta)-weighted intensities from partial-wave sums are sin(theta) times
 a polynomial in cos(theta), that is sine polynomials, so on a uniform grid
 over the full interval with more intervals than their degree they integrate
-exactly, to rounding, through their discrete sine series.  Irregular grids
-fall back to composite Simpson quadrature.
+exactly, to rounding, through their discrete sine series.  That rule is
+the only theta quadrature: any other grid is refused.
 """
 
 from __future__ import annotations
@@ -132,21 +132,6 @@ class DeflectionMap:
         return self.values[:, self.j_index(J)]
 
 
-def fourier_sine_quadrature(grid: AngularGrid, values: np.ndarray) -> float:
-    """Integrate values(theta) over [0, pi] through the discrete sine series.
-
-    Exact, to rounding, for a sine polynomial sum_m c_m sin(m theta) of
-    degree below the number of grid intervals; higher harmonics alias, and
-    other curves that vanish at 0 and pi (2 sin(theta)^2) are not exact.
-    Requires a uniform grid spanning the full interval; endpoint samples
-    are ignored.
-    """
-    if not (grid.is_uniform and grid.spans_full_range):
-        raise ValueError("sine-series quadrature needs a uniform grid over [0, pi]")
-    inner = np.asarray(values, dtype=float)[1:-1]
-    return float(_sine_series_weights(inner.size + 1) @ inner)
-
-
 @lru_cache(maxsize=16)
 def _sine_series_weights(n: int) -> np.ndarray:
     """Interior-point weights of the sine-series rule on n intervals.
@@ -165,38 +150,16 @@ def _sine_series_weights(n: int) -> np.ndarray:
     return w
 
 
-def _simpson(y: np.ndarray, x: np.ndarray) -> float:
-    """Composite Simpson on strictly increasing x.
-
-    With an even sample count (odd number of intervals) the last interval
-    gets Cartwright's three-point correction.
-    """
-    h = np.diff(x)
-    if y.size == 2:
-        return float(0.5 * h[0] * (y[0] + y[1]))
-    stop = y.size - 2 if y.size % 2 else y.size - 3
-    h0, h1 = h[0:stop:2], h[1 : stop + 1 : 2]
-    hsum = h0 + h1
-    total = np.sum(
-        hsum / 6.0
-        * (
-            y[0:stop:2] * (2.0 - h1 / h0)
-            + y[1 : stop + 1 : 2] * (hsum * hsum / (h0 * h1))
-            + y[2 : stop + 2 : 2] * (2.0 - h0 / h1)
-        )
-    )
-    if y.size % 2 == 0:
-        a, b = h[-2], h[-1]
-        total += (
-            (2.0 * b * b + 3.0 * a * b) / (6.0 * (a + b)) * y[-1]
-            + (b * b + 3.0 * a * b) / (6.0 * a) * y[-2]
-            - b**3 / (6.0 * a * (a + b)) * y[-3]
-        )
-    return float(total)
-
-
 def integrate_curve(grid: AngularGrid, values: np.ndarray) -> float:
-    """Integral of a sampled theta curve; sine-series rule when applicable."""
-    if grid.is_uniform and grid.spans_full_range:
-        return fourier_sine_quadrature(grid, values)
-    return _simpson(np.asarray(values, dtype=float), grid.thetas)
+    """Integrate values(theta) over [0, pi] through the discrete sine series.
+
+    Exact, to rounding, for a sine polynomial sum_m c_m sin(m theta) of
+    degree below the number of grid intervals; higher harmonics alias, and
+    other curves that vanish at 0 and pi (2 sin(theta)^2) are not exact.
+    The grid must be uniform over the full interval, else ValueError;
+    endpoint samples are ignored.
+    """
+    if not (grid.is_uniform and grid.spans_full_range):
+        raise ValueError("sine-series quadrature needs a uniform grid over [0, pi]")
+    inner = np.asarray(values, dtype=float)[1:-1]
+    return float(_sine_series_weights(inner.size + 1) @ inner)

@@ -14,7 +14,6 @@ import argparse
 import hashlib
 import sys
 import warnings
-from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -31,18 +30,20 @@ def _write_csv(out: str, command: str, input_path: str, header: Sequence[str],
                axes: Sequence[np.ndarray], cells: Sequence[np.ndarray], params: dict) -> None:
     """Rows are the product of the key `axes`, the first outermost; each
     row goes on with one value from each of `cells`, arrays of the axes'
-    shape.  An axis value is formatted once, into one row template with
-    a slot per cell, and a single % fills every slot."""
-    columns = [np.asarray(c) for c in (*axes, *cells)]
-    if not all(np.all(np.isfinite(c)) for c in columns):
+    shape.  Every column is read as float64 (`%d` prints an integral
+    float's digits).  The rows under one first-axis key are formatted once,
+    into a template with a slot per cell, and the template is filled for
+    one block of first-axis keys at a time, at most 2^14 cells a block
+    (one key at least), so the writer holds one block of rows."""
+    keys = [np.asarray(a, dtype=float) for a in axes]
+    table = np.stack([np.asarray(c, dtype=float) for c in cells], axis=-1).reshape(keys[0].size, -1)
+    if not all(np.isfinite(c).all() for c in (*keys, table)):
         raise ValueError("refusing to write non-finite output values")
-    columns = [c.astype(np.int64 if name == "J" else float) for name, c in zip(header, columns)]
     formats = [_CELL_FORMATS.get(name, "%.8e") for name in header]
     template = ",".join(formats[len(axes):])
-    for fmt, axis in reversed(list(zip(formats, columns[: len(axes)]))):
+    for fmt, axis in reversed(list(zip(formats[1:], keys[1:]))):
         template = "\n".join(key + "," + template.replace("\n", "\n" + key + ",")
                              for key in (fmt % v for v in axis.tolist()))
-    values = [c.ravel().tolist() for c in columns[len(axes):]]
     lines = [
         f"# qdeflect {qd.__version__}",
         f"# command: {command}",
@@ -50,11 +51,13 @@ def _write_csv(out: str, command: str, input_path: str, header: Sequence[str],
         "# params: " + " ".join(f"{k}={params[k]}" for k in sorted(params)),
         ",".join(header),
     ]
+    block = max(1, (1 << 14) // table.shape[1])
     with open(out, "w", encoding="utf-8") as stream:
         stream.write("\n".join(lines) + "\n")
-        if template:  # the rows go out as formatted, with no further copy
-            stream.write(template % tuple(values[0] if len(values) == 1 else chain(*zip(*values))))
-            stream.write("\n")
+        for lo in range(0, keys[0].size, block):
+            rows = "\n".join(key + "," + template.replace("\n", "\n" + key + ",")
+                             for key in (formats[0] % v for v in keys[0][lo : lo + block].tolist()))
+            stream.write(rows % tuple(table[lo : lo + block].ravel().tolist()) + "\n")
 
 
 def _per_j(block, name: str, fn):
@@ -92,15 +95,14 @@ def _cqdf(block, args):
 
 
 def _axis_width(values: np.ndarray, given: float, step: float, axis: str, flag: str) -> float:
-    """The width given, else kernel_width of the values floored at the grid step."""
+    """The width given, else qct.kernel_width of the values at the grid step."""
     if given > 0:
         return given
     from .qct import kernel_width
     try:
-        return max(kernel_width(values), step)
-    except ValueError:
-        raise ValueError(f"every record has the same {axis}, so no {axis} kernel width can be "
-                         f"worked out: give {flag}") from None
+        return kernel_width(values, step, axis)
+    except ValueError as exc:
+        raise ValueError(f"{exc}: give {flag}") from None
 
 
 def _qct_df(ensemble, args):

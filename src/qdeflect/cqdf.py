@@ -66,11 +66,14 @@ def modified_smatrix(
         raise SMatrixValidationError(
             f"no entries at (Omega'={omega_p}, Omega={omega})"
         )
-    missing = sorted(set(range(int(js[0]), int(js[-1]) + 1)) - set(js.tolist()))
-    if missing:
+    steps = np.diff(js)
+    gaps = np.flatnonzero(steps > 1)
+    if gaps.size:  # named by the first missing run and the counts, however many J are missing
+        first = int(js[gaps[0]])
         raise SMatrixValidationError(
-            f"J coverage at (Omega'={omega_p}, Omega={omega}) has gaps; "
-            f"missing J: {missing}"
+            f"J coverage at (Omega'={omega_p}, Omega={omega}) has gaps; missing J "
+            f"{first + 1}..{first + int(steps[gaps[0]]) - 1} ({int(steps[gaps].sum()) - gaps.size} J "
+            f"missing in {gaps.size} gap{'s' if gaps.size > 1 else ''})"
         )
     signs = np.where(js % 2 == 1, -1.0, 1.0)
     return js, signs * amps

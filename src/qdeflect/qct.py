@@ -244,17 +244,21 @@ class KernelConfig:
             raise ValueError("kernel widths must be positive and finite")
 
     @classmethod
-    def from_ensemble(cls, ensemble: TrajectoryEnsemble) -> "KernelConfig":
-        """Each width from kernel_width of the records' values on its axis."""
-        return cls(kernel_width(ensemble.j_values), kernel_width(ensemble.thetas))
+    def from_ensemble(cls, ensemble: TrajectoryEnsemble, theta_step: float) -> "KernelConfig":
+        """The widths `qdeflect qct-df` works out when none is given: kernel_width
+        of the records' J values at step 1 and of their thetas at `theta_step`,
+        the map grid's step in radians."""
+        return cls(kernel_width(ensemble.j_values, 1.0, "J"), kernel_width(ensemble.thetas, theta_step, "theta"))
 
 
-def kernel_width(values: np.ndarray) -> float:
-    """The kernel width for one axis: twice the mean spacing of the distinct values."""
+def kernel_width(values: np.ndarray, step: float, axis: str) -> float:
+    """The kernel width for one axis: twice the mean spacing of the distinct
+    values, but at least the axis's grid step, so the kernel spans a grid
+    cell.  `axis` names the axis in the error raised when all values are equal."""
     distinct = distinct_values(np.sort(values, axis=None))
     if distinct.size < 2:
-        raise ValueError("kernel width heuristic needs at least two distinct values")
-    return 2.0 * float(np.mean(np.diff(distinct)))
+        raise ValueError(f"every record has the same {axis}, so no {axis} kernel width can be worked out")
+    return max(2.0 * float(np.mean(np.diff(distinct))), step)
 
 
 def _exp(x: np.ndarray) -> np.ndarray:

@@ -99,7 +99,7 @@ def qmdf_map(block: SMatrixBlock, grid: AngularGrid, window: JWindow | None = No
     window, only its J columns, each equal to the full map's column."""
     h = block.header
     window = window or JWindow(0, h.J_max)
-    _check_window(window, np.arange(h.J_max + 1))
+    _check_window(window, 0, h.J_max)
     scale = grid.sin_thetas / (2 * h.j + 1)
     values = np.zeros((len(grid), window.j_hi - window.j_lo + 1))
     for J, sums in _group_sums(block, np.lexsort(block.pairs.T), grid, window.j_lo, window.j_hi):
@@ -120,17 +120,14 @@ def random_phase_map(block: SMatrixBlock, grid: AngularGrid) -> DeflectionMap:
     return DeflectionMap(grid, np.arange(h.J_max + 1), values)
 
 
-def _check_window(window: JWindow, j_values: np.ndarray) -> None:
-    if window.j_lo < j_values[0] or window.j_hi > j_values[-1]:
-        raise ValueError(
-            f"window [{window.j_lo}, {window.j_hi}] outside J range "
-            f"{j_values[0]}..{j_values[-1]}"
-        )
+def _check_window(window: JWindow, j_lo: int, j_hi: int) -> None:
+    if window.j_lo < j_lo or window.j_hi > j_hi:
+        raise ValueError(f"window [{window.j_lo}, {window.j_hi}] outside J range {j_lo}..{j_hi}")
 
 
 def sum_over_j(dmap: DeflectionMap, window: JWindow) -> AngularCurve:
     """Sum of map columns over the window; windows are additive."""
-    _check_window(window, dmap.j_values)
+    _check_window(window, int(dmap.j_values[0]), int(dmap.j_values[-1]))
     lo = dmap.j_index(window.j_lo)
     hi = dmap.j_index(window.j_hi)
     return AngularCurve(dmap.grid, dmap.values[:, lo : hi + 1].sum(axis=1))
@@ -142,7 +139,7 @@ def partial_dcs(block: SMatrixBlock, window: JWindow, grid: AngularGrid) -> Angu
     Keeps coherences inside the window only, so disjoint windows do not
     add up to the full DCS when groups of partial waves interfere.
     """
-    _check_window(window, np.arange(block.header.J_max + 1))
+    _check_window(window, 0, block.header.J_max)
     return _coherent_dcs(block, grid, window.j_lo, window.j_hi)
 
 
@@ -152,7 +149,8 @@ def integrate_over_theta(dmap: DeflectionMap, J: int) -> float:
     Column J is a sine polynomial of degree J + J_max + 1 (J_max the largest
     J with an entry), so on a uniform grid over [0, pi] the sine-series rule
     gives sigma^J to rounding when the grid has more intervals than that:
-    more than 2 J_max + 1 for every column.  Coarser grids alias.
+    more than 2 J_max + 1 for every column.  Coarser grids alias, and any
+    other grid raises ValueError (`integrate_curve`).
     """
     return 2.0 * np.pi * integrate_curve(dmap.grid, dmap.column(J))
 

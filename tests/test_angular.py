@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qdeflect import AngularGrid
-from qdeflect.angular import fourier_sine_quadrature, integrate_curve
+from qdeflect import AngularGrid, DeflectionMap, integrate_over_theta
+from qdeflect.angular import integrate_curve
 
 
 def test_uniform_grid_properties():
@@ -54,22 +54,32 @@ def test_sine_quadrature_exact_for_sine_polynomials():
     # even harmonics integrate to zero over [0, pi]; odd ones give 2/m
     values = 0.7 * np.sin(t) - 0.2 * np.sin(3 * t) + 0.05 * np.sin(41 * t) + 0.3 * np.sin(8 * t)
     exact = 0.7 * 2.0 / 1.0 - 0.2 * 2.0 / 3.0 + 0.05 * 2.0 / 41.0
-    assert fourier_sine_quadrature(grid, values) == pytest.approx(exact, rel=1e-13)
+    assert integrate_curve(grid, values) == pytest.approx(exact, rel=1e-13)
 
 
 def test_sine_quadrature_requires_full_uniform_grid():
     partial = AngularGrid(np.linspace(0.2, 3.0, 100))
     with pytest.raises(ValueError):
-        fourier_sine_quadrature(partial, np.ones(100))
+        integrate_curve(partial, np.ones(100))
 
 
-def test_integrate_curve_simpson_fallback():
-    t = np.pi * (3 * np.linspace(0, 1, 1501) ** 2 - 2 * np.linspace(0, 1, 1501) ** 3)
-    t[0], t[-1] = 0.0, np.pi
-    grid = AngularGrid(np.unique(t))
-    values = np.sin(grid.thetas) ** 2
-    assert not grid.is_uniform
-    assert integrate_curve(grid, values) == pytest.approx(np.pi / 2, rel=1e-6)
+# a smoothstep-spaced grid over [0, pi], and a uniform grid over part of it
+REFUSED_GRIDS = {
+    "irregular": AngularGrid(np.unique(np.pi * (3 * np.linspace(0, 1, 301) ** 2 - 2 * np.linspace(0, 1, 301) ** 3))),
+    "partial": AngularGrid(np.linspace(0.0, np.pi / 2, 91)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_GRIDS))
+@pytest.mark.parametrize("integrate", [
+    lambda grid: integrate_curve(grid, np.sin(grid.thetas) ** 2),
+    lambda grid: integrate_over_theta(DeflectionMap(grid, np.arange(3), np.ones((len(grid), 3))), 1),
+], ids=["integrate_curve", "integrate_over_theta"])
+def test_theta_integration_refuses_other_grids(name, integrate):
+    grid = REFUSED_GRIDS[name]
+    assert not (grid.is_uniform and grid.spans_full_range)
+    with pytest.raises(ValueError, match=r"sine-series quadrature needs a uniform grid over \[0, pi\]"):
+        integrate(grid)
 
 
 def _dst_reference(values):
@@ -93,15 +103,4 @@ def test_sine_quadrature_matches_dst_reference(step_deg, rng):
         amp = np.polynomial.legendre.legval(np.cos(grid.thetas), coeffs)
         for values in (amp**2 * grid.sin_thetas, amp * np.cos(grid.thetas) * grid.sin_thetas):
             want = _dst_reference(values)
-            assert fourier_sine_quadrature(grid, values) == pytest.approx(want, rel=1e-14)
-
-
-@pytest.mark.parametrize("n_points", [2, 3, 4, 7, 10, 101, 400])
-def test_simpson_matches_scipy_on_irregular_grids(n_points, rng):
-    from scipy.integrate import simpson
-
-    grid = AngularGrid(np.sort(rng.uniform(0.0, np.pi, n_points)))
-    assert not grid.spans_full_range
-    for values in (np.sin(grid.thetas) ** 2, np.exp(np.cos(3 * grid.thetas)) + grid.thetas):
-        want = float(simpson(values, x=grid.thetas))
-        assert integrate_curve(grid, values) == pytest.approx(want, rel=1e-12)
+            assert integrate_curve(grid, values) == pytest.approx(want, rel=1e-14)

@@ -648,7 +648,7 @@ def test_memory_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
 ])
 def test_unset_width_is_floored_at_the_grid_step(traj_file, tmp_path, capsys, command, extra, widths):
     ensemble = load_trajectories(traj_file)
-    assert kernel_width(ensemble.j_values) < 1.0 and kernel_width(ensemble.thetas) < np.radians(2.0)
+    assert kernel_width(ensemble.j_values, 0.0, "J") < 1.0 and kernel_width(ensemble.thetas, 0.0, "theta") < np.radians(2.0)
     grid = ["--grid-deg", "2"] if command == "qct-df" else []
     out = tmp_path / "x.csv"
     assert main([command, str(traj_file), "--out", str(out), "--estimator", "gaussian", *grid, *extra]) == 0
@@ -687,22 +687,43 @@ def test_fallback_run_writes_the_library_map_at_the_floored_widths(traj_file, tm
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_readme_ensemble_fallback_widths_keep_the_cross_section(tmp_path, capsys):
-    """With no width, the README ensemble's map takes the grid steps as widths
-    and integrates to sigma_r within 3%."""
-    text = README.read_text()
+@pytest.fixture(scope="module")
+def readme_fallback_run(tmp_path_factory):
+    """The README classical ensemble and its `qct-df --estimator gaussian` map with no width given."""
+    tmp_path = tmp_path_factory.mktemp("readme")
     model = tmp_path / "classical.txt"
-    model.write_text(text.split("cat > classical.txt <<'EOF'\n")[1].split("EOF\n")[0])
+    model.write_text(README.read_text().split("cat > classical.txt <<'EOF'\n")[1].split("EOF\n")[0])
     ens, out = tmp_path / "ens.traj", tmp_path / "cmap.csv"
     assert main(["synth", str(model), "--out", str(ens)]) == 0
     assert main(["qct-df", str(ens), "--out", str(out), "--estimator", "gaussian"]) == 0
-    assert capsys.readouterr().err == ""
+    return ens, out
+
+
+def test_readme_ensemble_fallback_widths_keep_the_cross_section(readme_fallback_run):
+    """With no width, the README ensemble's map takes the grid steps as widths
+    and integrates to sigma_r within 3%."""
+    ens, out = readme_fallback_run
     assert out.read_text().splitlines()[3] == ("# params: boundary_renormalize=0 estimator=gaussian "
                                                "grid_deg=0.25 s_j=1.0 s_theta=0.004363323129985824")
     _, rows = read_csv(out)
     grid = AngularGrid.uniform(0.25)
     total = 2.0 * np.pi * integrate_curve(grid, rows[:, 2].reshape(len(grid), -1).sum(axis=1))
     assert total == pytest.approx(load_trajectories(ens).sigma_r, rel=0.03)
+
+
+def test_from_ensemble_gives_the_widths_the_cli_records(readme_fallback_run):
+    ens, out = readme_fallback_run
+    cfg = KernelConfig.from_ensemble(load_trajectories(ens), np.radians(0.25))
+    assert f"s_j={cfg.s_j} s_theta={cfg.s_theta}" in out.read_text().splitlines()[3]
+
+
+def test_cqdf_gap_exits_1_with_one_short_line(tmp_path, capsys):
+    block = tmp_path / "gap.smat"
+    block.write_text("k 1.0 u\nchannel j=0 jp=0 v=0 vp=0 Jmax=3000000\n0 0 0 0.5 0.1\n3000000 0 0 0.2 -0.3\n")
+    assert main(["cqdf", str(block), "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 200 and err.count("\n") == 1
+    assert err.startswith("qdeflect: error: J coverage at (Omega'=0, Omega=0) has gaps; missing J 1..2999999")
 
 
 @pytest.mark.parametrize("command,records", [

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -49,8 +51,24 @@ class TestModifiedSmatrix:
 
     def test_gap_listed(self):
         block = make_block({(0, 0, 0): 1.0, (1, 0, 0): 1.0, (4, 0, 0): 1.0}, j_max=4)
-        with pytest.raises(SMatrixValidationError, match=r"\[2, 3\]"):
+        with pytest.raises(SMatrixValidationError, match=r"missing J 2\.\.3 \(2 J missing in 1 gap\)$"):
             modified_smatrix(block, 0, 0)
+
+    def test_gaps_are_counted_from_the_first(self):
+        block = make_block({(J, 0, 0): 1.0 for J in (0, 2, 4, 9)})
+        with pytest.raises(SMatrixValidationError, match=r"missing J 1\.\.1 \(6 J missing in 3 gaps\)$"):
+            modified_smatrix(block, 0, 0)
+
+    def test_a_wide_gap_is_named_in_one_short_line_at_once(self):
+        # a check over the whole J range would list 2999999 missing J, 25.9 MB of message
+        block = make_block({(0, 0, 0): 0.5, (3_000_000, 0, 0): 0.5})
+        start = time.perf_counter()
+        with pytest.raises(SMatrixValidationError) as info:
+            cqdf(block, 0, 0)
+        assert time.perf_counter() - start < 1.0
+        message = str(info.value)
+        assert len(message) < 200 and "\n" not in message
+        assert message.endswith("missing J 1..2999999 (2999999 J missing in 1 gap)")
 
     def test_no_entries(self):
         block = make_block({(0, 0, 0): 1.0}, jp=1, j_max=2)

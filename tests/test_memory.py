@@ -9,6 +9,8 @@ reads a block's sorted entries, so one pair of a sparse block with
 thousands of helicity pairs costs what its entries cost, the Wigner
 rows of all its pairs hold no J x orbit coefficient table, and the
 coherent maps of a channel with j = 10^7 step only its pairs with entries.
+A J window is checked against the ends of the block's J range, and the
+CSV writer formats one block of rows at a time.
 """
 
 import tracemalloc
@@ -18,8 +20,9 @@ import pytest
 
 from conftest import sparse_probe_block
 from oracles import partial_amplitude_rows, sum_rows
-from qdeflect import (AngularGrid, ChannelHeader, KernelConfig, SMatrixBlock, TrajectoryEnsemble, qct_df_gaussian,
-                      qct_df_legendre, qmdf_helicity_map, qmdf_map, scattering_amplitude)
+from qdeflect import (AngularGrid, ChannelHeader, JWindow, KernelConfig, SMatrixBlock, TrajectoryEnsemble,
+                      partial_dcs, qct_df_gaussian, qct_df_legendre, qmdf_helicity_map, qmdf_map, scattering_amplitude)
+from qdeflect.cli import _write_csv
 from qdeflect.qct import _CHUNK
 from qdeflect.wigner import wigner_d_rows
 from test_amplitude_core import assert_bits
@@ -95,3 +98,26 @@ def test_coherent_maps_cost_what_the_entries_cost_whatever_j_is(qmap):
     grid = AngularGrid.uniform(1.0)
     peak = peak_bytes(lambda: qmap(block, grid))
     assert peak <= 1e6, peak
+
+
+@pytest.mark.parametrize("windowed", [lambda block, grid: partial_dcs(block, JWindow(0, 1), grid),
+                                      lambda block, grid: qmdf_map(block, grid, JWindow(0, 1))],
+                         ids=["partial_dcs", "qmdf_map"])
+def test_a_window_costs_what_its_columns_cost_whatever_j_max_is(windowed):
+    # np.arange(J_max + 1) to read the range's two ends would take 76 MiB at J_max = 10^7
+    block = SMatrixBlock(ChannelHeader(k=1.0, j=0, j_final=0, J_max=10**7), {(0, 0, 0): 0.5, (2, 0, 0): 0.3j})
+    peak = peak_bytes(lambda: windowed(block, AngularGrid.uniform(1.0)))
+    assert peak <= 5 * 2**20, peak
+
+
+def test_csv_writer_holds_one_block_of_rows(tmp_path):
+    # the 181,692 rows of a 0.25 deg map with J = 0..250 are 6.2 MB of text, and the
+    # whole file formatted at once held 20 MiB; one block of 2^14 cells is 0.6 MB of rows
+    grid = AngularGrid.uniform(0.25)
+    values = np.random.default_rng(0).standard_normal((len(grid), 251))
+    (tmp_path / "in.smat").write_text("input\n")
+    out = tmp_path / "map.csv"
+    peak = peak_bytes(lambda: _write_csv(str(out), "qmdf", str(tmp_path / "in.smat"), ("theta_deg", "J", "value"),
+                                         (grid.degrees, np.arange(251)), (values,), {}))
+    assert peak <= 6 * 2**20, peak
+    assert len(out.read_text().splitlines()) == 5 + len(grid) * 251

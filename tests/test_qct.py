@@ -334,9 +334,11 @@ class TestWidths:
 
     def test_from_ensemble_spacing(self):
         ens = ensemble_of([0.0, 1.0, 2.0, 3.0], [0.1, 0.2, 0.3, 0.4], j_max=5.0)
-        cfg = KernelConfig.from_ensemble(ens)
+        cfg = KernelConfig.from_ensemble(ens, 0.05)
         assert cfg.s_j == pytest.approx(2.0)
         assert cfg.s_theta == pytest.approx(0.2)
+        # each width is floored at its axis's grid step: 1 in J, the given step in theta
+        assert KernelConfig.from_ensemble(ensemble_of([0.0, 0.2, 0.4], [0.1, 0.2, 0.3]), 0.5) == KernelConfig(1.0, 0.5)
 
     def test_invalid_widths(self):
         with pytest.raises(ValueError):
@@ -349,11 +351,14 @@ class TestWidths:
             KernelConfig(s_j, s_theta)
 
     def test_kernel_width_is_per_axis(self):
-        assert kernel_width(np.array([0.5, 3.0, 0.5, 1.0])) == 2.0 * 1.25
-        with pytest.raises(ValueError, match="at least two distinct values"):
-            kernel_width(np.array([3.0, 3.0, 3.0]))
-        with pytest.raises(ValueError, match="at least two distinct values"):
-            KernelConfig.from_ensemble(ensemble_of([2.0, 2.0], [0.1, 0.2], j_max=5.0))
+        assert kernel_width(np.array([0.5, 3.0, 0.5, 1.0]), 1.0, "J") == 2.0 * 1.25
+        assert kernel_width(np.array([0.5, 3.0, 0.5, 1.0]), 4.0, "J") == 4.0
+        with pytest.raises(ValueError, match="every record has the same J, so no J kernel width"):
+            kernel_width(np.array([3.0, 3.0, 3.0]), 1.0, "J")
+        with pytest.raises(ValueError, match="every record has the same J"):
+            KernelConfig.from_ensemble(ensemble_of([2.0, 2.0], [0.1, 0.2], j_max=5.0), 0.01)
+        with pytest.raises(ValueError, match="every record has the same theta"):
+            KernelConfig.from_ensemble(ensemble_of([1.0, 2.0], [0.1, 0.1], j_max=5.0), 0.01)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_kernel_width_equals_the_np_unique_form(self, seed):
@@ -361,8 +366,8 @@ class TestWidths:
         rng = np.random.default_rng(seed)
         values = np.concatenate([rng.integers(-5, 6, 40) * 0.25, [-0.0, 0.0, -0.0], rng.random(20)])
         rng.shuffle(values)
-        assert kernel_width(values) == 2.0 * float(np.mean(np.diff(np.unique(values))))
-        assert kernel_width(values.reshape(7, 9)) == kernel_width(values)
+        assert kernel_width(values, 0.0, "J") == 2.0 * float(np.mean(np.diff(np.unique(values))))
+        assert kernel_width(values.reshape(7, 9), 0.0, "J") == kernel_width(values, 0.0, "J")
 
 
 class TestGibbsWarning:

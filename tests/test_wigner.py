@@ -119,12 +119,12 @@ def test_orthogonality_moderate():
     j_hi = 24
     table = wigner_d_table(j_hi, 1, -1, grid)
     # sine-series quadrature weights are exact for these band-limited products
-    from qdeflect.angular import fourier_sine_quadrature
+    from qdeflect.angular import integrate_curve
 
     for Ja in range(2, j_hi + 1, 4):
         for Jb in range(2, j_hi + 1, 4):
             integrand = table[Ja] * table[Jb] * grid.sin_thetas
-            val = fourier_sine_quadrature(grid, integrand)
+            val = integrate_curve(grid, integrand)
             want = 2.0 / (2 * Ja + 1) if Ja == Jb else 0.0
             assert abs(val - want) < 1e-8
 
