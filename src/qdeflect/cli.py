@@ -41,9 +41,14 @@ def _write_csv(out: str, command: str, input_path: str, header: Sequence[str],
         raise ValueError("refusing to write non-finite output values")
     formats = [_CELL_FORMATS.get(name, "%.8e") for name in header]
     template = ",".join(formats[len(axes):])
+
+    def prefix(rows: str, fmt: str, axis: np.ndarray) -> str:
+        """`rows` repeated under each key of `axis`, the key leading every line."""
+        return "\n".join(key + "," + rows.replace("\n", "\n" + key + ",")
+                         for key in (fmt % v for v in axis.tolist()))
+
     for fmt, axis in reversed(list(zip(formats[1:], keys[1:]))):
-        template = "\n".join(key + "," + template.replace("\n", "\n" + key + ",")
-                             for key in (fmt % v for v in axis.tolist()))
+        template = prefix(template, fmt, axis)
     lines = [
         f"# qdeflect {qd.__version__}",
         f"# command: {command}",
@@ -55,8 +60,7 @@ def _write_csv(out: str, command: str, input_path: str, header: Sequence[str],
     with open(out, "w", encoding="utf-8") as stream:
         stream.write("\n".join(lines) + "\n")
         for lo in range(0, keys[0].size, block):
-            rows = "\n".join(key + "," + template.replace("\n", "\n" + key + ",")
-                             for key in (formats[0] % v for v in keys[0][lo : lo + block].tolist()))
+            rows = prefix(template, formats[0], keys[0][lo : lo + block])
             stream.write(rows % tuple(table[lo : lo + block].ravel().tolist()) + "\n")
 
 

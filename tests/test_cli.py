@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -689,20 +691,23 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 @pytest.fixture(scope="module")
 def readme_fallback_run(tmp_path_factory):
-    """The README classical ensemble and its `qct-df --estimator gaussian` map with no width given."""
+    """The README classical ensemble, its `qct-df --estimator gaussian` map with
+    no width given, and what the two runs printed to stderr."""
     tmp_path = tmp_path_factory.mktemp("readme")
     model = tmp_path / "classical.txt"
     model.write_text(README.read_text().split("cat > classical.txt <<'EOF'\n")[1].split("EOF\n")[0])
     ens, out = tmp_path / "ens.traj", tmp_path / "cmap.csv"
-    assert main(["synth", str(model), "--out", str(ens)]) == 0
-    assert main(["qct-df", str(ens), "--out", str(out), "--estimator", "gaussian"]) == 0
-    return ens, out
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(["synth", str(model), "--out", str(ens)]) == 0
+        assert main(["qct-df", str(ens), "--out", str(out), "--estimator", "gaussian"]) == 0
+    return ens, out, err.getvalue()
 
 
 def test_readme_ensemble_fallback_widths_keep_the_cross_section(readme_fallback_run):
-    """With no width, the README ensemble's map takes the grid steps as widths
-    and integrates to sigma_r within 3%."""
-    ens, out = readme_fallback_run
+    """With no width, the README ensemble's map takes the grid steps as widths,
+    warns of nothing and integrates to sigma_r within 3%."""
+    ens, out, err = readme_fallback_run
+    assert err == ""
     assert out.read_text().splitlines()[3] == ("# params: boundary_renormalize=0 estimator=gaussian "
                                                "grid_deg=0.25 s_j=1.0 s_theta=0.004363323129985824")
     _, rows = read_csv(out)
@@ -712,7 +717,7 @@ def test_readme_ensemble_fallback_widths_keep_the_cross_section(readme_fallback_
 
 
 def test_from_ensemble_gives_the_widths_the_cli_records(readme_fallback_run):
-    ens, out = readme_fallback_run
+    ens, out, _ = readme_fallback_run
     cfg = KernelConfig.from_ensemble(load_trajectories(ens), np.radians(0.25))
     assert f"s_j={cfg.s_j} s_theta={cfg.s_theta}" in out.read_text().splitlines()[3]
 

@@ -10,7 +10,8 @@ thousands of helicity pairs costs what its entries cost, the Wigner
 rows of all its pairs hold no J x orbit coefficient table, and the
 coherent maps of a channel with j = 10^7 step only its pairs with entries.
 A J window is checked against the ends of the block's J range, and the
-CSV writer formats one block of rows at a time.
+CSV writer formats one block of rows at a time.  cqdf's coverage check
+finds a gap from the J values with entries, not from the whole J range.
 """
 
 import tracemalloc
@@ -20,7 +21,8 @@ import pytest
 
 from conftest import sparse_probe_block
 from oracles import partial_amplitude_rows, sum_rows
-from qdeflect import (AngularGrid, ChannelHeader, JWindow, KernelConfig, SMatrixBlock, TrajectoryEnsemble,
+from qdeflect import (AngularGrid, ChannelHeader, JWindow, KernelConfig, SMatrixBlock, SMatrixValidationError,
+                      TrajectoryEnsemble, cqdf,
                       partial_dcs, qct_df_gaussian, qct_df_legendre, qmdf_helicity_map, qmdf_map, scattering_amplitude)
 from qdeflect.cli import _write_csv
 from qdeflect.qct import _CHUNK
@@ -109,6 +111,19 @@ def test_a_window_costs_what_its_columns_cost_whatever_j_max_is(windowed):
     peak = peak_bytes(lambda: windowed(block, AngularGrid.uniform(1.0)))
     assert peak <= 5 * 2**20, peak
 
+
+
+def test_a_gap_costs_what_the_entries_cost():
+    # sets over the whole J range and a list of every missing J held hundreds of MB here
+    block = SMatrixBlock(ChannelHeader(k=1.0, j=0, j_final=0, J_max=3_000_000),
+                         {(0, 0, 0): 0.5, (3_000_000, 0, 0): 0.5})
+
+    def refuse():
+        with pytest.raises(SMatrixValidationError, match="1 gap"):
+            cqdf(block, 0, 0)
+
+    peak = peak_bytes(refuse)
+    assert peak <= 2**20, peak
 
 def test_csv_writer_holds_one_block_of_rows(tmp_path):
     # the 181,692 rows of a 0.25 deg map with J = 0..250 are 6.2 MB of text, and the
