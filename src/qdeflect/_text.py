@@ -11,6 +11,10 @@ import numpy as np
 Source = Union[str, Path, IO[str], IO[bytes], bytes]
 Destination = Union[str, Path, IO[str]]
 
+# the largest angular momentum a file may declare (a block's j, j_final and J_max, an ensemble's j_max):
+# every index or array size formed from one, a block's pair codes too, stays within int64
+MAX_MOMENTUM = 1 << 30
+
 
 class InputError(ValueError):
     """Invalid input.  Read from text it names its 1-based line, 'line N: ...';

@@ -12,10 +12,10 @@ expanded in the reduced variable
 
 which is uniform under the standard ell(ell+1) = xi * ell_max(ell_max+1)
 sampling law, so dx/dJ = 2(2J+1)/[J_max(J_max+1)] carries the (2J+1)
-degeneracy.  Gaussian kernels follow G(u) = exp(-(u/s)^2) / (s sqrt(pi)),
-normalized to unit integral; s is the primary width parameter (see
-fwhm_from_width / width_from_fwhm_log2_rule for the two FWHM conversions
-in circulation).
+degeneracy.  Gaussian kernels follow G(u) = exp(-(u/s)^2) / (s sqrt(pi)), of
+unit integral, cut to exactly 0 past |u| = sqrt(700) s (1e-304 of the peak);
+s is the primary width parameter (see fwhm_from_width /
+width_from_fwhm_log2_rule for the two FWHM conversions in circulation).
 
 Moment accumulation is a reduction over records; kernel evaluation is
 data-parallel over grid points.
@@ -32,15 +32,15 @@ from typing import Callable, Mapping, Union
 import numpy as np
 from numpy.polynomial.legendre import legval, legvander
 
-from ._text import (NUMBER_START, Destination, InputError, Source, distinct_values, first_failure, read_records,
-                    read_text, write_text)
+from ._text import (MAX_MOMENTUM, NUMBER_START, Destination, InputError, Source, distinct_values, first_failure,
+                    read_records, read_text, write_text)
 from .angular import AngularCurve, AngularGrid, DeflectionMap
 
 # records per chunk: one chunk's theta kernel is len(grid) x _CHUNK doubles (11.8 MB on the 0.25 deg
 # grid), and the map's record sum is grouped by chunk, so its last bits follow _CHUNK
 _CHUNK = 2048
 _ROWS = (1 << 16) // _CHUNK  # theta-kernel rows per block: a block of 2^16 doubles (512 KB) stays in cache
-_EXP_FLOOR, _EXP_ZERO = -700.0, -746.0  # np.exp is on its fast SIMD lanes above, exactly 0 below
+_EXP_FLOOR = -700.0  # np.exp's fast SIMD lanes start here; the kernel is cut to exactly 0 below it
 
 
 class GibbsOscillationWarning(UserWarning):
@@ -79,8 +79,8 @@ class TrajectoryEnsemble:
         t = np.asarray(self.thetas, dtype=float)
         if not (w.shape == j.shape == t.shape) or w.ndim != 1:
             raise ValueError("weights, j_values, thetas must be 1-D and congruent")
-        if not (math.isfinite(self.j_max) and self.j_max > 0):
-            raise InputError("j_max must be positive and finite", item="j_max")
+        if not 0 < self.j_max <= MAX_MOMENTUM:  # "in range", so that NaN fails too
+            raise InputError("j_max must be positive and at most 2^30", item="j_max")
         if not (math.isfinite(self.sigma_r) and self.sigma_r >= 0):
             raise InputError("sigma_r must be nonnegative and finite", item="sigma_r")
         # each written as "in range" so that NaN fails too
@@ -262,20 +262,18 @@ def kernel_width(values: np.ndarray, step: float, axis: str) -> float:
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
-    """np.exp(x), bit for bit, in place in the C-contiguous float array x; lanes
-    on np.exp's slow path (below about -707.5) are set to 0 or recomputed apart."""
-    keep = x >= _EXP_ZERO
-    rare = (x < _EXP_FLOOR) & keep
-    exponents = x[rare]
+    """np.exp(x) where x >= _EXP_FLOOR and exactly 0 below it (NaN stays NaN),
+    in place in the C-contiguous float array x; every lane takes np.exp's fast
+    path, and no subnormal value is formed."""
+    keep = x >= _EXP_FLOOR
     np.maximum(x, _EXP_FLOOR, out=x)
     np.exp(x, out=x)
-    np.multiply(x, keep, out=x)  # zeroes lanes below _EXP_ZERO, faster than a masked copy
-    x[rare] = np.exp(exponents)
-    return x
+    return np.multiply(x, keep, out=x)  # zeroes lanes below _EXP_FLOOR, faster than a masked copy
 
 
 def _gauss(u: np.ndarray, s: float) -> np.ndarray:
-    """exp(-(u/s)^2) / (s sqrt(pi)), in place in the C-contiguous float array u."""
+    """exp(-(u/s)^2) / (s sqrt(pi)), cut to exactly 0 where (u/s)^2 > 700, in
+    place in the C-contiguous float array u."""
     np.divide(u, s, out=u)
     np.square(u, out=u)
     return np.divide(_exp(np.negative(u, out=u)), s * math.sqrt(math.pi), out=u)
@@ -320,7 +318,7 @@ def qct_df_gaussian(
 
     weights = ensemble.weights
     if renormalize_boundary:
-        erf = np.vectorize(math.erf, otypes=[float])
+        erf = lambda x: np.fromiter(map(math.erf, x.tolist()), float, count=x.size)  # noqa: E731
         inside = lambda x, hi, s: 0.5 * (erf((hi - x) / s) + erf(x / s))  # noqa: E731
         weights = weights / (inside(ensemble.thetas, np.pi, config.s_theta)
                              * inside(ensemble.j_values, ensemble.j_max, config.s_j))

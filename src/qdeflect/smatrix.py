@@ -28,15 +28,12 @@ from typing import Mapping
 
 import numpy as np
 
-from ._text import (NUMBER_START, Destination, InputError, Source, distinct_values, first_failure,
+from ._text import (MAX_MOMENTUM, NUMBER_START, Destination, InputError, Source, distinct_values, first_failure,
                     read_column, read_records, read_text, write_text)
 
 DEFAULT_K_UNIT = "1/angstrom"
 
 EntryKey = tuple[int, int, int]  # (J, Omega, OmegaPrime)
-
-# the largest j, j_final and J_max: every index a block forms, the pair codes too, stays within int64
-_MAX_MOMENTUM = 1 << 30
 
 
 def _times(a: np.ndarray, p) -> np.ndarray:
@@ -106,7 +103,7 @@ class ChannelHeader:
                 raise SMatrixValidationError(f"{name} must be an integer, got {value!r}", item=name)
             object.__setattr__(self, name, int(value))
         for name in ("j", "j_final", "J_max"):
-            if not 0 <= getattr(self, name) <= _MAX_MOMENTUM:
+            if not 0 <= getattr(self, name) <= MAX_MOMENTUM:
                 raise SMatrixValidationError(f"{name} must be nonnegative and at most 2^30", item=name)
         unit, label = self.k_unit, self.energy_label
         if not (isinstance(unit, str) and unit.split() == [unit] and "#" not in unit):

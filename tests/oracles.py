@@ -273,8 +273,8 @@ def load_trajectories_per_line(source):
         if key not in meta:
             raise ValueError(f"trajectory header is missing '# {key} = ...'")
     sigma_r, j_max = meta["sigma_r"], meta["j_max"]
-    if not (math.isfinite(j_max) and j_max > 0):
-        raise InputError("j_max must be positive and finite", meta_lines["j_max"])
+    if not (math.isfinite(j_max) and 0 < j_max <= 2**30):
+        raise InputError("j_max must be positive and at most 2^30", meta_lines["j_max"])
     if not (math.isfinite(sigma_r) and sigma_r >= 0):
         raise InputError("sigma_r must be nonnegative and finite", meta_lines["sigma_r"])
     weights, j_values, degrees = np.array(records, dtype=float).reshape(-1, 3).T
@@ -288,8 +288,19 @@ def load_trajectories_per_line(source):
     return TrajectoryEnsemble(weights, j_values, thetas, sigma_r, j_max, n_tot or None)
 
 
+def exp_reference(x):
+    """exp cut at -700, as one expression: exp on every lane, exactly 0 where
+    x is below -700 (NaN stays NaN)."""
+    return np.where(x < -700.0, 0.0, np.exp(x))
+
+
 def gauss_reference(u, s):
-    """The Gaussian kernel as one expression, exp on every lane."""
+    """The truncated Gaussian kernel as one expression, by exp_reference."""
+    return exp_reference(-((u / s) ** 2)) / (s * math.sqrt(math.pi))
+
+
+def gauss_untruncated(u, s):
+    """The Gaussian kernel before the cut at -700, exp on every lane."""
     return np.exp(-((u / s) ** 2)) / (s * math.sqrt(math.pi))
 
 
@@ -306,9 +317,10 @@ def qct_sigma_j_gaussian_reference(ensemble, config, j):
     return out
 
 
-def qct_df_gaussian_reference(ensemble, config, grid, j_values=None, renormalize_boundary=False):
+def qct_df_gaussian_reference(ensemble, config, grid, j_values=None, renormalize_boundary=False,
+                              kernel=gauss_reference):
     """The joint Gaussian map with the whole theta kernel of a chunk formed
-    at once by gauss_reference; the reference for qct_df_gaussian."""
+    at once by `kernel`; with gauss_reference, the reference for qct_df_gaussian."""
     sw = ensemble.sum_of_weights
     if j_values is None:
         j_values = np.arange(int(math.floor(ensemble.j_max)) + 1)
@@ -324,9 +336,8 @@ def qct_df_gaussian_reference(ensemble, config, grid, j_values=None, renormalize
     values = np.zeros((len(grid), j_values.size))
     for lo in range(0, len(ensemble), _CHUNK):
         blk = slice(lo, lo + _CHUNK)
-        g_theta = gauss_reference(grid.thetas[:, None] - ensemble.thetas[blk][None, :], config.s_theta)
-        g_j = gauss_reference(ensemble.j_values[blk][:, None] - j_values[None, :].astype(float),
-                              config.s_j)
+        g_theta = kernel(grid.thetas[:, None] - ensemble.thetas[blk][None, :], config.s_theta)
+        g_j = kernel(ensemble.j_values[blk][:, None] - j_values[None, :].astype(float), config.s_j)
         values += g_theta @ (weights[blk][:, None] * g_j)
     values *= ensemble.sigma_r / (2.0 * np.pi * sw)
     return DeflectionMap(grid, j_values, values)

@@ -560,6 +560,20 @@ def test_rejected_input_exits_1_naming_its_line(tmp_path, capsys, command, text,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["qct-df", "qct-dcs", "qct-sigma-j"])
+@pytest.mark.parametrize("j_max", ["1e300", str(2**30 + 1)])
+def test_trajectory_j_max_beyond_2_30_exits_1_naming_its_line(tmp_path, capsys, command, j_max):
+    path = tmp_path / "ens.traj"
+    path.write_text(f"# sigma_r = 1.0\n# j_max = {j_max}\n1.0 2.0 30.0\n1.0 3.0 40.0\n")
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow, divide or Gibbs warning on the way
+        assert main([command, str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "qdeflect: error: line 2: j_max must be positive and at most 2^30\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,text,line", [
     ("qct-dcs", TRAJ_HEADER + "# n_tot 2 abc\n1.0 2.0 30.0\n", 3),
     ("qct-dcs", TRAJ_HEADER + "# n_tot -2 10\n1.0 2.0 30.0\n", 3),

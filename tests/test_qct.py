@@ -485,6 +485,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             ensemble_of([6.0], [1.0], j_max=5.0)
 
+    @pytest.mark.parametrize("j_max", [2.0**30 + 256, 1e300, np.inf, np.nan, 0.0, -1.0])
+    def test_j_max_not_in_0_to_2_30_rejected(self, j_max):
+        # the S-matrix header's bound on J_max: the arrays a j_max sizes stay indexable
+        with pytest.raises(ValueError, match=r"^j_max must be positive and at most 2\^30$") as excinfo:
+            TrajectoryEnsemble(np.ones(1), np.ones(1), np.ones(1), 1.0, j_max)
+        assert excinfo.value.item == "j_max"
+        assert TrajectoryEnsemble(np.ones(1), np.ones(1), np.ones(1), 1.0, 2.0**30).j_max == 2**30
+
     @pytest.mark.parametrize("j,theta", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0)])
     def test_non_finite_j_or_theta_rejected(self, j, theta):
         with pytest.raises(ValueError):

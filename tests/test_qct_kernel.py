@@ -1,11 +1,13 @@
 """The in-place, row-blocked Gaussian kernel against the one-expression
 kernel it replaced (tests/oracles.py), bit for bit.
 
-`qct._exp` clamps exponents below a fast-path floor before one vectorized
-np.exp, sets lanes where exp underflows to exactly 0, and recomputes the
-lanes in between.  The cut-offs are checked against the installed numpy
-here, not assumed: on a dense sweep of exponents, at their floating-point
-neighbours, and with every lane or no lane below the floor.
+The kernel is cut at an exponent of -700: `qct._exp` clamps exponents below
+that floor before one vectorized np.exp, which then runs on its fast path on
+every lane, and sets those lanes to exactly 0, so no subnormal value is
+formed.  The cut is checked against the installed numpy here, not assumed:
+on a dense sweep of exponents, at their floating-point neighbours, and with
+every lane or no lane below the floor.  The cut moves no map value above
+1e-300 on a README-like ensemble (against tests/oracles.py::gauss_untruncated).
 """
 
 import math
@@ -15,9 +17,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import gauss_reference, qct_df_gaussian_reference, qct_sigma_j_gaussian_reference
+from oracles import (exp_reference, gauss_reference, gauss_untruncated, qct_df_gaussian_reference,
+                     qct_sigma_j_gaussian_reference)
 from qdeflect import AngularGrid, KernelConfig, TrajectoryEnsemble, qct_df_gaussian, qct_sigma_j_gaussian
-from qdeflect.qct import _CHUNK, _EXP_FLOOR, _EXP_ZERO, _ROWS, _exp, _gauss
+from qdeflect.qct import _CHUNK, _EXP_FLOOR, _ROWS, _exp, _gauss
+
+UNDERFLOW = -746.0  # np.exp is exactly 0 below, and subnormal from about -708.4 down to it
 
 
 def same_bits(a, b):
@@ -34,26 +39,31 @@ def neighbours(x, count=3):
 
 
 def exponent_sweep():
-    """Exponents over [-800, -690], densely, with the cut-offs' neighbours,
-    shuffled so every SIMD vector mixes lanes from all three ranges."""
-    x = np.concatenate([np.linspace(-800.0, -690.0, 110_001), neighbours(_EXP_ZERO),
+    """Exponents over [-800, -690], densely, with the neighbours of the cut and
+    of np.exp's underflow, shuffled so every SIMD vector mixes lanes from all
+    three ranges."""
+    x = np.concatenate([np.linspace(-800.0, -690.0, 110_001), neighbours(UNDERFLOW),
                         neighbours(_EXP_FLOOR), neighbours(-745.1332191019412)])
     return np.random.default_rng(7).permutation(x)
 
 
-def test_numpy_exp_is_exactly_zero_below_the_cutoff():
-    assert np.exp(-746.0) == 0.0
-    assert np.exp(_EXP_ZERO) == 0.0
-    assert not np.any(np.exp(np.linspace(-800.0, _EXP_ZERO, 10_001)))
-    assert np.exp(np.nextafter(_EXP_ZERO, 0.0)) == 0.0
+def test_exp_is_exactly_zero_below_the_cut():
+    assert _EXP_FLOOR == -700.0  # the cut tests/oracles.py::exp_reference holds
+    x = np.linspace(-800.0, np.nextafter(_EXP_FLOOR, -np.inf), 10_001)
+    assert not np.any(exp_reference(x))
+    assert same_bits(_exp(x.copy()), exp_reference(x))
+    # the cut, not an underflow, makes them 0: np.exp is nonzero just below the floor
+    assert np.exp(x[-1]) > 0.0 and np.exp(UNDERFLOW) == 0.0
+    # and the kernel's least nonzero value is normal
+    assert _exp(np.array([_EXP_FLOOR]))[0] == np.exp(_EXP_FLOOR) > np.finfo(float).tiny
 
 
-def test_exp_equals_numpy_exp_on_a_dense_exponent_sweep():
+def test_exp_equals_the_cut_exp_on_a_dense_exponent_sweep():
     x = exponent_sweep()
-    assert same_bits(_exp(x.copy()), np.exp(x))
+    assert same_bits(_exp(x.copy()), exp_reference(x))
     # lane by lane too: no result depends on its neighbours in the vector
-    edges = np.concatenate([neighbours(_EXP_ZERO), neighbours(_EXP_FLOOR)])
-    assert same_bits(_exp(edges.copy()), np.array([np.exp(v) for v in edges]))
+    edges = np.concatenate([neighbours(UNDERFLOW), neighbours(_EXP_FLOOR)])
+    assert same_bits(_exp(edges.copy()), np.array([np.exp(v) if v >= -700.0 else 0.0 for v in edges]))
 
 
 @pytest.mark.parametrize("s", [1.0, 0.37, 3e-3])
@@ -61,7 +71,7 @@ def test_gauss_equals_the_old_expression_on_a_dense_exponent_sweep(s):
     u = np.sqrt(-exponent_sweep()) * s
     assert same_bits(_gauss(u.copy(), s), gauss_reference(u, s))
     # and with u of either sign, on the exponents nearest the cut-offs
-    r = np.sqrt([-_EXP_ZERO, -_EXP_FLOOR])
+    r = np.sqrt([-UNDERFLOW, -_EXP_FLOOR])
     u = np.concatenate([r[0] + np.arange(-64, 65) * np.spacing(r[0]),
                         r[1] + np.arange(-64, 65) * np.spacing(r[1])]) * s
     u = np.concatenate([u, -u])
@@ -80,8 +90,19 @@ def test_gauss_with_every_lane_or_no_lane_below_the_floor(size, lo, hi):
 
 
 def test_exp_keeps_special_values():
-    x = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 709.0, -750.0, -720.0, -1.0])
-    assert same_bits(_exp(x.copy()), np.exp(x))
+    x = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 709.0, -750.0, -720.0, -700.0, -1.0])
+    got = _exp(x.copy())
+    assert same_bits(got, exp_reference(x))
+    assert np.isnan(got[0]) and got[1] == np.inf and same_bits(got[2:5], np.array([0.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("s", [1e-4, 3e-3, 1.0, 37.0, 1e3])
+def test_gauss_forms_no_subnormal_value(s):
+    u = np.sqrt(-exponent_sweep()) * s
+    u = np.concatenate([u, -u, np.linspace(-30.0 * s, 30.0 * s, 100_001)])
+    g = _gauss(u.copy(), s)
+    assert not np.any((g != 0.0) & (g < np.finfo(float).tiny))
+    assert np.any(g == 0.0) and np.all(g >= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -180,3 +201,29 @@ def test_reference_ensemble_map_is_unchanged(s_j, s_theta_deg):
         got = qct_df_gaussian(ensemble, config, grid, renormalize_boundary=renormalize).values
         want = qct_df_gaussian_reference(ensemble, config, grid, renormalize_boundary=renormalize).values
         assert same_bits(got, want)
+
+
+def readme_like_ensemble():
+    """The 50k-record ensemble of test_reference_ensemble_map_is_unchanged."""
+    rng = np.random.default_rng(3)
+    n = 12 * _CHUNK + 1000
+    js = 0.5 * (np.sqrt(1.0 + 4.0 * rng.random(n) * 40.0 * 41.0) - 1.0)
+    thetas = np.clip(np.pi * (1.0 - js / 40.0) + 0.08 * rng.standard_normal(n), 0.0, np.pi)
+    return TrajectoryEnsemble(np.ones(n), js, thetas, 1.0, 40.0)
+
+
+@pytest.mark.parametrize("s_j, s_theta_deg, moved", [(1.5, 3.0, False), (5.0, 20.0, False), (0.0016, 0.007, True)])
+def test_cut_moves_only_cells_below_1e300(s_j, s_theta_deg, moved):
+    """The cut kernel's map against the untruncated kernel's: the same bits at
+    the heuristic-like and wide widths; at the README widths it moves a few
+    cells, each below 1e-300 on both sides."""
+    ensemble = readme_like_ensemble()
+    config = KernelConfig(s_j, math.radians(s_theta_deg))
+    grid = AngularGrid.uniform(1.0)
+    for renormalize in (False, True):
+        got = qct_df_gaussian(ensemble, config, grid, renormalize_boundary=renormalize).values
+        old = qct_df_gaussian_reference(ensemble, config, grid, renormalize_boundary=renormalize,
+                                        kernel=gauss_untruncated).values
+        changed = ~((got == old) & (np.signbit(got) == np.signbit(old)))
+        assert changed.any() == moved
+        assert np.all(np.abs(got[changed]) < 1e-300) and np.all(np.abs(old[changed]) < 1e-300)
