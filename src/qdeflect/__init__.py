@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 _SUBMODULE_NAMES = {
     "angular": "AngularCurve AngularGrid DeflectionMap default_grid integrate_curve",
-    "cqdf": "CqdfCurve PhaseSequence PhaseUnwrapError cqdf fold_to_observable modified_smatrix "
+    "cqdf": "CqdfCurve PhaseUnwrapError cqdf fold_to_observable modified_smatrix "
             "predicted_scattering_angle unwrap_arg",
     "observables": "AmplitudeCurve dcs integral_cross_section opacity partial_cross_section "
                    "scattering_amplitude",
@@ -20,8 +20,8 @@ _SUBMODULE_NAMES = {
            "sample_ell_continuous save_trajectories",
     "qmdf": "JWindow integrate_over_theta j_partial_amplitude partial_dcs qmdf_helicity_map "
             "qmdf_map random_phase_map smooth_map sum_over_j",
-    "smatrix": "ChannelHeader SMatrixBlock SMatrixParseError SMatrixValidationError UnitarityReport "
-               "load_smatrix save_smatrix validate_unitarity",
+    "smatrix": "ChannelHeader SMatrixBlock SMatrixParseError SMatrixValidationError load_smatrix "
+               "save_smatrix validate_unitarity",
     "synth": "ClassicalBranch ClassicalModel GaussianAmplitude PhaseBranch PhaseModel linear_phase_model "
              "parse_model_file quadratic_phase_model synth_smatrix synth_smatrix_helicity synth_trajectories "
              "two_branch_model",

@@ -132,7 +132,8 @@ def _qct_dcs(ensemble, args):
 
 
 def _qct_sigma_j(ensemble, args):
-    j_values = np.arange(int(np.floor(ensemble.j_max)) + 1)
+    from .qct import _j_axis
+    j_values = _j_axis(ensemble)
     if args.estimator == "gaussian":
         # qct_sigma_j_gaussian reads only s_j, so no theta width is worked out: 1.0 fills the field
         cfg = qd.KernelConfig(_axis_width(ensemble.j_values, args.smooth_j, 1.0, "J", "--smooth-j"), 1.0)
@@ -237,10 +238,10 @@ def _warn(message: str) -> None:
 
 
 def _check_unitarity(block) -> None:
-    report = qd.validate_unitarity(block)
-    if not report:
-        (J, omega, omega_p), mag = max(report.violations, key=lambda v: v[1])
-        n = len(report.violations)
+    violations = qd.validate_unitarity(block)
+    if violations:
+        (J, omega, omega_p), mag = max(violations, key=lambda v: v[1])
+        n = len(violations)
         _warn(f"{n} {'entry' if n == 1 else 'entries'} with |S| > 1 "
               f"(worst |S| = {mag:.6g} at J={J}, Omega={omega}, Omega'={omega_p})")
 

@@ -32,22 +32,9 @@ class PhaseUnwrapError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class PhaseSequence:
-    """Continuous arg of a modified S-matrix element along J, plus magnitudes."""
-
-    omega_p: int
-    omega: int
-    j_values: np.ndarray
-    args: np.ndarray
-    magnitudes: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class CqdfCurve:
     """Deflection values d[arg S~]/dJ per J; may lie outside [0, pi]."""
 
-    omega_p: int
-    omega: int
     j_values: np.ndarray
     theta_tilde: np.ndarray
     magnitudes: np.ndarray
@@ -82,17 +69,16 @@ def modified_smatrix(
 def unwrap_arg(
     values: Sequence[complex] | np.ndarray,
     j_values: np.ndarray | None = None,
-    omega_p: int = 0,
-    omega: int = 0,
     mode: str = "two-sided",
-) -> PhaseSequence:
+) -> np.ndarray:
     """Continuous argument of a complex sequence along consecutive J.
 
     The first element gets its principal value.  Each later element gets
     the branch with the minimal jump from its predecessor ("two-sided");
     a jump of exactly +-pi (within 1e-12) is reported as a tie error.  In
     "one-sided" mode jumps live in [-pi, pi) and half turns resolve to
-    -pi instead of erroring.
+    -pi instead of erroring.  j_values (default 0, 1, ...) only name J
+    in the errors.
     """
     if mode not in UNWRAP_MODES:
         raise ValueError(f"unwrap mode must be one of {UNWRAP_MODES}")
@@ -102,8 +88,7 @@ def unwrap_arg(
     if j_values is None:
         j_values = np.arange(vals.size)
     j_values = np.asarray(j_values, dtype=int)
-    mags = np.abs(vals)
-    for j, m in zip(j_values, mags):
+    for j, m in zip(j_values, np.abs(vals)):
         if m < MAGNITUDE_FLOOR:
             raise PhaseUnwrapError(
                 f"amplitude magnitude {m:g} at J={j} is below {MAGNITUDE_FLOOR:g}; "
@@ -123,7 +108,7 @@ def unwrap_arg(
         else:
             step = (raw + math.pi) % math.tau - math.pi  # in [-pi, pi)
         args[n] = args[n - 1] + step
-    return PhaseSequence(omega_p, omega, j_values, args, mags)
+    return args
 
 
 def cqdf(
@@ -133,9 +118,7 @@ def cqdf(
     js, stilde = modified_smatrix(block, omega_p, omega)
     if js.size < 2:
         raise ValueError("deflection derivative needs at least two J values")
-    seq = unwrap_arg(stilde, js, omega_p, omega, mode)
-    theta_tilde = np.gradient(seq.args)
-    return CqdfCurve(omega_p, omega, js, theta_tilde, seq.magnitudes)
+    return CqdfCurve(js, np.gradient(unwrap_arg(stilde, js, mode)), np.abs(stilde))
 
 
 def fold_to_observable(angles: np.ndarray) -> np.ndarray:

@@ -26,8 +26,6 @@ from .wigner import wigner_d_rows
 class AmplitudeCurve:
     """Complex helicity amplitude f_{Omega' Omega}(theta), units of length."""
 
-    omega_p: int
-    omega: int
     grid: AngularGrid
     values: np.ndarray
 
@@ -128,7 +126,7 @@ def scattering_amplitude(block: SMatrixBlock, omega_p: int, omega: int, grid: An
                          f"(j={h.j}, jp={h.j_final})")
     # one row or none; a sum from zero holds no -0.0, so adding it to +0 keeps its bits
     values = summed_amplitudes(block, _pair_row(block, omega, omega_p), grid).sum(axis=0)
-    return AmplitudeCurve(omega_p, omega, grid, values)
+    return AmplitudeCurve(grid, values)
 
 
 def _coherent_dcs(block: SMatrixBlock, grid: AngularGrid, j_lo: int = 0, j_hi: int | None = None) -> AngularCurve:

@@ -13,7 +13,8 @@ expanded in the reduced variable
 which is uniform under the standard ell(ell+1) = xi * ell_max(ell_max+1)
 sampling law, so dx/dJ = 2(2J+1)/[J_max(J_max+1)] carries the (2J+1)
 degeneracy.  Gaussian kernels follow G(u) = exp(-(u/s)^2) / (s sqrt(pi)), of
-unit integral, cut to exactly 0 past |u| = sqrt(700) s (1e-304 of the peak);
+unit integral, cut to exactly 0 past |u| = sqrt(700) s (1e-304 of the peak),
+or nearer in for s above ~2500, where the cut keeps every nonzero value normal;
 s is the primary width parameter (see fwhm_from_width /
 width_from_fwhm_log2_rule for the two FWHM conversions in circulation).
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
@@ -219,6 +221,11 @@ def qct_dcs_legendre(
     return AngularCurve(grid, df.dcs(grid.thetas))
 
 
+def _j_axis(ensemble: TrajectoryEnsemble) -> np.ndarray:
+    """The integer J an estimator reports when none are asked for: 0..floor(J_max)."""
+    return np.arange(int(math.floor(ensemble.j_max)) + 1)
+
+
 def qct_df_legendre(
     ensemble: TrajectoryEnsemble,
     order_theta: int,
@@ -228,7 +235,7 @@ def qct_df_legendre(
 ) -> DeflectionMap:
     df = fit_legendre_df(ensemble, order_theta, order_j)
     if j_values is None:
-        j_values = np.arange(int(math.floor(ensemble.j_max)) + 1)
+        j_values = _j_axis(ensemble)
     return DeflectionMap(grid, j_values, df.joint(grid.thetas, j_values))
 
 
@@ -273,10 +280,16 @@ def _exp(x: np.ndarray) -> np.ndarray:
 
 def _gauss(u: np.ndarray, s: float) -> np.ndarray:
     """exp(-(u/s)^2) / (s sqrt(pi)), cut to exactly 0 where (u/s)^2 > 700, in
-    place in the C-contiguous float array u."""
+    place in the C-contiguous float array u.  Above s ~ 2500 the cut moves in
+    to where the value would fall below the smallest normal double."""
+    norm = s * math.sqrt(math.pi)
     np.divide(u, s, out=u)
     np.square(u, out=u)
-    return np.divide(_exp(np.negative(u, out=u)), s * math.sqrt(math.pi), out=u)
+    np.negative(u, out=u)
+    floor = math.log(sys.float_info.min * norm) + 1e-9  # the margin covers the rounding of log, exp and /
+    if floor > _EXP_FLOOR:
+        u[u < floor] = -np.inf  # _exp makes these exactly 0
+    return np.divide(_exp(u), norm, out=u)
 
 
 def qct_sigma_j_gaussian(
@@ -313,7 +326,7 @@ def qct_df_gaussian(
     """
     sw = _require_weights(ensemble)
     if j_values is None:
-        j_values = np.arange(int(math.floor(ensemble.j_max)) + 1)
+        j_values = _j_axis(ensemble)
     j_values = np.asarray(j_values)
 
     weights = ensemble.weights

@@ -57,7 +57,7 @@ def j_partial_amplitude(block: SMatrixBlock, J: int, omega_p: int, omega: int,
     values = np.zeros(len(grid), dtype=complex)
     for _, f_j in partial_amplitudes(block, _pair_row(block, omega, omega_p), grid, J, J):
         values = f_j[0]
-    return AmplitudeCurve(omega_p, omega, grid, values)
+    return AmplitudeCurve(grid, values)
 
 
 def _group_sums(

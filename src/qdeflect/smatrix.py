@@ -32,6 +32,7 @@ from ._text import (MAX_MOMENTUM, NUMBER_START, Destination, InputError, Source,
                     read_column, read_records, read_text, write_text)
 
 DEFAULT_K_UNIT = "1/angstrom"
+UNITARITY_TOL = 1e-9  # |S| above 1 + this much breaks flux conservation
 
 EntryKey = tuple[int, int, int]  # (J, Omega, OmegaPrime)
 
@@ -221,27 +222,13 @@ class SMatrixBlock:
         return SMatrixBlock._from_arrays(self.header, self.keys, _times(self.amps, complex(factor)))
 
 
-@dataclass(frozen=True)
-class UnitarityReport:
-    """Entries whose magnitude exceeds 1 + tol; empty means pass."""
-
-    violations: tuple[tuple[EntryKey, float], ...]
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def validate_unitarity(block: SMatrixBlock, tol: float = 1e-9) -> UnitarityReport:
-    """Flag every entry with |S| > 1 + tol (flux conservation sanity check)."""
+def validate_unitarity(block: SMatrixBlock) -> tuple[tuple[EntryKey, float], ...]:
+    """(key, |S|) of every entry with |S| > 1 + UNITARITY_TOL, in key order;
+    empty when the block conserves flux."""
     # np.abs screens with a margin for its last-bit differences from abs(); keys are sorted
-    near = np.abs(block.amps) > (1.0 + tol) * (1.0 - 1e-12)
-    return UnitarityReport(tuple((tuple(key), abs(s)) for key, s in zip(
-        block.keys[near].tolist(), block.amps[near].tolist()) if abs(s) > 1.0 + tol), tol)
+    near = np.abs(block.amps) > (1.0 + UNITARITY_TOL) * (1.0 - 1e-12)
+    return tuple((tuple(key), abs(s)) for key, s in zip(
+        block.keys[near].tolist(), block.amps[near].tolist()) if abs(s) > 1.0 + UNITARITY_TOL)
 
 
 def _entry_arrays(lines: list[str], numbers: list[int]) -> tuple[np.ndarray, np.ndarray]:

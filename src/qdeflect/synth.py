@@ -186,6 +186,8 @@ class ClassicalModel:
         object.__setattr__(self, "isotropic", bool(self.isotropic))
         if not self.isotropic and not self.branches:
             raise ValueError("classical model needs branches unless isotropic")
+        if not self.isotropic and sum(b.weight for b in self.branches) <= 0:
+            raise InputError("branch weights must not all vanish", item="branches")
 
 
 def synth_trajectories(
@@ -201,10 +203,7 @@ def synth_trajectories(
         theta = np.arccos(1.0 - 2.0 * gen.random(count))
     else:
         weights = np.array([b.weight for b in model.branches], dtype=float)
-        total = weights.sum()
-        if total <= 0:
-            raise ValueError("branch weights must not all vanish")
-        choice = gen.choice(len(model.branches), size=count, p=weights / total)
+        choice = gen.choice(len(model.branches), size=count, p=weights / weights.sum())
         u = j / model.j_max
         theta = np.empty(count)
         for idx, branch in enumerate(model.branches):
@@ -224,7 +223,7 @@ def synth_trajectories(
 
 # constructor field -> model-file key, where the two names differ
 _KEY_OF_FIELD = {"width": "w", "height": "h", "j_max": "jmax", "J_max": "jmax", "noise_width": "noise",
-                 "j_final": "jp"}
+                 "j_final": "jp", "branches": "cbranch"}
 
 
 def _on_key_line(exc: InputError, lines: Mapping[str, int]) -> InputError:
@@ -239,12 +238,12 @@ class SynthSpec:
 
     kind: str
     model: Union[PhaseModel, ClassicalModel]
-    k: float = 1.0
-    j_max_int: int = 60
-    j_final: int = 0
-    phase_offset: float = 0.4
-    count: int = 10000
-    seed: int = 0
+    k: float
+    j_max_int: int
+    j_final: int
+    phase_offset: float
+    count: int
+    seed: int
     lines: Mapping[str, int] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:

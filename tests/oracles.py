@@ -288,15 +288,20 @@ def load_trajectories_per_line(source):
     return TrajectoryEnsemble(weights, j_values, thetas, sigma_r, j_max, n_tot or None)
 
 
-def exp_reference(x):
-    """exp cut at -700, as one expression: exp on every lane, exactly 0 where
-    x is below -700 (NaN stays NaN)."""
-    return np.where(x < -700.0, 0.0, np.exp(x))
+def exp_reference(x, floor=-700.0):
+    """exp cut at floor (-700 unless a wide kernel raises it), as one
+    expression: exp on every lane, exactly 0 where x is below floor (NaN
+    stays NaN)."""
+    return np.where(x < floor, 0.0, np.exp(x))
 
 
 def gauss_reference(u, s):
-    """The truncated Gaussian kernel as one expression, by exp_reference."""
-    return exp_reference(-((u / s) ** 2)) / (s * math.sqrt(math.pi))
+    """The truncated Gaussian kernel as one expression, by exp_reference: cut
+    at -700, or where exp / (s sqrt(pi)) would fall below the least normal
+    double, whichever cuts more."""
+    norm = s * math.sqrt(math.pi)
+    floor = max(-700.0, math.log(np.finfo(float).tiny * norm) + 1e-9)
+    return exp_reference(-((u / s) ** 2), floor) / norm
 
 
 def gauss_untruncated(u, s):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qdeflect import AngularGrid, DeflectionMap, integrate_over_theta
+from qdeflect import AngularCurve, AngularGrid, DeflectionMap, integrate_over_theta
 from qdeflect.angular import integrate_curve
 
 
@@ -40,6 +40,27 @@ def test_uniform_samples_at_the_requested_step(step, points):
     grid = AngularGrid.uniform(step)
     assert len(grid) == points
     assert np.allclose(np.diff(grid.degrees), step, rtol=1e-9, atol=0.0)
+
+
+def test_curve_rejects_a_wrong_shape_or_non_finite_values():
+    grid = AngularGrid.uniform(45.0)
+    with pytest.raises(ValueError, match="curve values must match the grid shape"):
+        AngularCurve(grid, np.ones(len(grid) - 1))
+    with pytest.raises(ValueError, match="curve values must be finite"):
+        AngularCurve(grid, [1.0, np.nan, 1.0, 1.0, 1.0])
+
+
+def test_map_rejects_gapped_j_or_a_wrong_shape_and_names_its_j_range():
+    grid = AngularGrid.uniform(45.0)
+    with pytest.raises(ValueError, match="j_values must be consecutive integers"):
+        DeflectionMap(grid, [0, 2], np.ones((len(grid), 2)))
+    with pytest.raises(ValueError, match=r"map values must have shape \(n_theta, n_J\)"):
+        DeflectionMap(grid, [0, 1], np.ones((len(grid), 3)))
+    dmap = DeflectionMap(grid, [3, 4, 5], np.ones((len(grid), 3)))
+    assert dmap.j_index(5) == 2
+    for J in (2, 6):
+        with pytest.raises(ValueError, match=r"J=\d outside map range 3\.\.5"):
+            dmap.j_index(J)
 
 
 def test_grids_are_read_only():

@@ -14,7 +14,6 @@ from qdeflect import AngularGrid, KernelConfig, load_smatrix, load_trajectories,
 from qdeflect.angular import integrate_curve
 from qdeflect.cli import COMMANDS, _write_csv, main
 from qdeflect.qct import GibbsOscillationWarning, kernel_width
-from qdeflect.smatrix import UnitarityReport
 
 QUAD_MODEL = """\
 kind = quadratic
@@ -498,7 +497,7 @@ def test_non_unitary_block_warns_in_one_line(tmp_path, capsys, monkeypatch, comm
     assert capsys.readouterr().err.splitlines() == [
         "qdeflect: warning: 2 entries with |S| > 1 (worst |S| = 3 at J=2, Omega=0, Omega'=0)"]
     # the check only reports: the same run without it writes the same bytes
-    monkeypatch.setattr("qdeflect.smatrix.validate_unitarity", lambda block: UnitarityReport((), 1e-9))
+    monkeypatch.setattr("qdeflect.smatrix.validate_unitarity", lambda block: ())
     assert main([command, str(path), "--out", str(ref), *extra]) == 0
     assert capsys.readouterr().err == ""
     assert out.read_bytes() == ref.read_bytes()
@@ -831,6 +830,19 @@ def test_negative_order_exits_1(traj_file, tmp_path, capsys):
     ("kind = classical\njmax = 25\ncount = 100\n", "classical model needs branches unless isotropic"),
 ])
 def test_model_missing_a_branch_exits_1(tmp_path, capsys, model, message):
+    path = tmp_path / "model.txt"
+    path.write_text(model)
+    out = tmp_path / "x.out"
+    assert main(["synth", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"qdeflect: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model,message", [
+    ("kind = classical\njmax = 20\ncbranch = 0 1\ncbranch = 0.0 2\n", "line 3: branch weights must not all vanish"),
+    ("kind = classical\njmax = 20\ncbranch = 1 2\nseed = -1\n", "line 4: seed must be nonnegative"),
+])
+def test_model_value_error_names_its_line(tmp_path, capsys, model, message):
     path = tmp_path / "model.txt"
     path.write_text(model)
     out = tmp_path / "x.out"

@@ -74,18 +74,15 @@ class TestModifiedSmatrix:
 
 class TestUnwrap:
     def test_constant_sequence(self):
-        seq = unwrap_arg(np.ones(5, dtype=complex))
-        assert np.all(seq.args == 0.0)
+        assert np.all(unwrap_arg(np.ones(5, dtype=complex)) == 0.0)
 
     def test_slow_phase(self):
         c = 0.3
-        seq = unwrap_arg(np.exp(1j * c * np.arange(7)))
-        assert_allclose(seq.args, c * np.arange(7), atol=1e-12)
+        assert_allclose(unwrap_arg(np.exp(1j * c * np.arange(7))), c * np.arange(7), atol=1e-12)
 
     def test_near_tie_resolved(self):
         step = np.pi - 0.1
-        seq = unwrap_arg(np.exp(1j * step * np.arange(5)))
-        assert_allclose(seq.args, step * np.arange(5), atol=1e-12)
+        assert_allclose(unwrap_arg(np.exp(1j * step * np.arange(5))), step * np.arange(5), atol=1e-12)
 
     def test_exact_tie_raises(self):
         values = (-1.0) ** np.arange(4) + 0j
@@ -94,8 +91,7 @@ class TestUnwrap:
 
     def test_one_sided_resolves_tie_downward(self):
         values = (-1.0) ** np.arange(4) + 0j
-        seq = unwrap_arg(values, mode="one-sided")
-        assert_allclose(seq.args, -np.pi * np.arange(4), atol=1e-12)
+        assert_allclose(unwrap_arg(values, mode="one-sided"), -np.pi * np.arange(4), atol=1e-12)
 
     def test_zero_magnitude_names_j(self):
         values = np.array([1.0, 0.0, 1.0], dtype=complex)
@@ -107,13 +103,20 @@ class TestUnwrap:
         with pytest.raises(PhaseUnwrapError, match="J=3"):
             unwrap_arg(values, j_values=np.array([2, 3, 4]))
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unwrap mode must be one of"):
+            unwrap_arg(np.ones(3, dtype=complex), mode="nearest")
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValueError, match="cannot unwrap an empty sequence"):
+            unwrap_arg(np.array([], dtype=complex))
+
     def test_first_element_principal_value(self):
-        seq = unwrap_arg(np.array([-1j, -1j], dtype=complex))
-        assert seq.args[0] == pytest.approx(-np.pi / 2)
+        assert unwrap_arg(np.array([-1j, -1j], dtype=complex))[0] == pytest.approx(-np.pi / 2)
 
     def test_magnitudes_recorded(self):
-        seq = unwrap_arg(np.array([0.5, 0.25j], dtype=complex))
-        assert_allclose(seq.magnitudes, [0.5, 0.25])
+        curve = cqdf(make_block({(0, 0, 0): 0.5, (1, 0, 0): 0.25j}), 0, 0)
+        assert_allclose(curve.magnitudes, [0.5, 0.25])
 
 
 class TestCqdf:

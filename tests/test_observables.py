@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qdeflect import (
+    AmplitudeCurve,
     AngularGrid,
     dcs,
     integral_cross_section,
@@ -14,6 +15,13 @@ from qdeflect import (
 from conftest import make_block, random_block
 
 GRID = AngularGrid.uniform(1.0)
+
+
+def test_amplitude_curve_rejects_a_wrong_shape_or_non_finite_values():
+    with pytest.raises(ValueError, match="amplitude values must match the grid shape"):
+        AmplitudeCurve(GRID, np.ones(len(GRID) - 1, dtype=complex))
+    with pytest.raises(ValueError, match="amplitude values must be finite"):
+        AmplitudeCurve(GRID, np.full(len(GRID), complex(0.0, np.inf)))
 
 
 def test_opacity_single_term():

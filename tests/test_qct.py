@@ -91,6 +91,12 @@ class TestMoments:
         b = fit_legendre_df(doubled, 5, 5)
         assert np.abs(a.alpha - b.alpha).max() < 1e-12
 
+    def test_arrays_that_are_not_congruent_rejected(self):
+        with pytest.raises(ValueError, match="weights, j_values, thetas must be 1-D and congruent"):
+            TrajectoryEnsemble(np.ones(3), np.ones(2), np.ones(3), 1.0, 5.0)
+        with pytest.raises(ValueError, match="1-D and congruent"):
+            TrajectoryEnsemble(np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)), 1.0, 5.0)
+
     @pytest.mark.parametrize("orders", [(-1, 0), (0, -1)])
     def test_negative_order_rejected(self, orders):
         with pytest.raises(ValueError, match="expansion orders must be nonnegative"):

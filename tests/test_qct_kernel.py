@@ -96,7 +96,16 @@ def test_exp_keeps_special_values():
     assert np.isnan(got[0]) and got[1] == np.inf and same_bits(got[2:5], np.array([0.0, 1.0, 1.0]))
 
 
-@pytest.mark.parametrize("s", [1e-4, 3e-3, 1.0, 37.0, 1e3])
+@pytest.mark.parametrize("s", [2.6e3, 1e4, 1e6])
+def test_a_wide_gauss_is_cut_where_the_reference_cuts_it(s):
+    # the exponent where exp / (s sqrt(pi)) reaches the least normal double, and the ulps around it
+    r = np.sqrt(-np.log(np.finfo(float).tiny * s * np.sqrt(np.pi)))
+    u = np.concatenate([r + np.arange(-64, 65) * np.spacing(r), np.sqrt(-exponent_sweep())]) * s
+    u = np.concatenate([u, -u])
+    assert same_bits(_gauss(u.copy(), s), gauss_reference(u, s))
+
+
+@pytest.mark.parametrize("s", [1e-4, 3e-3, 1.0, 37.0, 1e3, 2.6e3, 1e4, 1e6])
 def test_gauss_forms_no_subnormal_value(s):
     u = np.sqrt(-exponent_sweep()) * s
     u = np.concatenate([u, -u, np.linspace(-30.0 * s, 30.0 * s, 100_001)])

@@ -197,19 +197,17 @@ def test_absent_entries_behave_as_zeros(rng):
 
 
 def test_unitarity_pass():
-    assert validate_unitarity(make_block({(0, 0, 0): 0.6j})).passed
+    assert validate_unitarity(make_block({(0, 0, 0): 0.6j})) == ()
 
 
 def test_unitarity_flags_violation():
-    report = validate_unitarity(make_block({(0, 0, 0): 1.5}))
-    assert not report.passed
-    ((key, magnitude),) = report.violations
+    ((key, magnitude),) = validate_unitarity(make_block({(0, 0, 0): 1.5}))
     assert key == (0, 0, 0)
     assert magnitude == pytest.approx(1.5)
 
 
 def test_unitarity_tolerance_edge():
-    assert validate_unitarity(make_block({(0, 0, 0): 1.0 + 1e-12j})).passed
+    assert validate_unitarity(make_block({(0, 0, 0): 1.0 + 1e-12j})) == ()
 
 
 def test_block_entries_immutable(rng):
@@ -323,6 +321,10 @@ def test_key_that_is_not_three_integers_is_rejected(key):
     with pytest.raises(SMatrixValidationError, match="must be three integers") as excinfo:
         SMatrixBlock(header, {(1, 0, 0): 0.1, (1, 0): 0.5, (1, 0, 0, 0): 0.2})
     assert excinfo.value.item == 1
+    # a key with no len() at all
+    with pytest.raises(SMatrixValidationError, match="entry 5: a key must be three integers") as excinfo:
+        SMatrixBlock(header, {5: 1.0})
+    assert excinfo.value.item == 0
     block = SMatrixBlock(header, {(2.0, 0, 0): 0.1, (np.int64(3), np.int32(0), 0): 0.5})
     assert block.keys.tolist() == [[2, 0, 0], [3, 0, 0]]
 

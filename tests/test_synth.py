@@ -13,6 +13,7 @@ from qdeflect import (
     GaussianAmplitude,
     KernelConfig,
     PhaseBranch,
+    PhaseModel,
     cqdf,
     fit_legendre_df,
     linear_phase_model,
@@ -35,7 +36,7 @@ from test_amplitude_core import assert_bits
 class TestPhaseBlocks:
     def test_blocks_pass_validation(self):
         block = synth_smatrix(quadratic_phase_model(0.02, 30.0, 8.0), 1.0, 60)
-        assert validate_unitarity(block).passed
+        assert validate_unitarity(block) == ()
         assert len(block) == 61
 
     def test_linear_model_constant_deflection(self):
@@ -59,7 +60,20 @@ class TestPhaseBlocks:
             PhaseBranch(GaussianAmplitude(24.0, 6.0, 1.0), (0.0, -0.35)),
         )
         block = synth_smatrix(two_branch_model(branches), 1.0, 50)
-        assert validate_unitarity(block).passed
+        assert validate_unitarity(block) == ()
+
+    def test_phase_model_rejects_an_unknown_kind_or_no_branch(self):
+        branch = PhaseBranch(GaussianAmplitude(20.0, 6.0, 1.0), (0.0, -0.2))
+        with pytest.raises(ValueError, match="phase model kind must be one of"):
+            PhaseModel("cubic", (branch,))
+        with pytest.raises(ValueError, match="phase model needs at least one branch"):
+            PhaseModel("linear", ())
+
+    def test_summed_branches_over_unit_modulus_rejected_unless_two_branch(self):
+        # two unit-height branches at one center reach |S| = 2; only the two-branch kind rescales
+        branch = PhaseBranch(GaussianAmplitude(20.0, 6.0, 1.0), (0.0, -0.2))
+        with pytest.raises(ValueError, match=r"model produced \|S\| > 1"):
+            synth_smatrix(PhaseModel("linear", (branch, branch)), 1.0, 40)
 
     def test_model_error_for_single_branch_overflow(self):
         with pytest.raises(ValueError):
@@ -76,7 +90,7 @@ class TestPhaseBlocks:
         assert block.header.j_final == 2
         assert (1, 0, 2) not in block.entries  # |Omega'| <= min(J, jp)
         assert (2, 0, 2) in block.entries
-        assert validate_unitarity(block).passed
+        assert validate_unitarity(block) == ()
 
     def test_helicity_phase_offsets(self):
         block = synth_smatrix_helicity(
@@ -274,6 +288,8 @@ class TestModelFileLines:
         ("kind = quadratic\njmax = 20\njp = -2\nalpha = 0.01\n", 3, "j_final must be nonnegative"),
         ("kind = quadratic\njmax = 20\njp = 1e30\n", 3, r"j_final must be nonnegative and at most 2\^30"),
         ("kind = linear\njmax = 1073741825\n", 2, r"J_max must be nonnegative and at most 2\^30"),
+        ("kind = classical\njmax = 20\ncbranch = 0 1\ncbranch = 0.0 2\n", 3, "branch weights must not all vanish"),
+        ("kind = classical\njmax = 20\ncbranch = 1 2\nseed = -1\n", 4, "seed must be nonnegative"),
     ])
     def test_rejected_value_names_its_line(self, text, line, match):
         with pytest.raises(ValueError, match=match) as excinfo:

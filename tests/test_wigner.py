@@ -74,6 +74,11 @@ def test_column_trivial_cases():
     assert np.array_equal(wigner_d_table(0, 0, 0, grid)[0], np.ones(3))
 
 
+def test_column_rejects_a_negative_j_max():
+    with pytest.raises(ValueError, match="j_max must be nonnegative"):
+        wigner_d_table(-1, 0, 0, AngularGrid.uniform(45.0))
+
+
 def test_boundary_kronecker():
     for J in (1, 7, 40):
         cap = min(J, 2)
