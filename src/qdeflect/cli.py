@@ -65,8 +65,8 @@ def _write_csv(out: str, command: str, input_path: str, header: Sequence[str],
 
 
 def _per_j(block, name: str, fn):
-    js = range(block.header.J_max + 1)
-    return ("J", name), (js,), ([fn(block, J) for J in js],), {}
+    js = np.arange(block.header.J_max + 1)
+    return ("J", name), (js,), (fn(block, js),), {}
 
 
 def _map_output(dmap, args, params: dict):

@@ -77,17 +77,17 @@ def unwrap_arg(
     the branch with the minimal jump from its predecessor ("two-sided");
     a jump of exactly +-pi (within 1e-12) is reported as a tie error.  In
     "one-sided" mode jumps live in [-pi, pi) and half turns resolve to
-    -pi instead of erroring.  j_values (default 0, 1, ...) only name J
-    in the errors.
+    -pi instead of erroring.  j_values (default 0, 1, ...), one J per
+    value, only name J in the errors.
     """
     if mode not in UNWRAP_MODES:
         raise ValueError(f"unwrap mode must be one of {UNWRAP_MODES}")
     vals = np.asarray(values, dtype=complex)
     if vals.size == 0:
         raise ValueError("cannot unwrap an empty sequence")
-    if j_values is None:
-        j_values = np.arange(vals.size)
-    j_values = np.asarray(j_values, dtype=int)
+    j_values = np.arange(vals.size) if j_values is None else np.asarray(j_values, dtype=int)
+    if j_values.shape != vals.shape:
+        raise ValueError(f"{j_values.size} j_values for {vals.size} values")
     for j, m in zip(j_values, np.abs(vals)):
         if m < MAGNITUDE_FLOOR:
             raise PhaseUnwrapError(

@@ -39,31 +39,32 @@ class AmplitudeCurve:
         object.__setattr__(self, "values", v)
 
 
-def _check_j(block: SMatrixBlock, J: int) -> None:
-    if not 0 <= J <= block.header.J_max:
-        raise ValueError(f"J={J} outside the block range 0..{block.header.J_max}")
+def _check_j(block: SMatrixBlock, J: int | np.ndarray) -> None:
+    outside = np.extract((np.asarray(J) < 0) | (np.asarray(J) > block.header.J_max), J)
+    if outside.size:
+        raise ValueError(f"J={outside[0]} outside the block range 0..{block.header.J_max}")
 
 
-def opacity(block: SMatrixBlock, J: int) -> float:
-    """P(J) = sum_{Omega Omega'} |S^J|^2 / (2 min(J, j) + 1)."""
+def _sum_sq(block: SMatrixBlock, J: int | np.ndarray) -> np.ndarray:
+    """block.sum_sq at each J (an int or an array of them); 0.0 where J has no entry."""
     _check_j(block, J)
-    return block.sum_sq_at_j(J) / (2 * min(J, block.header.j) + 1)
+    i = np.searchsorted(block.js, J)  # len(js) past the last J with an entry, where the -1 pad cannot match
+    return np.where(np.append(block.js, -1)[i] == J, np.append(block.sum_sq, 0.0)[i], 0.0)
 
 
-def partial_cross_section(block: SMatrixBlock, J: int) -> float:
-    """sigma^J = (pi/k^2) (2J+1)/(2j+1) sum |S^J|^2."""
-    _check_j(block, J)
-    h = block.header
-    return np.pi / h.k**2 * (2 * J + 1) / (2 * h.j + 1) * block.sum_sq_at_j(J)
+def opacity(block: SMatrixBlock, J: int | np.ndarray) -> float | np.ndarray:
+    """P(J) = sum_{Omega Omega'} |S^J|^2 / (2 min(J, j) + 1), at an int J or each of an array."""
+    return _sum_sq(block, J) / (2 * np.minimum(J, block.header.j) + 1)
+
+
+def partial_cross_section(block: SMatrixBlock, J: int | np.ndarray) -> float | np.ndarray:
+    """sigma^J = (pi/k^2) (2J+1)/(2j+1) sum |S^J|^2, at an int J or each of an array."""
+    return np.pi / block.header.k**2 * (2 * J + 1) / (2 * block.header.j + 1) * _sum_sq(block, J)
 
 
 def integral_cross_section(block: SMatrixBlock) -> float:
-    """Sum of the J-partial cross sections over the whole block, left to
-    right from 0.0 (as sum() before Python 3.12): the sigma-j bytes depend on it."""
-    total = 0.0
-    for J in block.js_with_entries():
-        total += partial_cross_section(block, J)
-    return total
+    """Sum of sigma^J over the J with entries, added left to right from 0.0 (as sum() before Python 3.12)."""
+    return float(np.add.accumulate(np.append(0.0, partial_cross_section(block, block.js)))[-1])
 
 
 def partial_amplitudes(block: SMatrixBlock, rows: Sequence[int], grid: AngularGrid, j_lo: int = 0,

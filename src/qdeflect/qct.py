@@ -286,7 +286,7 @@ def _gauss(u: np.ndarray, s: float) -> np.ndarray:
     np.divide(u, s, out=u)
     np.square(u, out=u)
     np.negative(u, out=u)
-    floor = math.log(sys.float_info.min * norm) + 1e-9  # the margin covers the rounding of log, exp and /
+    floor = math.log(sys.float_info.min) + math.log(norm) + 1e-9  # margin for the rounding of log, exp and /
     if floor > _EXP_FLOOR:
         u[u < floor] = -np.inf  # _exp makes these exactly 0
     return np.divide(_exp(u), norm, out=u)

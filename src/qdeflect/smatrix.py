@@ -199,15 +199,14 @@ class SMatrixBlock:
         """Sorted (Omega, OmegaPrime) pairs that have at least one entry."""
         return list(map(tuple, self.pairs.tolist()))
 
-    def sum_sq_at_j(self, J: int) -> float:
-        """sum over (Omega, OmegaPrime) of |S^J|^2; 0.0 where J has no entry."""
-        by_j = self.keys[:, 0]
-        lo, hi = np.searchsorted(by_j, J, "left"), np.searchsorted(by_j, J, "right")
-        # left to right from 0.0, as sum() before Python 3.12: the opacity and sigma_j bytes depend on it
-        total = 0.0
-        for v in self.amps[lo:hi].tolist():
-            total += abs(v) ** 2
-        return total
+    @cached_property
+    def sum_sq(self) -> np.ndarray:
+        """Read-only sum over (Omega, OmegaPrime) of |S^J|^2 at each J in js, float even with no entries, built
+        on first access.  The opacity and sigma_j bytes rest on its terms, abs(v) ** 2, added in order from 0.0."""
+        terms = np.array([abs(v) ** 2 for v in self.amps.tolist()], dtype=float)  # np.abs differs in the last bit
+        sums = np.bincount(np.searchsorted(self.js, self.keys[:, 0]), terms, len(self.js)).astype(float)
+        sums.setflags(write=False)
+        return sums
 
     def j_column(self, omega: int, omega_p: int) -> tuple[np.ndarray, np.ndarray]:
         """(J values, amplitudes) present at a fixed helicity pair, ascending J; both read-only."""

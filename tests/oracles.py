@@ -145,6 +145,32 @@ def convolve_all_taps(values, kernel, axis):
     return np.moveaxis(out, 0, axis)
 
 
+def sum_sq_at_j(block, J):
+    """sum over (Omega, OmegaPrime) of |S^J|^2 as one scan of the sorted entries at J:
+    abs(v) ** 2 per entry, added left to right from 0.0; 0.0 where J has no entry."""
+    by_j = block.keys[:, 0]
+    lo, hi = np.searchsorted(by_j, J, "left"), np.searchsorted(by_j, J, "right")
+    total = 0.0
+    for v in block.amps[lo:hi].tolist():
+        total += abs(v) ** 2
+    return total
+
+
+def per_j_reference(block, J):
+    """(P(J), sigma^J) from sum_sq_at_j, one J at a time, in the package's order of operations."""
+    h = block.header
+    s = sum_sq_at_j(block, J)
+    return s / (2 * min(J, h.j) + 1), np.pi / h.k**2 * (2 * J + 1) / (2 * h.j + 1) * s
+
+
+def integral_cross_section_reference(block):
+    """sigma^J over the J with entries, added left to right from 0.0."""
+    total = 0.0
+    for J in block.js.tolist():
+        total += per_j_reference(block, J)[1]
+    return total
+
+
 def load_smatrix_per_line(source):
     """The S-matrix loader as it read one line at a time: per-line checks in
     file order, the entries in a dict, and the line of a block error found
@@ -300,7 +326,7 @@ def gauss_reference(u, s):
     at -700, or where exp / (s sqrt(pi)) would fall below the least normal
     double, whichever cuts more."""
     norm = s * math.sqrt(math.pi)
-    floor = max(-700.0, math.log(np.finfo(float).tiny * norm) + 1e-9)
+    floor = max(-700.0, math.log(np.finfo(float).tiny) + math.log(norm) + 1e-9)
     return exp_reference(-((u / s) ** 2), floor) / norm
 
 

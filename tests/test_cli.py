@@ -682,6 +682,15 @@ def test_explicit_or_wide_enough_widths_run_silently(traj_file, tmp_path, capsys
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("extra", [["--smooth-j", "1e-300", "--smooth-theta-deg", "3"],
+                                   ["--smooth-j", "1.5", "--smooth-theta-deg", "1e-300"]])
+def test_a_tiny_gaussian_width_runs(traj_file, tmp_path, capsys, extra):
+    out = tmp_path / "x.csv"
+    assert main(["qct-df", str(traj_file), "--out", str(out), "--estimator", "gaussian", "--grid-deg", "2",
+                 *extra]) == 0
+    assert "error" not in capsys.readouterr().err  # (u/s)^2 overflowing to inf is left as numpy's warning
+
+
 def test_fallback_run_writes_the_library_map_at_the_floored_widths(traj_file, tmp_path):
     """The run that gives no width writes what the library computes with the floored widths."""
     ensemble = load_trajectories(traj_file)

@@ -103,6 +103,14 @@ class TestUnwrap:
         with pytest.raises(PhaseUnwrapError, match="J=3"):
             unwrap_arg(values, j_values=np.array([2, 3, 4]))
 
+    @pytest.mark.parametrize("values", [np.array([1, 1, 0], dtype=complex),  # a zero past the J named
+                                        np.array([1, 1, -1], dtype=complex)])  # a half turn past them
+    def test_j_values_of_another_length_rejected(self, values):
+        with pytest.raises(ValueError, match="2 j_values for 3 values"):
+            unwrap_arg(values, j_values=[0, 1])
+        with pytest.raises(ValueError, match="4 j_values for 3 values"):
+            unwrap_arg(values, j_values=[0, 1, 2, 3])
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unwrap mode must be one of"):
             unwrap_arg(np.ones(3, dtype=complex), mode="nearest")

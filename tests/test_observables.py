@@ -5,6 +5,8 @@ from numpy.testing import assert_allclose
 from qdeflect import (
     AmplitudeCurve,
     AngularGrid,
+    ChannelHeader,
+    SMatrixBlock,
     dcs,
     integral_cross_section,
     j_partial_amplitude,
@@ -13,6 +15,8 @@ from qdeflect import (
     scattering_amplitude,
 )
 from conftest import make_block, random_block
+from oracles import integral_cross_section_reference, per_j_reference
+from test_amplitude_core import BLOCKS, assert_bits, ragged_block
 
 GRID = AngularGrid.uniform(1.0)
 
@@ -51,6 +55,51 @@ def test_opacity_empty_j_is_zero():
 def test_opacity_domain_error():
     with pytest.raises(ValueError):
         opacity(make_block({(0, 0, 0): 1.0}), 1)
+
+
+def _random_entries(rng, j_max, j, jp, magnitude):
+    """Every allowed (J, Omega, Omega') up to j_max, at random phases and the given magnitudes."""
+    keys = [(J, omega, omega_p) for J in range(j_max + 1) for omega in range(-min(J, j), min(J, j) + 1)
+            for omega_p in range(-min(J, jp), min(J, jp) + 1)]
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, len(keys)))
+    return dict(zip(keys, (magnitude(rng, len(keys)) * phases).tolist()))
+
+
+def _per_j_block(kind):
+    rng = np.random.default_rng(26)
+    if kind == "ragged":  # J gaps, and pairs missing
+        return ragged_block(*BLOCKS[0])
+    if kind == "empty":
+        return SMatrixBlock(ChannelHeader(k=1.3, j=1, j_final=2, J_max=6))
+    if kind == "below":  # entries only up to J = 5 of J_max = 40
+        return make_block(_random_entries(rng, 5, 2, 2, lambda r, n: r.uniform(0.0, 1.0, n)), k=0.7, j=2, jp=2,
+                          j_max=40)
+    if kind == "tiny":  # |S| near 1e-160: every |S|^2 is subnormal
+        return make_block(_random_entries(rng, 12, 2, 3, lambda r, n: r.uniform(0.5, 2.0, n) * 1e-160),
+                          k=2.1, j=2, jp=3)
+    # |S| slightly above 1, as validate_unitarity would report
+    return make_block(_random_entries(rng, 15, 1, 2, lambda r, n: 1.0 + r.uniform(0.0, 1e-9, n)), k=1.7, j=1, jp=2)
+
+
+@pytest.mark.parametrize("kind", ["ragged", "empty", "below", "tiny", "above"])
+def test_per_j_outputs_equal_the_per_j_scan_bit_for_bit(kind):
+    block = _per_j_block(kind)
+    assert block.sum_sq.dtype == float and block.sum_sq.shape == block.js.shape
+    js = np.arange(block.header.J_max + 1)
+    ref = np.array([per_j_reference(block, J) for J in js.tolist()])
+    if kind == "tiny":
+        assert np.all((ref > 0.0) & (ref < np.finfo(float).tiny))
+    for J in js.tolist():
+        assert isinstance(opacity(block, J), float) and isinstance(partial_cross_section(block, J), float)
+        assert_bits(opacity(block, J), ref[J, 0])
+        assert_bits(partial_cross_section(block, J), ref[J, 1])
+    assert_bits(opacity(block, js), ref[:, 0])
+    assert_bits(partial_cross_section(block, js), ref[:, 1])
+    mixed = np.concatenate([js[::-1], js[:3]])  # any order, repeats allowed
+    assert_bits(partial_cross_section(block, mixed), ref[mixed, 1])
+    assert_bits(integral_cross_section(block), integral_cross_section_reference(block))
+    with pytest.raises(ValueError, match=f"J={block.header.J_max + 1} outside"):
+        opacity(block, np.array([0, block.header.J_max + 1, -1]))
 
 
 def test_partial_cross_section_unit_factors():

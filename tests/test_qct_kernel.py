@@ -114,6 +114,19 @@ def test_gauss_forms_no_subnormal_value(s):
     assert np.any(g == 0.0) and np.all(g >= 0.0)
 
 
+@pytest.mark.parametrize("s", [1e-300, 5e-17])
+def test_a_tiny_gauss_width_is_cut_at_700(s):
+    # tiny * s sqrt(pi) underflows to 0 here (at s = 5e-17 it rounds below the least subnormal),
+    # so the width floor must come from a sum of logs, not the log of that product
+    u = np.sqrt(-exponent_sweep()) * s
+    u = np.concatenate([u, -u, [0.0, s, -s, 1e-10, 1.0, -30.0, 1e300]])
+    with np.errstate(over="ignore"):  # (u/s)^2 overflows to inf, and exp(-inf) is 0
+        g, want = _gauss(u.copy(), s), gauss_reference(u, s)
+    assert same_bits(g, want)
+    assert not np.any((g != 0.0) & (g < np.finfo(float).tiny))
+    assert g[-7] == 1.0 / (s * math.sqrt(math.pi)) and np.all(g[-3:] == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # whole estimators against the references
 

@@ -227,15 +227,16 @@ def test_index_matches_a_scan_of_the_entries(rng):
             assert js.tolist() == [J for J, _ in items]
             assert amps.tolist() == [v for _, v in items]
             assert not (js.flags.writeable or amps.flags.writeable)
+    sum_sq = dict(zip(block.js.tolist(), block.sum_sq.tolist(), strict=True))
     for J in range(32):
         scan = left_sum(abs(v) ** 2 for _, v in sorted((k, v) for k, v in entries.items() if k[0] == J))
-        assert block.sum_sq_at_j(J) == scan
+        assert sum_sq.get(J, 0.0) == scan
     assert block.helicity_pairs() == sorted({k[1:] for k in entries})
     assert block.js_with_entries() == sorted({k[0] for k in entries})
     assert block.js.tolist() == block.js_with_entries()
     assert list(map(tuple, block.pairs.tolist())) == block.helicity_pairs()
     assert np.array_equal(block.pairs[block.pair_rows], block.keys[:, 1:])
-    for array in (block.js, block.pairs, block.pair_rows):
+    for array in (block.js, block.pairs, block.pair_rows, block.sum_sq):
         assert not array.flags.writeable
     with pytest.raises(ValueError):
         block.pairs[0, 0] = 1
@@ -272,9 +273,10 @@ def test_a_sparse_block_builds_no_dense_table_for_its_per_j_and_per_pair_reads()
     at_j = {J: [] for J in range(h.J_max + 1)}
     for key, v in sorted(entries.items()):
         at_j[key[0]].append(v)
+    sum_sq = dict(zip(block.js.tolist(), block.sum_sq.tolist(), strict=True))
     for J, values in at_j.items():
         scan = left_sum(abs(v) ** 2 for v in values)
-        assert block.sum_sq_at_j(J) == scan
+        assert sum_sq.get(J, 0.0) == scan
         assert opacity(block, J) == scan / (2 * min(J, h.j) + 1)
         assert partial_cross_section(block, J) == np.pi / h.k**2 * (2 * J + 1) / (2 * h.j + 1) * scan
     for omega, omega_p in block.helicity_pairs()[::50]:
