@@ -23,8 +23,7 @@ _SUBMODULE_NAMES = {
     "smatrix": "ChannelHeader SMatrixBlock SMatrixParseError SMatrixValidationError load_smatrix "
                "save_smatrix validate_unitarity",
     "synth": "ClassicalBranch ClassicalModel GaussianAmplitude PhaseBranch PhaseModel linear_phase_model "
-             "parse_model_file quadratic_phase_model synth_smatrix synth_smatrix_helicity synth_trajectories "
-             "two_branch_model",
+             "parse_model_file quadratic_phase_model synth_smatrix synth_trajectories",
     "wigner": "wigner_d wigner_d_table",
 }
 # public name -> the submodule that defines it

@@ -253,7 +253,10 @@ def run(args: argparse.Namespace) -> int:
         _check_unitarity(data)
     params = {}
     if "grid_deg" in vars(args):
-        args.grid = qd.AngularGrid.uniform(args.grid_deg)
+        try:
+            args.grid = qd.AngularGrid.uniform(args.grid_deg)
+        except ValueError as exc:
+            raise ValueError(f"{exc}: give --grid-deg a positive divisor of 180") from None
         params["grid_deg"] = args.grid_deg
     result = command.handler(data, args)
     if result is not None:

@@ -268,14 +268,14 @@ def kernel_width(values: np.ndarray, step: float, axis: str) -> float:
     return max(2.0 * float(np.mean(np.diff(distinct))), step)
 
 
-def _exp(x: np.ndarray) -> np.ndarray:
-    """np.exp(x) where x >= _EXP_FLOOR and exactly 0 below it (NaN stays NaN),
-    in place in the C-contiguous float array x; every lane takes np.exp's fast
-    path, and no subnormal value is formed."""
-    keep = x >= _EXP_FLOOR
-    np.maximum(x, _EXP_FLOOR, out=x)
+def _exp(x: np.ndarray, floor: float = _EXP_FLOOR) -> np.ndarray:
+    """np.exp(x) where x >= floor and exactly 0 below it (NaN stays NaN), in
+    place in the C-contiguous float array x; with floor >= _EXP_FLOOR every
+    lane takes np.exp's fast path, and no subnormal value is formed."""
+    keep = x >= floor
+    np.maximum(x, floor, out=x)
     np.exp(x, out=x)
-    return np.multiply(x, keep, out=x)  # zeroes lanes below _EXP_FLOOR, faster than a masked copy
+    return np.multiply(x, keep, out=x)  # zeroes lanes below floor, faster than a masked copy
 
 
 def _gauss(u: np.ndarray, s: float) -> np.ndarray:
@@ -287,9 +287,7 @@ def _gauss(u: np.ndarray, s: float) -> np.ndarray:
     np.square(u, out=u)
     np.negative(u, out=u)
     floor = math.log(sys.float_info.min) + math.log(norm) + 1e-9  # margin for the rounding of log, exp and /
-    if floor > _EXP_FLOOR:
-        u[u < floor] = -np.inf  # _exp makes these exactly 0
-    return np.divide(_exp(u), norm, out=u)
+    return np.divide(_exp(u, max(_EXP_FLOOR, floor)), norm, out=u)
 
 
 def qct_sigma_j_gaussian(

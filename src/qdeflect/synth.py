@@ -1,7 +1,7 @@
 """Analytically controlled S-matrix blocks and trajectory ensembles.
 
-Phase models build single-helicity blocks S^J = A(J) exp(2 i eta(J)) with a
-Gaussian amplitude profile and polynomial phase eta(J), so deflection
+Phase models build blocks from S^J, a sum of branches A(J) exp(2 i eta(J))
+with a Gaussian amplitude profile and polynomial phase eta(J), so deflection
 curves, ridge positions and cross sections all have closed forms to test
 against.  Classical models emit weighted trajectory records along
 prescribed theta(J) branches with optional Gaussian angular noise.
@@ -24,9 +24,6 @@ from numpy.polynomial.polynomial import polyval
 from ._text import InputError, read_text
 from .qct import TrajectoryEnsemble, sample_ell_continuous
 from .smatrix import ChannelHeader, SMatrixBlock, _times
-
-PHASE_KINDS = ("linear", "quadratic", "two-branch")
-
 
 @dataclass(frozen=True)
 class GaussianAmplitude:
@@ -62,12 +59,11 @@ class PhaseBranch:
 
 @dataclass(frozen=True)
 class PhaseModel:
-    kind: str
+    """S^J as the sum of its branches; see synth_smatrix."""
+
     branches: tuple[PhaseBranch, ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in PHASE_KINDS:
-            raise ValueError(f"phase model kind must be one of {PHASE_KINDS}")
         if not self.branches:
             raise ValueError("phase model needs at least one branch")
 
@@ -77,7 +73,7 @@ def linear_phase_model(
 ) -> PhaseModel:
     """eta(J) = slope * J / 2, so arg S^J advances by `slope` per unit J."""
     branch = PhaseBranch(GaussianAmplitude(center, width, height), (0.0, slope / 2.0))
-    return PhaseModel("linear", (branch,))
+    return PhaseModel((branch,))
 
 
 def quadratic_phase_model(
@@ -87,16 +83,7 @@ def quadratic_phase_model(
     branch = PhaseBranch(
         GaussianAmplitude(center, width, height), (0.0, -alpha / 2.0, -alpha / 2.0)
     )
-    return PhaseModel("quadratic", (branch,))
-
-
-def two_branch_model(branches: tuple[PhaseBranch, PhaseBranch]) -> PhaseModel:
-    return PhaseModel("two-branch", tuple(branches))
-
-
-# model kind -> the model-file key of its phase coefficients; the others
-# read them from their i-th 'branch =' line, key "branch i"
-_PHASE_KEY = {"linear": "c", "quadratic": "alpha"}
+    return PhaseModel((branch,))
 
 
 def _check_finite(amps: np.ndarray, js, key: str) -> None:
@@ -106,20 +93,16 @@ def _check_finite(amps: np.ndarray, js, key: str) -> None:
         raise InputError(f"the phase overflows: amplitude at J={J} is not finite", item=key)
 
 
-def synth_smatrix(model: PhaseModel, k: float, j_max: int) -> SMatrixBlock:
-    """Single-helicity block S^J_00: synth_smatrix_helicity with j_final = 0."""
-    return synth_smatrix_helicity(model, k, 0, j_max)
-
-
-def synth_smatrix_helicity(model: PhaseModel, k: float, j_final: int, j_max: int,
-                           phase_offset: float = 0.4) -> SMatrixBlock:
+def synth_smatrix(model: PhaseModel, k: float, j_max: int, j_final: int = 0,
+                  phase_offset: float = 0.4) -> SMatrixBlock:
     """Block S^J_{Omega' 0} = S^J exp(i Omega' phase_offset) at every |Omega'| <= min(J, j_final),
-    S^J being the sum over the model's branches of A(J) e^{2 i eta(J)}.
+    S^J being the sum over the model's branches of A(J) e^{2 i eta(J)}; j_final = 0 gives
+    the single-helicity block S^J_00.
 
-    A two-branch sum exceeding unit magnitude is rescaled to the unit circle, which keeps
-    every generated block flux-conserving by construction.  Faults come in this order:
-    j_max below 2, the header (k, j_final, j_max), a branch that overflows, |S| > 1, then
-    an offset phase that is not finite.
+    A sum of two or more branches whose largest |S^J| exceeds 1 is divided by it, so every
+    generated block conserves flux; one branch stays within its height, at most 1.  Faults
+    come in this order: j_max below 2, the header (k, j_final, j_max), a branch that
+    overflows (item "branch i"), |S| > 1, then an offset phase that is not finite.
     """
     if j_max < 2:
         raise InputError("j_max must be at least 2", item="j_max")
@@ -129,10 +112,10 @@ def synth_smatrix_helicity(model: PhaseModel, k: float, j_final: int, j_max: int
     for i, branch in enumerate(model.branches, start=1):
         with np.errstate(all="ignore"):
             term = branch.amplitudes(js.astype(float))
-        _check_finite(term, js, _PHASE_KEY.get(model.kind, f"branch {i}"))
+        _check_finite(term, js, f"branch {i}")
         amps = amps + term
     top = np.abs(amps).max()
-    if model.kind == "two-branch" and top > 1.0:
+    if len(model.branches) > 1 and top > 1.0:
         amps = amps / top
     if np.abs(amps).max() > 1.0 + 1e-12:
         raise ValueError("model produced |S| > 1")
@@ -234,7 +217,7 @@ def _on_key_line(exc: InputError, lines: Mapping[str, int]) -> InputError:
 @dataclass(frozen=True)
 class SynthSpec:
     """Parsed model file: the model plus generation parameters, and the
-    line each key was read from."""
+    line each key was read from ("branch i" for the i-th branch)."""
 
     kind: str
     model: Union[PhaseModel, ClassicalModel]
@@ -255,7 +238,7 @@ class SynthSpec:
         try:
             if isinstance(self.model, ClassicalModel):
                 return synth_trajectories(self.model, self.count, self.seed if seed is None else seed)
-            return synth_smatrix_helicity(self.model, self.k, self.j_final, self.j_max_int, self.phase_offset)
+            return synth_smatrix(self.model, self.k, self.j_max_int, self.j_final, self.phase_offset)
         except InputError as exc:
             raise _on_key_line(exc, self.lines) from None
 
@@ -336,6 +319,9 @@ def parse_model_file(source: Union[str, Path, bytes]) -> SynthSpec:
             raise InputError(f"kind {kind} does not read '{key} ='", lines[key])
         if key in integral and not values[key].is_integer():
             raise InputError(f"'{key} =' must be an integer, got {values[key]!r}", lines[key])
+    for key in ("c", "alpha"):  # a linear or quadratic model's one branch takes its phase from this line
+        if key in lines:
+            lines["branch 1"] = lines[key]
     get = values.get
     try:
         if kind == "classical":
@@ -345,7 +331,7 @@ def parse_model_file(source: Union[str, Path, bytes]) -> SynthSpec:
         elif kind == "two-branch":
             if len(branches["branch"]) < 2:
                 raise ValueError("two-branch model needs two 'branch = ...' lines")
-            model = two_branch_model(tuple(branches["branch"]))
+            model = PhaseModel(tuple(branches["branch"]))
         elif kind == "linear":
             model = linear_phase_model(get("c", -0.3), get("j0", 30.0), get("w", 8.0), get("h", 1.0))
         elif kind == "quadratic":

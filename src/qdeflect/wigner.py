@@ -10,8 +10,16 @@ hold exactly for this convention and are exercised in the test suite.
 
 Evaluation runs the three-term recurrence in J at fixed (m', m), seeded at
 J0 = max(|m'|, |m|) with the single-term closed form (assembled in log
-space, so extreme angles underflow cleanly instead of overflowing).  The
-familiar factorial-sum formula overflows double precision near J ~ 85.
+space, so it never overflows).  The familiar factorial-sum formula
+overflows double precision near J ~ 85.  Known limit: near theta = 0 or pi
+the seed of a large J0 falls below the normal double range, loses digits
+or becomes 0, and the recurrence carries that to every larger J, even
+where the true value is O(0.01).  For (m', m) = (J0, -J0) the rows are
+wrong below theta = 2 asin(exp(-354/J0)): 0.31 deg at J0 = 60, 12.6 deg at
+J0 = 160.  So wigner_d(3000, 160, -160, 10 deg) returns 0.0 (true value
+-0.01238) and wigner_d(3000, 150, -150, 10 deg) -0.0089390169 (true value
+-0.0089389994).  The fault is the seed's alone: where the seed is normal
+the recurrence holds.
 Tested bound: against that formula in extended precision the recurrence
 stays within 1e-11 absolute error for random (J, m', m) up to J = 250
 and, with 400 digits, at (m', m) = (0, 0), (3, 5), (-5, 2) for J = 400,

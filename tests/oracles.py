@@ -12,7 +12,7 @@ from qdeflect.qct import _CHUNK, TrajectoryEnsemble
 from qdeflect.qmdf import DeflectionMap
 from qdeflect.smatrix import (DEFAULT_K_UNIT, ChannelHeader, SMatrixBlock, SMatrixParseError,
                               SMatrixValidationError)
-from qdeflect.synth import _PHASE_KEY, PhaseModel, _check_finite
+from qdeflect.synth import PhaseModel, _check_finite
 
 
 def wigner_d_exact(J, omega_p, omega, theta, dps=140):
@@ -390,10 +390,10 @@ def synth_smatrix_per_entry(model: PhaseModel, k: float, j_max: int) -> SMatrixB
     for i, branch in enumerate(model.branches, start=1):
         with np.errstate(all="ignore"):
             term = branch.amplitudes(js.astype(float))
-        _check_finite(term, js, _PHASE_KEY.get(model.kind, f"branch {i}"))
+        _check_finite(term, js, f"branch {i}")
         amps = amps + term
     top = np.abs(amps).max()
-    if model.kind == "two-branch" and top > 1.0:
+    if len(model.branches) > 1 and top > 1.0:
         amps = amps / top
     if np.abs(amps).max() > 1.0 + 1e-12:
         raise ValueError("model produced |S| > 1")

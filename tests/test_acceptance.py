@@ -32,7 +32,6 @@ from qdeflect import (
     sample_ell_continuous,
     sum_over_j,
     synth_smatrix,
-    synth_smatrix_helicity,
     synth_trajectories,
     wigner_d,
     wigner_d_table,
@@ -317,7 +316,7 @@ def test_criterion_09_random_phase_symmetry():
     worst = 0.0
     models = [
         synth_smatrix(quadratic_phase_model(0.02, 30.0, 8.0), 1.0, 60),
-        synth_smatrix_helicity(linear_phase_model(-0.7, 25.0, 9.0), 1.0, 2, 50),
+        synth_smatrix(linear_phase_model(-0.7, 25.0, 9.0), 1.0, 50, 2),
     ]
     for block in models:
         curve = random_phase_map(block, grid).values.sum(axis=1)

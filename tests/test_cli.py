@@ -426,6 +426,29 @@ def test_bad_option_values_exit_1_with_one_line(block_file, tmp_path, capsys, co
     assert not out.exists()
 
 
+# every command that reads --grid-deg, with the options it needs besides
+GRID_COMMANDS = {"dcs": [], "qmdf": [], "random-phase": [], "qmdf-helicity": ["--omega-prime", "0"],
+                 "sum-j": [], "partial-dcs": [], "qct-df": [], "qct-dcs": []}
+
+
+def test_grid_commands_are_those_with_grid_deg():
+    assert set(GRID_COMMANDS) == {name for name, command in COMMANDS.items()
+                                  if "--grid-deg" in dict(command.options)}
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "7"])
+@pytest.mark.parametrize("command", GRID_COMMANDS)
+def test_bad_grid_step_exits_1_naming_the_flag(request, tmp_path, capsys, command, value):
+    data = request.getfixturevalue("traj_file" if command.startswith("qct") else "block_file")
+    capsys.readouterr()
+    out = tmp_path / "x.csv"
+    assert main([command, str(data), "--out", str(out), "--grid-deg", value, *GRID_COMMANDS[command]]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("qdeflect: error: ") and "--grid-deg" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("record", ["nan 3.0 20.0", "1.0 nan 20.0", "1.0 3.0 nan", "1.0 3.0 inf"])
 def test_non_finite_trajectory_record_exits_1_naming_line(tmp_path, capsys, record):
     path = tmp_path / "bad.traj"
@@ -644,7 +667,7 @@ def test_writer_is_byte_identical_to_per_row_formatting(block_file, tmp_path, se
 def test_memory_error_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
-    monkeypatch.setattr("qdeflect.synth.synth_smatrix_helicity", exhausted)
+    monkeypatch.setattr("qdeflect.synth.synth_smatrix", exhausted)
     model = tmp_path / "model.txt"
     model.write_text(LINEAR_MODEL)
     assert main(["synth", str(model), "--out", str(tmp_path / "b.smat")]) == 1

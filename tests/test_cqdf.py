@@ -177,10 +177,10 @@ class TestCqdf:
             cqdf(block, 0, 0)
 
     def test_helicity_pair_with_constant_offset(self):
-        from qdeflect import synth_smatrix_helicity
+        from qdeflect import synth_smatrix
 
         model = quadratic_phase_model(0.015, 20.0, 7.0)
-        block = synth_smatrix_helicity(model, 1.0, j_final=2, j_max=40, phase_offset=0.4)
+        block = synth_smatrix(model, 1.0, j_max=40, j_final=2, phase_offset=0.4)
         base = cqdf(block, 0, 0)
         lifted = cqdf(block, 1, 0)  # same phases plus a constant offset, J >= 1
         assert np.array_equal(lifted.j_values, np.arange(1, 41))

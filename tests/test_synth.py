@@ -23,9 +23,7 @@ from qdeflect import (
     save_smatrix,
     save_trajectories,
     synth_smatrix,
-    synth_smatrix_helicity,
     synth_trajectories,
-    two_branch_model,
     validate_unitarity,
 )
 from conftest import random_block, sparse_probe_block
@@ -59,21 +57,25 @@ class TestPhaseBlocks:
             PhaseBranch(GaussianAmplitude(20.0, 6.0, 1.0), (0.0, -0.2)),
             PhaseBranch(GaussianAmplitude(24.0, 6.0, 1.0), (0.0, -0.35)),
         )
-        block = synth_smatrix(two_branch_model(branches), 1.0, 50)
+        block = synth_smatrix(PhaseModel(branches), 1.0, 50)
         assert validate_unitarity(block) == ()
 
-    def test_phase_model_rejects_an_unknown_kind_or_no_branch(self):
-        branch = PhaseBranch(GaussianAmplitude(20.0, 6.0, 1.0), (0.0, -0.2))
-        with pytest.raises(ValueError, match="phase model kind must be one of"):
-            PhaseModel("cubic", (branch,))
+    def test_phase_model_rejects_no_branch(self):
         with pytest.raises(ValueError, match="phase model needs at least one branch"):
-            PhaseModel("linear", ())
+            PhaseModel(())
 
-    def test_summed_branches_over_unit_modulus_rejected_unless_two_branch(self):
-        # two unit-height branches at one center reach |S| = 2; only the two-branch kind rescales
+    def test_summed_branches_over_unit_modulus_are_rescaled(self):
+        # two unit-height branches at one center reach |S| = 2: S^J is divided by its largest modulus
         branch = PhaseBranch(GaussianAmplitude(20.0, 6.0, 1.0), (0.0, -0.2))
-        with pytest.raises(ValueError, match=r"model produced \|S\| > 1"):
-            synth_smatrix(PhaseModel("linear", (branch, branch)), 1.0, 40)
+        one = synth_smatrix(PhaseModel((branch,)), 1.0, 40)
+        two = synth_smatrix(PhaseModel((branch, branch)), 1.0, 40)
+        assert np.abs(two.amps).max() == 1.0
+        assert_allclose(two.amps, one.amps / np.abs(one.amps).max(), rtol=0, atol=1e-15)
+        assert validate_unitarity(two) == ()
+        below = ORACLE_MODELS[3]  # a two-branch sum below unit modulus keeps its amplitudes
+        js = np.arange(41.0)
+        assert_bits(synth_smatrix(below, 1.0, 40).amps,
+                    np.zeros(41, complex) + below.branches[0].amplitudes(js) + below.branches[1].amplitudes(js))
 
     def test_model_error_for_single_branch_overflow(self):
         with pytest.raises(ValueError):
@@ -84,17 +86,15 @@ class TestPhaseBlocks:
             synth_smatrix(linear_phase_model(-0.3, 5.0, 2.0), 1.0, 1)
 
     def test_helicity_extension_respects_bounds(self):
-        block = synth_smatrix_helicity(
-            linear_phase_model(-0.5, 10.0, 4.0), 1.0, j_final=2, j_max=20
-        )
+        block = synth_smatrix(linear_phase_model(-0.5, 10.0, 4.0), 1.0, j_max=20, j_final=2)
         assert block.header.j_final == 2
         assert (1, 0, 2) not in block.entries  # |Omega'| <= min(J, jp)
         assert (2, 0, 2) in block.entries
         assert validate_unitarity(block) == ()
 
     def test_helicity_phase_offsets(self):
-        block = synth_smatrix_helicity(
-            linear_phase_model(-0.5, 10.0, 4.0), 1.0, j_final=1, j_max=20, phase_offset=0.7
+        block = synth_smatrix(
+            linear_phase_model(-0.5, 10.0, 4.0), 1.0, j_max=20, j_final=1, phase_offset=0.7
         )
         base = block.entries[(5, 0, 0)]
         up = block.entries[(5, 0, 1)]
@@ -111,12 +111,15 @@ class TestPhaseBlocks:
         assert bufs[0] == bufs[1]
 
 
-# README's quadratic model, a linear one and a two-branch sum that the flux cap rescales
+# README's quadratic model, a linear one, a two-branch sum that the flux cap rescales
+# and one that stays below unit modulus, so keeps its amplitudes
 ORACLE_MODELS = [
     quadratic_phase_model(0.02, 30.0, 8.0),
     linear_phase_model(-0.3, 30.0, 8.0, 0.9),
-    two_branch_model((PhaseBranch(GaussianAmplitude(20.0, 6.0, 1.0), (0.0, -0.2)),
-                      PhaseBranch(GaussianAmplitude(24.0, 6.0, 1.0), (0.0, -0.35)))),
+    PhaseModel((PhaseBranch(GaussianAmplitude(20.0, 6.0, 1.0), (0.0, -0.2)),
+                PhaseBranch(GaussianAmplitude(24.0, 6.0, 1.0), (0.0, -0.35)))),
+    PhaseModel((PhaseBranch(GaussianAmplitude(15.0, 5.0, 0.45), (0.0, -0.2)),
+                PhaseBranch(GaussianAmplitude(35.0, 6.0, 0.5), (0.0, 0.3, -0.004)))),
 ]
 
 
@@ -132,11 +135,12 @@ def assert_same_block(got, want):
 
 
 class TestArrayPathMatchesPerEntryReference:
-    @pytest.mark.parametrize("model", ORACLE_MODELS, ids=["quadratic", "linear", "two-branch"])
+    @pytest.mark.parametrize("model", ORACLE_MODELS,
+                             ids=["quadratic", "linear", "two-branch", "two-branch-below-1"])
     @pytest.mark.parametrize("jp", [0, 1, 2, 5])
     @pytest.mark.parametrize("offset", [0.4, 0.7])
     def test_generator_bits(self, model, jp, offset):
-        got = synth_smatrix_helicity(model, 1.0, jp, 60, offset)
+        got = synth_smatrix(model, 1.0, 60, jp, offset)
         assert_same_block(got, synth_smatrix_helicity_per_entry(model, 1.0, jp, 60, offset))
         if jp == 0:
             assert_same_block(synth_smatrix(model, 1.0, 60), synth_smatrix_per_entry(model, 1.0, 60))
@@ -226,6 +230,21 @@ class TestModelFiles:
         spec = parse_model_file(text)
         assert len(spec.model.branches) == 2
         synth_smatrix(spec.model, 1.0, spec.j_max_int)
+
+    # the kind names a set of branches: the file's block is synth_smatrix of those branches
+    @pytest.mark.parametrize("text, model, args", [
+        ("kind = linear\nk = 1.2\njmax = 40\nj0 = 18\nw = 6\nh = 0.8\nc = -0.45\njp = 2\nphase_offset = 0.7\n",
+         PhaseModel((PhaseBranch(GaussianAmplitude(18.0, 6.0, 0.8), (0.0, -0.45 / 2)),)), (1.2, 40, 2, 0.7)),
+        ("kind = quadratic\njmax = 50\nj0 = 25\nw = 7\nalpha = 0.01\njp = 1\n",
+         PhaseModel((PhaseBranch(GaussianAmplitude(25.0, 7.0, 1.0), (0.0, -0.01 / 2, -0.01 / 2)),)), (1.0, 50, 1, 0.4)),
+        ("kind = two-branch\njmax = 60\njp = 1\nbranch = 1.0 20 6 0 -0.2\nbranch = 1.0 24 6 0 -0.35\n",
+         PhaseModel((PhaseBranch(GaussianAmplitude(20.0, 6.0, 1.0), (0.0, -0.2)),
+                     PhaseBranch(GaussianAmplitude(24.0, 6.0, 1.0), (0.0, -0.35)))), (1.0, 60, 1, 0.4)),
+    ], ids=["linear", "quadratic", "two-branch"])
+    def test_kind_is_shorthand_for_its_branches(self, text, model, args):
+        spec = parse_model_file(text)
+        assert spec.model == model
+        assert_same_block(spec.generate(), synth_smatrix(model, *args))
 
     def test_classical_spec(self):
         text = """
