@@ -13,8 +13,7 @@ _SUBMODULE_NAMES = {
     "angular": "AngularCurve AngularGrid DeflectionMap default_grid integrate_curve",
     "cqdf": "CqdfCurve PhaseUnwrapError cqdf fold_to_observable modified_smatrix "
             "predicted_scattering_angle unwrap_arg",
-    "observables": "AmplitudeCurve dcs integral_cross_section opacity partial_cross_section "
-                   "scattering_amplitude",
+    "observables": "dcs integral_cross_section opacity partial_cross_section scattering_amplitude",
     "qct": "KernelConfig LegendreDF TrajectoryEnsemble fit_legendre_df load_trajectories qct_dcs_legendre "
            "qct_df_gaussian qct_df_legendre qct_opacity qct_sigma_j_gaussian qct_sigma_j_legendre "
            "sample_ell_continuous save_trajectories",

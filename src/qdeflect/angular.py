@@ -86,13 +86,15 @@ def default_grid() -> AngularGrid:
 
 @dataclass(frozen=True, eq=False)
 class AngularCurve:
-    """Real-valued curve over an angular grid (length^2 / sr unless noted)."""
+    """Curve over an angular grid (length^2 / sr unless noted).  Complex values
+    (an amplitude f(theta), units of length) are stored as complex128 and all
+    others as float64, without a copy where the input already has that dtype."""
 
     grid: AngularGrid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
+        v = np.asarray(self.values, dtype=complex if np.iscomplexobj(self.values) else float)
         if v.shape != self.grid.thetas.shape:
             raise ValueError("curve values must match the grid shape")
         if not np.all(np.isfinite(v)):

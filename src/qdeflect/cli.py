@@ -169,8 +169,8 @@ def width(text: str) -> float:
     return value
 
 
-def seed(text: str) -> int:
-    """A --seed value: an integer >= 0."""
+def nonnegative_int(text: str) -> int:
+    """A --seed, expansion-order or J-window value: an integer >= 0."""
     if (value := int(text)) < 0:
         raise ValueError(text)
     return value
@@ -197,10 +197,10 @@ SMOOTH_J = (("--smooth-j", {"type": width, "default": 0.0, "action": _Given,
 SMOOTHING = SMOOTH_J + (("--smooth-theta-deg", {"type": width, "default": 0.0, "action": _Given,
                                                 "help": "gaussian width in degrees"}),)
 MAP = SMOOTHING + (("--no-sin-theta", {"action": "store_true"}),)
-WINDOW = (("--jmin", {"type": int}), ("--jmax", {"type": int}))
+WINDOW = (("--jmin", {"type": nonnegative_int}), ("--jmax", {"type": nonnegative_int}))
 ESTIMATOR = (("--estimator", {"choices": ("legendre", "gaussian"), "default": "legendre"}),)
-ORDER_THETA = (("--order-theta", {"type": int, "default": 20, "action": _Given}),)
-ORDER_J = (("--order-j", {"type": int, "default": 20, "action": _Given}),)
+ORDER_THETA = (("--order-theta", {"type": nonnegative_int, "default": 20, "action": _Given}),)
+ORDER_J = (("--order-j", {"type": nonnegative_int, "default": 20, "action": _Given}),)
 # under --estimator, the options only the other estimator reads are usage errors
 ESTIMATOR_READS = {"gaussian": ("--smooth-j", "--smooth-theta-deg", "--boundary-renormalize"),
                    "legendre": ("--order-theta", "--order-j")}
@@ -229,7 +229,7 @@ COMMANDS = {
         ("--boundary-renormalize", {"action": _Given, "nargs": 0, "default": False}),), _qct_df),
     "qct-dcs": Command(_ENSEMBLE, GRID + ORDER_THETA, _qct_dcs),
     "qct-sigma-j": Command(_ENSEMBLE, ESTIMATOR + ORDER_J + SMOOTH_J, _qct_sigma_j),
-    "synth": Command(None, (("--seed", {"type": seed}),), _synth),
+    "synth": Command(None, (("--seed", {"type": nonnegative_int}),), _synth),
 }
 
 

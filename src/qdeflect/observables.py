@@ -12,7 +12,6 @@ operates on immutable blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -20,23 +19,6 @@ import numpy as np
 from .angular import AngularCurve, AngularGrid
 from .smatrix import SMatrixBlock
 from .wigner import wigner_d_rows
-
-
-@dataclass(frozen=True, eq=False)
-class AmplitudeCurve:
-    """Complex helicity amplitude f_{Omega' Omega}(theta), units of length."""
-
-    grid: AngularGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != self.grid.thetas.shape:
-            raise ValueError("amplitude values must match the grid shape")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("amplitude values must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
 
 def _check_j(block: SMatrixBlock, J: int | np.ndarray) -> None:
@@ -119,7 +101,7 @@ def _pair_row(block: SMatrixBlock, omega: int, omega_p: int) -> np.ndarray:
     return np.flatnonzero(np.all(block.pairs == (omega, omega_p), axis=1))
 
 
-def scattering_amplitude(block: SMatrixBlock, omega_p: int, omega: int, grid: AngularGrid) -> AmplitudeCurve:
+def scattering_amplitude(block: SMatrixBlock, omega_p: int, omega: int, grid: AngularGrid) -> AngularCurve:
     """f_{Omega' Omega}(theta) summed over every J present in the block."""
     h = block.header
     if abs(omega) > h.j or abs(omega_p) > h.j_final:
@@ -127,7 +109,7 @@ def scattering_amplitude(block: SMatrixBlock, omega_p: int, omega: int, grid: An
                          f"(j={h.j}, jp={h.j_final})")
     # one row or none; a sum from zero holds no -0.0, so adding it to +0 keeps its bits
     values = summed_amplitudes(block, _pair_row(block, omega, omega_p), grid).sum(axis=0)
-    return AmplitudeCurve(grid, values)
+    return AngularCurve(grid, values)
 
 
 def _coherent_dcs(block: SMatrixBlock, grid: AngularGrid, j_lo: int = 0, j_hi: int | None = None) -> AngularCurve:

@@ -15,8 +15,8 @@ sampling law, so dx/dJ = 2(2J+1)/[J_max(J_max+1)] carries the (2J+1)
 degeneracy.  Gaussian kernels follow G(u) = exp(-(u/s)^2) / (s sqrt(pi)), of
 unit integral, cut to exactly 0 past |u| = sqrt(700) s (1e-304 of the peak),
 or nearer in for s above ~2500, where the cut keeps every nonzero value normal;
-s is the primary width parameter (see fwhm_from_width /
-width_from_fwhm_log2_rule for the two FWHM conversions in circulation).
+s is the primary width parameter.  The FWHM of G is 2 sqrt(ln 2) s; the
+other convention in circulation takes s = FWHM / ln 2.
 
 Moment accumulation is a reduction over records; kernel evaluation is
 data-parallel over grid points.
@@ -47,16 +47,6 @@ _EXP_FLOOR = -700.0  # np.exp's fast SIMD lanes start here; the kernel is cut to
 
 class GibbsOscillationWarning(UserWarning):
     """Truncated Legendre expansion of a nonnegative density undershoots."""
-
-
-def fwhm_from_width(s: float) -> float:
-    """Full width at half maximum of exp(-(u/s)^2)."""
-    return 2.0 * s * math.sqrt(math.log(2.0))
-
-
-def width_from_fwhm_log2_rule(fwhm: float) -> float:
-    """Width under the alternate s = FWHM / ln 2 convention."""
-    return fwhm / math.log(2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,13 +88,9 @@ class TrajectoryEnsemble:
     def __len__(self) -> int:
         return int(self.weights.size)
 
-    @property
-    def sum_of_weights(self) -> float:
-        return float(np.sum(self.weights))
-
 
 def _require_weights(ensemble: TrajectoryEnsemble) -> float:
-    sw = ensemble.sum_of_weights
+    sw = float(np.sum(ensemble.weights))
     if sw <= 0.0:
         raise ValueError("estimators need a positive total weight")
     return sw
@@ -249,13 +235,6 @@ class KernelConfig:
     def __post_init__(self) -> None:
         if not (0 < self.s_j < math.inf and 0 < self.s_theta < math.inf):  # "in range", so that NaN fails too
             raise ValueError("kernel widths must be positive and finite")
-
-    @classmethod
-    def from_ensemble(cls, ensemble: TrajectoryEnsemble, theta_step: float) -> "KernelConfig":
-        """The widths `qdeflect qct-df` works out when none is given: kernel_width
-        of the records' J values at step 1 and of their thetas at `theta_step`,
-        the map grid's step in radians."""
-        return cls(kernel_width(ensemble.j_values, 1.0, "J"), kernel_width(ensemble.thetas, theta_step, "theta"))
 
 
 def kernel_width(values: np.ndarray, step: float, axis: str) -> float:

@@ -30,8 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from .angular import AngularCurve, AngularGrid, DeflectionMap, integrate_curve
-from .observables import (AmplitudeCurve, _check_j, _coherent_dcs, _pair_row, partial_amplitudes,
-                          summed_amplitudes)
+from .observables import _check_j, _coherent_dcs, _pair_row, partial_amplitudes, summed_amplitudes
 from .smatrix import SMatrixBlock
 
 
@@ -48,7 +47,7 @@ class JWindow:
 
 
 def j_partial_amplitude(block: SMatrixBlock, J: int, omega_p: int, omega: int,
-                        grid: AngularGrid) -> AmplitudeCurve:
+                        grid: AngularGrid) -> AngularCurve:
     """Single-J amplitude f^J_{Omega' Omega}(theta); zero curve if absent."""
     h = block.header
     _check_j(block, J)
@@ -57,7 +56,7 @@ def j_partial_amplitude(block: SMatrixBlock, J: int, omega_p: int, omega: int,
     values = np.zeros(len(grid), dtype=complex)
     for _, f_j in partial_amplitudes(block, _pair_row(block, omega, omega_p), grid, J, J):
         values = f_j[0]
-    return AmplitudeCurve(grid, values)
+    return AngularCurve(grid, values)
 
 
 def _group_sums(

@@ -192,13 +192,6 @@ class SMatrixBlock:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def js_with_entries(self) -> list[int]:
-        return self.js.tolist()
-
-    def helicity_pairs(self) -> list[tuple[int, int]]:
-        """Sorted (Omega, OmegaPrime) pairs that have at least one entry."""
-        return list(map(tuple, self.pairs.tolist()))
-
     @cached_property
     def sum_sq(self) -> np.ndarray:
         """Read-only sum over (Omega, OmegaPrime) of |S^J|^2 at each J in js, float even with no entries, built

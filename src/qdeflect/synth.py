@@ -219,7 +219,6 @@ class SynthSpec:
     """Parsed model file: the model plus generation parameters, and the
     line each key was read from ("branch i" for the i-th branch)."""
 
-    kind: str
     model: Union[PhaseModel, ClassicalModel]
     k: float
     j_max_int: int
@@ -336,7 +335,7 @@ def parse_model_file(source: Union[str, Path, bytes]) -> SynthSpec:
             model = linear_phase_model(get("c", -0.3), get("j0", 30.0), get("w", 8.0), get("h", 1.0))
         elif kind == "quadratic":
             model = quadratic_phase_model(get("alpha", 0.02), get("j0", 30.0), get("w", 8.0), get("h", 1.0))
-        return SynthSpec(kind, model, get("k", 1.0), int(get("jmax", 60)), int(get("jp", 0)),
+        return SynthSpec(model, get("k", 1.0), int(get("jmax", 60)), int(get("jp", 0)),
                          get("phase_offset", 0.4), int(get("count", 10000)), int(get("seed", 0)),
                          lines)
     except InputError as exc:

@@ -77,7 +77,7 @@ def reference_dcs(block, grid, j_lo=0, j_hi=None):
     """DCS, or windowed DCS, one pair at a time."""
     j_hi = block.header.J_max if j_hi is None else j_hi
     total = np.zeros(len(grid))
-    for omega, omega_p in block.helicity_pairs():
+    for omega, omega_p in block.pairs.tolist():
         rows = partial_amplitude_rows(block, omega, omega_p, grid)
         total += np.abs(sum_rows(rows[j_lo : j_hi + 1])) ** 2
     return total / (2 * block.header.j + 1)
@@ -87,7 +87,7 @@ def reference_helicity_map(block, omega_p, grid):
     """Q restricted to one product helicity, accumulated pair by pair."""
     h = block.header
     total = np.zeros((len(grid), h.J_max + 1))
-    for omega, op in block.helicity_pairs():
+    for omega, op in block.pairs.tolist():
         if op != omega_p:
             continue
         rows = partial_amplitude_rows(block, omega, omega_p, grid)
@@ -97,7 +97,7 @@ def reference_helicity_map(block, omega_p, grid):
 
 def reference_qmdf_map(block, grid):
     total = np.zeros((len(grid), block.header.J_max + 1))
-    for omega_p in sorted({op for _, op in block.helicity_pairs()}):
+    for omega_p in sorted({op for _, op in block.pairs.tolist()}):
         total = total + reference_helicity_map(block, omega_p, grid)
     return total
 
@@ -105,7 +105,7 @@ def reference_qmdf_map(block, grid):
 def reference_random_phase_map(block, grid):
     h = block.header
     total = np.zeros((len(grid), h.J_max + 1))
-    for omega, omega_p in block.helicity_pairs():
+    for omega, omega_p in block.pairs.tolist():
         total = total + (np.abs(partial_amplitude_rows(block, omega, omega_p, grid)) ** 2).T
     return total * (grid.sin_thetas / (2 * h.j + 1))[:, None]
 
@@ -118,7 +118,7 @@ def brute_force_qmdf(block, grid):
     h = block.header
     n_j = h.J_max + 1
     values = np.zeros((len(grid), n_j), dtype=complex)
-    for omega, omega_p in block.helicity_pairs():
+    for omega, omega_p in block.pairs.tolist():
         rows = partial_amplitude_rows(block, omega, omega_p, grid)
         for J in range(n_j):
             for j1 in range(n_j):
@@ -344,7 +344,7 @@ def qct_sigma_j_gaussian_reference(ensemble, config, j):
     for lo in range(0, centers.size, _CHUNK):
         blk = slice(lo, lo + _CHUNK)
         out += gauss_reference(j_arr[:, None] - centers[blk][None, :], config.s_j) @ weights[blk]
-    out *= ensemble.sigma_r / ensemble.sum_of_weights
+    out *= ensemble.sigma_r / float(np.sum(ensemble.weights))
     return out
 
 
@@ -352,7 +352,7 @@ def qct_df_gaussian_reference(ensemble, config, grid, j_values=None, renormalize
                               kernel=gauss_reference):
     """The joint Gaussian map with the whole theta kernel of a chunk formed
     at once by `kernel`; with gauss_reference, the reference for qct_df_gaussian."""
-    sw = ensemble.sum_of_weights
+    sw = float(np.sum(ensemble.weights))
     if j_values is None:
         j_values = np.arange(int(math.floor(ensemble.j_max)) + 1)
     j_values = np.asarray(j_values)

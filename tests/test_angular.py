@@ -50,6 +50,22 @@ def test_curve_rejects_a_wrong_shape_or_non_finite_values():
         AngularCurve(grid, [1.0, np.nan, 1.0, 1.0, 1.0])
 
 
+def test_curve_stores_complex_values_as_complex128_and_all_others_as_float64():
+    grid = AngularGrid.uniform(45.0)
+    ints = AngularCurve(grid, [1, 2, 3, 4, 5])
+    assert ints.values.dtype == np.float64
+    assert ints.values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+    floats = np.linspace(0.0, 1.0, len(grid))
+    assert AngularCurve(grid, floats).values is floats  # no copy
+    amplitude = AngularCurve(grid, np.arange(len(grid), dtype=np.complex64) * 1j)
+    assert amplitude.values.dtype == np.complex128
+    assert amplitude.values.tolist() == [k * 1j for k in range(len(grid))]
+    for curve in (ints, amplitude):
+        assert not curve.values.flags.writeable
+        with pytest.raises(ValueError):
+            curve.values[0] = 0.0
+
+
 def test_map_rejects_gapped_j_or_a_wrong_shape_and_names_its_j_range():
     grid = AngularGrid.uniform(45.0)
     with pytest.raises(ValueError, match="j_values must be consecutive integers"):

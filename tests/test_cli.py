@@ -761,10 +761,12 @@ def test_readme_ensemble_fallback_widths_keep_the_cross_section(readme_fallback_
     assert total == pytest.approx(load_trajectories(ens).sigma_r, rel=0.03)
 
 
-def test_from_ensemble_gives_the_widths_the_cli_records(readme_fallback_run):
+def test_kernel_width_gives_the_widths_the_cli_records(readme_fallback_run):
     ens, out, _ = readme_fallback_run
-    cfg = KernelConfig.from_ensemble(load_trajectories(ens), np.radians(0.25))
-    assert f"s_j={cfg.s_j} s_theta={cfg.s_theta}" in out.read_text().splitlines()[3]
+    ensemble = load_trajectories(ens)
+    s_j = kernel_width(ensemble.j_values, 1.0, "J")
+    s_theta = kernel_width(ensemble.thetas, np.radians(0.25), "theta")
+    assert f"s_j={s_j} s_theta={s_theta}" in out.read_text().splitlines()[3]
 
 
 def test_cqdf_gap_exits_1_with_one_short_line(tmp_path, capsys):
@@ -848,12 +850,28 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["synth", str(model), "--out", str(tmp_path / "e.traj"), "--seed", "-1"])
     assert excinfo.value.code == 1
-    assert capsys.readouterr().err.splitlines()[-1].endswith("error: argument --seed: invalid seed value: '-1'")
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        "error: argument --seed: invalid nonnegative_int value: '-1'")
 
 
 def test_negative_order_exits_1(traj_file, tmp_path, capsys):
-    assert main(["qct-dcs", str(traj_file), "--out", str(tmp_path / "x.csv"), "--order-theta", "-1"]) == 1
-    assert capsys.readouterr().err == "qdeflect: error: expansion orders must be nonnegative\n"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["qct-dcs", str(traj_file), "--out", str(tmp_path / "x.csv"), "--order-theta", "-1"])
+    assert excinfo.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        "error: argument --order-theta: invalid nonnegative_int value: '-1'")
+
+
+@pytest.mark.parametrize("command,flag", [("qct-sigma-j", "--order-j"), ("sum-j", "--jmin"), ("sum-j", "--jmax")])
+def test_a_negative_order_or_j_window_names_its_flag(block_file, traj_file, tmp_path, capsys, command, flag):
+    source = traj_file if command.startswith("qct") else block_file
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, str(source), "--out", str(out), flag, "-3"])
+    assert excinfo.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"error: argument {flag}: invalid nonnegative_int value: '-3'")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("model,message", [
@@ -873,6 +891,7 @@ def test_model_missing_a_branch_exits_1(tmp_path, capsys, model, message):
 @pytest.mark.parametrize("model,message", [
     ("kind = classical\njmax = 20\ncbranch = 0 1\ncbranch = 0.0 2\n", "line 3: branch weights must not all vanish"),
     ("kind = classical\njmax = 20\ncbranch = 1 2\nseed = -1\n", "line 4: seed must be nonnegative"),
+    ("kind = classical\njmax = 20\ncbranch = 1 2\nnoise = -0.1\n", "line 4: noise width must be nonnegative"),
 ])
 def test_model_value_error_names_its_line(tmp_path, capsys, model, message):
     path = tmp_path / "model.txt"

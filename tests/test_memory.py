@@ -69,7 +69,7 @@ def test_legendre_map_weights_its_vandermonde_in_place(ensemble):
 def test_one_pair_of_a_sparse_block_streams_its_entries_only():
     # a dense J x pair table of this block would take 2941 x 2664 x 16 bytes, 125 MB
     block, grid = sparse_probe_block(), AngularGrid.uniform(1.0)
-    omega, omega_p = block.helicity_pairs()[0]
+    omega, omega_p = block.pairs[0].tolist()
     curves = []
     peak = peak_bytes(lambda: curves.append(scattering_amplitude(block, omega_p, omega, grid)))
     assert peak <= 4e6, peak
@@ -83,7 +83,7 @@ def test_wigner_rows_of_a_sparse_block_hold_no_coefficient_table_per_j():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        rows = wigner_d_rows(block.helicity_pairs(), grid.thetas, range(block.header.J_max + 1))
+        rows = wigner_d_rows(block.pairs.tolist(), grid.thetas, range(block.header.J_max + 1))
         next(rows)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qdeflect import (
-    AmplitudeCurve,
+    AngularCurve,
     AngularGrid,
     ChannelHeader,
     SMatrixBlock,
@@ -22,10 +22,10 @@ GRID = AngularGrid.uniform(1.0)
 
 
 def test_amplitude_curve_rejects_a_wrong_shape_or_non_finite_values():
-    with pytest.raises(ValueError, match="amplitude values must match the grid shape"):
-        AmplitudeCurve(GRID, np.ones(len(GRID) - 1, dtype=complex))
-    with pytest.raises(ValueError, match="amplitude values must be finite"):
-        AmplitudeCurve(GRID, np.full(len(GRID), complex(0.0, np.inf)))
+    with pytest.raises(ValueError, match="curve values must match the grid shape"):
+        AngularCurve(GRID, np.ones(len(GRID) - 1, dtype=complex))
+    with pytest.raises(ValueError, match="curve values must be finite"):
+        AngularCurve(GRID, np.full(len(GRID), complex(0.0, np.inf)))
 
 
 def test_opacity_single_term():
@@ -213,7 +213,7 @@ def test_dcs_against_independent_reconstruction(rng):
 def test_amplitude_additivity_over_j(rng):
     block = random_block(rng, j_max=14, j=1, jp=1)
     h = block.header
-    for omega, omega_p in block.helicity_pairs():
+    for omega, omega_p in block.pairs.tolist():
         total = np.zeros(len(GRID), dtype=complex)
         for J in range(h.J_max + 1):
             if abs(omega) > min(J, h.j) or abs(omega_p) > min(J, h.j_final):

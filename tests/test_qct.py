@@ -22,8 +22,7 @@ from qdeflect import (
     sample_ell_continuous,
     save_trajectories,
 )
-from qdeflect.qct import (GibbsOscillationWarning, fwhm_from_width, kernel_width, reduced_x,
-                          width_from_fwhm_log2_rule)
+from qdeflect.qct import GibbsOscillationWarning, kernel_width, reduced_x
 from qdeflect.synth import parse_model_file
 
 
@@ -332,19 +331,13 @@ class TestSampler:
 
 
 class TestWidths:
-    def test_fwhm_conversions(self):
-        # exp(-(u/s)^2) reaches half max at |u| = s sqrt(ln 2)
-        assert fwhm_from_width(1.0) == pytest.approx(2.0 * math.sqrt(math.log(2.0)))
-        assert fwhm_from_width(2.0) == pytest.approx(4.0 * math.sqrt(math.log(2.0)))
-        assert width_from_fwhm_log2_rule(math.log(2.0)) == pytest.approx(1.0)
-
-    def test_from_ensemble_spacing(self):
+    def test_kernel_width_of_an_ensemble(self):
         ens = ensemble_of([0.0, 1.0, 2.0, 3.0], [0.1, 0.2, 0.3, 0.4], j_max=5.0)
-        cfg = KernelConfig.from_ensemble(ens, 0.05)
-        assert cfg.s_j == pytest.approx(2.0)
-        assert cfg.s_theta == pytest.approx(0.2)
+        assert kernel_width(ens.j_values, 1.0, "J") == pytest.approx(2.0)
+        assert kernel_width(ens.thetas, 0.05, "theta") == pytest.approx(0.2)
         # each width is floored at its axis's grid step: 1 in J, the given step in theta
-        assert KernelConfig.from_ensemble(ensemble_of([0.0, 0.2, 0.4], [0.1, 0.2, 0.3]), 0.5) == KernelConfig(1.0, 0.5)
+        ens = ensemble_of([0.0, 0.2, 0.4], [0.1, 0.2, 0.3])
+        assert (kernel_width(ens.j_values, 1.0, "J"), kernel_width(ens.thetas, 0.5, "theta")) == (1.0, 0.5)
 
     def test_invalid_widths(self):
         with pytest.raises(ValueError):
@@ -362,9 +355,9 @@ class TestWidths:
         with pytest.raises(ValueError, match="every record has the same J, so no J kernel width"):
             kernel_width(np.array([3.0, 3.0, 3.0]), 1.0, "J")
         with pytest.raises(ValueError, match="every record has the same J"):
-            KernelConfig.from_ensemble(ensemble_of([2.0, 2.0], [0.1, 0.2], j_max=5.0), 0.01)
+            kernel_width(ensemble_of([2.0, 2.0], [0.1, 0.2], j_max=5.0).j_values, 1.0, "J")
         with pytest.raises(ValueError, match="every record has the same theta"):
-            KernelConfig.from_ensemble(ensemble_of([1.0, 2.0], [0.1, 0.1], j_max=5.0), 0.01)
+            kernel_width(ensemble_of([1.0, 2.0], [0.1, 0.1], j_max=5.0).thetas, 0.01, "theta")
 
     @pytest.mark.parametrize("seed", range(4))
     def test_kernel_width_equals_the_np_unique_form(self, seed):

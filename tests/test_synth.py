@@ -26,6 +26,7 @@ from qdeflect import (
     synth_trajectories,
     validate_unitarity,
 )
+from qdeflect._text import InputError
 from conftest import random_block, sparse_probe_block
 from oracles import scaled_per_entry, synth_smatrix_helicity_per_entry, synth_smatrix_per_entry
 from test_amplitude_core import assert_bits
@@ -202,6 +203,11 @@ class TestTrajectories:
         with pytest.raises(ValueError):
             synth_trajectories(ClassicalModel(j_max=5.0, isotropic=True), 0)
 
+    def test_negative_noise_width_is_refused_by_name(self):
+        with pytest.raises(InputError, match="noise width must be nonnegative") as excinfo:
+            ClassicalModel(j_max=20.0, branches=(ClassicalBranch(1.0, (2.0,)),), noise_width=-0.1)
+        assert excinfo.value.item == "noise_width"
+
 
 class TestModelFiles:
     def test_quadratic_spec(self):
@@ -215,7 +221,7 @@ class TestModelFiles:
         alpha = 0.01
         """
         spec = parse_model_file(text)
-        assert spec.kind == "quadratic"
+        assert spec.model == quadratic_phase_model(0.01, 25.0, 7.0, 0.9)
         assert spec.k == 1.5
         block = synth_smatrix(spec.model, spec.k, spec.j_max_int)
         assert abs(block.entries[(25, 0, 0)]) == pytest.approx(0.9, rel=1e-12)
