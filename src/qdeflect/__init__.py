@@ -10,6 +10,7 @@ from types import ModuleType
 __version__ = "0.1.0"
 
 _SUBMODULE_NAMES = {
+    "_text": "InputError",
     "angular": "AngularCurve AngularGrid DeflectionMap default_grid integrate_curve",
     "cqdf": "CqdfCurve PhaseUnwrapError cqdf fold_to_observable modified_smatrix "
             "predicted_scattering_angle unwrap_arg",
@@ -19,8 +20,7 @@ _SUBMODULE_NAMES = {
            "sample_ell_continuous save_trajectories",
     "qmdf": "JWindow integrate_over_theta j_partial_amplitude partial_dcs qmdf_helicity_map "
             "qmdf_map random_phase_map smooth_map sum_over_j",
-    "smatrix": "ChannelHeader SMatrixBlock SMatrixParseError SMatrixValidationError load_smatrix "
-               "save_smatrix validate_unitarity",
+    "smatrix": "ChannelHeader SMatrixBlock load_smatrix save_smatrix validate_unitarity",
     "synth": "ClassicalBranch ClassicalModel GaussianAmplitude PhaseBranch PhaseModel linear_phase_model "
              "parse_model_file quadratic_phase_model synth_smatrix synth_trajectories",
     "wigner": "wigner_d wigner_d_table",

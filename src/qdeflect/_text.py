@@ -17,9 +17,11 @@ MAX_MOMENTUM = 1 << 30
 
 
 class InputError(ValueError):
-    """Invalid input.  Read from text it names its 1-based line, 'line N: ...';
-    `item` locates the rejected value in the object that raised it (an
-    entry's position or a field's name), so a loader can find that line."""
+    """Invalid input: the one error for a fault in what a file supplies, found by its reader or by a
+    value type the reader builds.  Read from text it names its 1-based line, 'line N: ...', where there
+    is one; `item` locates the rejected value in the object that raised it (an entry's position or a
+    field's name), so a loader can find that line.  A plain ValueError means a call that asks for what
+    the data lacks or passes an argument out of range; cqdf.PhaseUnwrapError, a numerical failure."""
 
     def __init__(self, message: str, line: int | None = None, item: int | str | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")
@@ -30,11 +32,15 @@ class InputError(ValueError):
 
 
 def read_text(source: Source) -> str:
-    """A str or Path names a UTF-8 file; bytes or a stream hold the text."""
+    """A str or Path names a UTF-8 file; bytes or a stream hold the text.  A byte
+    that is not UTF-8 is an InputError on its line, as str.splitlines numbers lines."""
     if isinstance(source, (str, Path)):
-        return Path(source).read_text(encoding="utf-8")
+        source = Path(source).read_bytes()
     data = source if isinstance(source, bytes) else source.read()
-    return data.decode("utf-8") if isinstance(data, bytes) else data
+    try:
+        return data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:  # '?' stands for the byte: a line break just before it opens its line
+        raise InputError("not UTF-8 text", len((data[: exc.start].decode("utf-8") + "?").splitlines())) from None
 
 
 def write_text(text: str, destination: Destination) -> None:

@@ -99,7 +99,7 @@ class AngularCurve:
             raise ValueError("curve values must match the grid shape")
         if not np.all(np.isfinite(v)):
             raise ValueError("curve values must be finite")
-        v.setflags(write=False)
+        (v := v.view()).setflags(write=False)  # a view: the caller's own array stays writable
         object.__setattr__(self, "values", v)
 
 
@@ -119,10 +119,9 @@ class DeflectionMap:
             raise ValueError("j_values must be consecutive integers")
         if v.shape != (len(self.grid), jv.size):
             raise ValueError("map values must have shape (n_theta, n_J)")
-        jv.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "j_values", jv)
-        object.__setattr__(self, "values", v)
+        for name, array in (("j_values", jv), ("values", v)):
+            (array := array.view()).setflags(write=False)  # a view: the caller's own array stays writable
+            object.__setattr__(self, name, array)
 
     def j_index(self, J: int) -> int:
         lo, hi = int(self.j_values[0]), int(self.j_values[-1])

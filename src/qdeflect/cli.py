@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -64,6 +65,15 @@ def _write_csv(out: str, command: str, input_path: str, header: Sequence[str],
             stream.write(rows % tuple(table[lo : lo + block].ravel().tolist()) + "\n")
 
 
+@contextmanager
+def _hint(hint: str):
+    """A ValueError raised in the block goes on with ': give <hint>', naming the option to change."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{exc}: give {hint}") from None
+
+
 def _per_j(block, name: str, fn):
     js = np.arange(block.header.J_max + 1)
     return ("J", name), (js,), (fn(block, js),), {}
@@ -85,8 +95,11 @@ def _map_output(dmap, args, params: dict):
 
 
 def _window_curve(block, args, curve_of):
-    window = qd.JWindow(0 if args.jmin is None else args.jmin,
-                        block.header.J_max if args.jmax is None else args.jmax)
+    from .qmdf import _check_window
+    J_max = block.header.J_max
+    with _hint(f"0 <= --jmin <= --jmax <= {J_max}"):  # checked before any work
+        window = qd.JWindow(args.jmin or 0, J_max if args.jmax is None else args.jmax)
+        _check_window(window, 0, J_max)
     return (("theta_deg", "value"), (args.grid.degrees,), (curve_of(window).values,),
             {"jmin": window.j_lo, "jmax": window.j_hi})
 
@@ -103,10 +116,8 @@ def _axis_width(values: np.ndarray, given: float, step: float, axis: str, flag: 
     if given > 0:
         return given
     from .qct import kernel_width
-    try:
+    with _hint(flag):
         return kernel_width(values, step, axis)
-    except ValueError as exc:
-        raise ValueError(f"{exc}: give {flag}") from None
 
 
 def _qct_df(ensemble, args):
@@ -253,10 +264,8 @@ def run(args: argparse.Namespace) -> int:
         _check_unitarity(data)
     params = {}
     if "grid_deg" in vars(args):
-        try:
+        with _hint("--grid-deg a positive divisor of 180"):
             args.grid = qd.AngularGrid.uniform(args.grid_deg)
-        except ValueError as exc:
-            raise ValueError(f"{exc}: give --grid-deg a positive divisor of 180") from None
         params["grid_deg"] = args.grid_deg
     result = command.handler(data, args)
     if result is not None:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .smatrix import SMatrixBlock, SMatrixValidationError
+from .smatrix import SMatrixBlock
 
 MAGNITUDE_FLOOR = 1e-300
 TIE_TOL = 1e-12
@@ -50,18 +50,14 @@ def modified_smatrix(
     """
     js, amps = block.j_column(omega, omega_p)
     if js.size == 0:
-        raise SMatrixValidationError(
-            f"no entries at (Omega'={omega_p}, Omega={omega})"
-        )
+        raise ValueError(f"no entries at (Omega'={omega_p}, Omega={omega})")
     steps = np.diff(js)
     gaps = np.flatnonzero(steps > 1)
     if gaps.size:  # named by the first missing run and the counts, however many J are missing
         first = int(js[gaps[0]])
-        raise SMatrixValidationError(
-            f"J coverage at (Omega'={omega_p}, Omega={omega}) has gaps; missing J "
-            f"{first + 1}..{first + int(steps[gaps[0]]) - 1} ({int(steps[gaps].sum()) - gaps.size} J "
-            f"missing in {gaps.size} gap{'s' if gaps.size > 1 else ''})"
-        )
+        raise ValueError(f"J coverage at (Omega'={omega_p}, Omega={omega}) has gaps; missing J "
+                         f"{first + 1}..{first + int(steps[gaps[0]]) - 1} ({int(steps[gaps].sum()) - gaps.size} J "
+                         f"missing in {gaps.size} gap{'s' if gaps.size > 1 else ''})")
     signs = np.where(js % 2 == 1, -1.0, 1.0)
     return js, signs * amps
 

@@ -70,7 +70,7 @@ class TrajectoryEnsemble:
         j = np.asarray(self.j_values, dtype=float)
         t = np.asarray(self.thetas, dtype=float)
         if not (w.shape == j.shape == t.shape) or w.ndim != 1:
-            raise ValueError("weights, j_values, thetas must be 1-D and congruent")
+            raise InputError("weights, j_values, thetas must be 1-D and congruent")
         if not 0 < self.j_max <= MAX_MOMENTUM:  # "in range", so that NaN fails too
             raise InputError("j_max must be positive and at most 2^30", item="j_max")
         if not (math.isfinite(self.sigma_r) and self.sigma_r >= 0):
@@ -82,7 +82,7 @@ class TrajectoryEnsemble:
             raise InputError(("weights must be finite and nonnegative", "thetas must lie in [0, pi]",
                               "j_values must lie in [0, j_max]")[failure[1]], item=failure[0])
         for arr, name in ((w, "weights"), (j, "j_values"), (t, "thetas")):
-            arr.setflags(write=False)
+            (arr := arr.view()).setflags(write=False)  # a view: the caller's own array stays writable
             object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
@@ -390,7 +390,7 @@ def load_trajectories(source: Source) -> TrajectoryEnsemble:
         raise fault
     for key in ("sigma_r", "j_max"):
         if key not in meta:
-            raise ValueError(f"trajectory header is missing '# {key} = ...'")
+            raise InputError(f"trajectory header is missing '# {key} = ...'")
     try:
         return TrajectoryEnsemble(
             weights=columns[0],

@@ -63,18 +63,6 @@ def _is_key(key) -> bool:
         return False
 
 
-class SMatrixParseError(InputError):
-    """Malformed input text; carries the 1-based line number."""
-
-
-class SMatrixValidationError(InputError):
-    """Structurally valid input that violates a block invariant."""
-
-
-class _NonFiniteAmplitude(SMatrixValidationError, SMatrixParseError):
-    """A NaN or inf amplitude: a block invariant, and unreadable as text."""
-
-
 @dataclass(frozen=True)
 class ChannelHeader:
     """Channel labels and the quantities every downstream formula needs.
@@ -97,20 +85,20 @@ class ChannelHeader:
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.k) and self.k > 0.0):
-            raise SMatrixValidationError(f"wavenumber must be positive, got {self.k}", item="k")
+            raise InputError(f"wavenumber must be positive, got {self.k}", item="k")
         for name in ("j", "j_final", "v", "v_final", "J_max"):
             value = getattr(self, name)
             if not _is_integral(value):
-                raise SMatrixValidationError(f"{name} must be an integer, got {value!r}", item=name)
+                raise InputError(f"{name} must be an integer, got {value!r}", item=name)
             object.__setattr__(self, name, int(value))
         for name in ("j", "j_final", "J_max"):
             if not 0 <= getattr(self, name) <= MAX_MOMENTUM:
-                raise SMatrixValidationError(f"{name} must be nonnegative and at most 2^30", item=name)
+                raise InputError(f"{name} must be nonnegative and at most 2^30", item=name)
         unit, label = self.k_unit, self.energy_label
         if not (isinstance(unit, str) and unit.split() == [unit] and "#" not in unit):
-            raise SMatrixValidationError(f"k_unit must be one word without '#', got {unit!r}", item="k_unit")
+            raise InputError(f"k_unit must be one word without '#', got {unit!r}", item="k_unit")
         if not (isinstance(label, str) and len(label.strip().splitlines()) <= 1):
-            raise SMatrixValidationError(f"energy_label must be one line, got {label!r}", item="energy_label")
+            raise InputError(f"energy_label must be one line, got {label!r}", item="energy_label")
         object.__setattr__(self, "energy_label", label.strip())
 
 
@@ -146,7 +134,7 @@ class SMatrixBlock:
                     np.array(list(islice(entries.values(), n)), dtype=complex))
         if n < len(entries):
             key = next(islice(entries, n, None))
-            raise SMatrixValidationError(f"entry {key!r}: a key must be three integers (J, Omega, Omega')", item=n)
+            raise InputError(f"entry {key!r}: a key must be three integers (J, Omega, Omega')", item=n)
 
     @classmethod
     def _from_arrays(cls, header: ChannelHeader, keys: np.ndarray, amps: np.ndarray) -> "SMatrixBlock":
@@ -165,13 +153,13 @@ class SMatrixBlock:
         if failure is not None:
             i, rule = failure
             Ji, om, omp = map(int, keys[i])
-            error, message = (
-                (SMatrixValidationError, f"J outside 0..{h.J_max}"),
-                (SMatrixValidationError, f"|Omega|={abs(om)} > min(J, j)={min(Ji, h.j)}"),
-                (SMatrixValidationError, f"|Omega'|={abs(omp)} > min(J, jp)={min(Ji, h.j_final)}"),
-                (_NonFiniteAmplitude, f"non-finite amplitude {complex(amps[i])}"),
+            message = (
+                f"J outside 0..{h.J_max}",
+                f"|Omega|={abs(om)} > min(J, j)={min(Ji, h.j)}",
+                f"|Omega'|={abs(omp)} > min(J, jp)={min(Ji, h.j_final)}",
+                f"non-finite amplitude {complex(amps[i])}",
             )[rule]
-            raise error(f"entry (J={Ji}, Omega={om}, Omega'={omp}): {message}", item=i)
+            raise InputError(f"entry (J={Ji}, Omega={om}, Omega'={omp}): {message}", item=i)
         order = np.lexsort((omega_p, omega, J))
         keys, amps = keys[order].astype(np.int64, copy=False), amps[order]
         js = distinct_values(keys[:, 0])
@@ -232,13 +220,13 @@ def _entry_arrays(lines: list[str], numbers: list[int]) -> tuple[np.ndarray, np.
     order = np.lexsort(keys.T[::-1])
     repeats = order[1:][np.all(keys[order[1:]] == keys[order[:-1]], axis=1)]
     if repeats.size:
-        raise SMatrixValidationError("duplicate entry for (J={}, Omega={}, Omega'={})".format(
+        raise InputError("duplicate entry for (J={}, Omega={}, Omega'={})".format(
             *keys[repeats.min()]), numbers[repeats.min()])
     if n_read < len(numbers):
         body = lines[numbers[n_read] - 1].partition("#")[0]
         count = len(body.split())
-        raise SMatrixParseError(f"malformed entry {body.strip()!r}" if count == 5 else
-                                f"expected 'J Omega OmegaPrime Re Im', got {count} fields", numbers[n_read])
+        raise InputError(f"malformed entry {body.strip()!r}" if count == 5 else
+                         f"expected 'J Omega OmegaPrime Re Im', got {count} fields", numbers[n_read])
     amps = np.empty(n_read, dtype=complex)
     amps.real, amps.imag = columns[3], columns[4]
     return keys, amps
@@ -261,7 +249,7 @@ def load_smatrix(source: Source) -> SMatrixBlock:
         for lineno, raw in enumerate(lines, start=1):
             if raw[:1] in NUMBER_START or raw.partition("#")[0].split()[:1] not in ([], ["k"], ["channel"]):
                 if k is None or not channel:
-                    raise SMatrixParseError("entries must follow the k and channel lines", lineno)
+                    raise InputError("entries must follow the k and channel lines", lineno)
                 entry_lines.append(lineno)
                 continue
             body, _, comment = raw.partition("#")
@@ -272,55 +260,55 @@ def load_smatrix(source: Source) -> SMatrixBlock:
                     energy_label = comment[len("energy:"):].strip()
             elif fields[0] == "k":
                 if k is not None:
-                    raise SMatrixParseError("duplicate k line", lineno)
+                    raise InputError("duplicate k line", lineno)
                 if len(fields) < 2:
-                    raise SMatrixParseError("k line needs a value", lineno)
+                    raise InputError("k line needs a value", lineno)
                 try:
                     k = float(fields[1])
                 except ValueError:
-                    raise SMatrixParseError(f"bad wavenumber {fields[1]!r}", lineno) from None
+                    raise InputError(f"bad wavenumber {fields[1]!r}", lineno) from None
                 if len(fields) > 3:
-                    raise SMatrixParseError(f"unexpected {fields[3]!r} after the k unit", lineno)
+                    raise InputError(f"unexpected {fields[3]!r} after the k unit", lineno)
                 if len(fields) == 3:
                     k_unit = fields[2]
                 k_line = lineno
             else:
                 if channel:
-                    raise SMatrixParseError("duplicate channel line", lineno)
+                    raise InputError("duplicate channel line", lineno)
                 for item in fields[1:]:
                     if "=" not in item:
-                        raise SMatrixParseError(f"bad channel field {item!r}", lineno)
+                        raise InputError(f"bad channel field {item!r}", lineno)
                     name, _, val = item.partition("=")
                     if name in channel or name not in ("j", "jp", "v", "vp", "Jmax"):
-                        raise SMatrixParseError(
+                        raise InputError(
                             f"{'repeated' if name in channel else 'unknown'} channel field {name!r}", lineno)
                     try:
                         channel[name] = int(val)
                     except ValueError:
-                        raise SMatrixParseError(f"bad channel value {item!r}", lineno) from None
+                        raise InputError(f"bad channel value {item!r}", lineno) from None
                 missing = {"j", "jp", "v", "vp", "Jmax"} - channel.keys()
                 if missing:
-                    raise SMatrixParseError(f"channel line missing {sorted(missing)}", lineno)
+                    raise InputError(f"channel line missing {sorted(missing)}", lineno)
                 channel_line = lineno
-    except SMatrixParseError as exc:
+    except InputError as exc:
         fault = exc  # the entry lines gathered are the ones before it, and a fault on one comes first
     keys, amps = _entry_arrays(lines, entry_lines)
     if fault is not None:
         raise fault
 
     if k is None:
-        raise SMatrixParseError("missing k line", len(lines) or 1)
+        raise InputError("missing k line", len(lines) or 1)
     if not channel:
-        raise SMatrixParseError("missing channel line", len(lines) or 1)
+        raise InputError("missing channel line", len(lines) or 1)
 
     try:
         header = ChannelHeader(k, channel["j"], channel["jp"], channel["v"], channel["vp"],
                                channel["Jmax"], k_unit, energy_label)
-    except SMatrixValidationError as exc:
+    except InputError as exc:
         raise exc.on_line(k_line if exc.item == "k" else channel_line) from None
     try:
         return SMatrixBlock._from_arrays(header, keys, amps)
-    except SMatrixValidationError as exc:
+    except InputError as exc:
         raise exc.on_line(entry_lines[exc.item]) from None
 
 

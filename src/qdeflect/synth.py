@@ -65,7 +65,7 @@ class PhaseModel:
 
     def __post_init__(self) -> None:
         if not self.branches:
-            raise ValueError("phase model needs at least one branch")
+            raise InputError("phase model needs at least one branch")
 
 
 def linear_phase_model(
@@ -118,7 +118,7 @@ def synth_smatrix(model: PhaseModel, k: float, j_max: int, j_final: int = 0,
     if len(model.branches) > 1 and top > 1.0:
         amps = amps / top
     if np.abs(amps).max() > 1.0 + 1e-12:
-        raise ValueError("model produced |S| > 1")
+        raise InputError("model produced |S| > 1")
     # the keys (J, 0, Omega') in sorted order: Omega' runs -width..width at each J
     width = np.minimum(js, header.j_final)
     count = 2 * width + 1
@@ -168,7 +168,7 @@ class ClassicalModel:
             raise InputError(f"isotropic must be 0 or 1, got {self.isotropic!r}", item="isotropic")
         object.__setattr__(self, "isotropic", bool(self.isotropic))
         if not self.isotropic and not self.branches:
-            raise ValueError("classical model needs branches unless isotropic")
+            raise InputError("classical model needs branches unless isotropic")
         if not self.isotropic and sum(b.weight for b in self.branches) <= 0:
             raise InputError("branch weights must not all vanish", item="branches")
 
@@ -309,7 +309,7 @@ def parse_model_file(source: Union[str, Path, bytes]) -> SynthSpec:
         lines.setdefault(key, lineno)
 
     if kind is None:
-        raise ValueError("model file is missing its 'kind' entry")
+        raise InputError("model file is missing its 'kind' entry")
     if kind not in _KIND_KEYS:
         raise InputError(f"unknown model kind {kind!r}", lines["kind"])
     integral = ("count", "seed") if kind == "classical" else ("jp", "seed", "jmax")  # classical jmax is real
@@ -329,7 +329,7 @@ def parse_model_file(source: Union[str, Path, bytes]) -> SynthSpec:
                 sigma_r=get("sigma_r", 1.0), isotropic=get("isotropic", 0))
         elif kind == "two-branch":
             if len(branches["branch"]) < 2:
-                raise ValueError("two-branch model needs two 'branch = ...' lines")
+                raise InputError("two-branch model needs two 'branch = ...' lines")
             model = PhaseModel(tuple(branches["branch"]))
         elif kind == "linear":
             model = linear_phase_model(get("c", -0.3), get("j0", 30.0), get("w", 8.0), get("h", 1.0))

@@ -10,8 +10,7 @@ from qdeflect import wigner_d_table
 from qdeflect._text import InputError, read_text
 from qdeflect.qct import _CHUNK, TrajectoryEnsemble
 from qdeflect.qmdf import DeflectionMap
-from qdeflect.smatrix import (DEFAULT_K_UNIT, ChannelHeader, SMatrixBlock, SMatrixParseError,
-                              SMatrixValidationError)
+from qdeflect.smatrix import DEFAULT_K_UNIT, ChannelHeader, SMatrixBlock
 from qdeflect.synth import PhaseModel, _check_finite
 
 
@@ -193,67 +192,67 @@ def load_smatrix_per_line(source):
             continue
         if fields[0] == "k":
             if k is not None:
-                raise SMatrixParseError("duplicate k line", lineno)
+                raise InputError("duplicate k line", lineno)
             if len(fields) < 2:
-                raise SMatrixParseError("k line needs a value", lineno)
+                raise InputError("k line needs a value", lineno)
             try:
                 k = float(fields[1])
             except ValueError:
-                raise SMatrixParseError(f"bad wavenumber {fields[1]!r}", lineno) from None
+                raise InputError(f"bad wavenumber {fields[1]!r}", lineno) from None
             if len(fields) > 3:
-                raise SMatrixParseError(f"unexpected {fields[3]!r} after the k unit", lineno)
+                raise InputError(f"unexpected {fields[3]!r} after the k unit", lineno)
             if len(fields) == 3:
                 k_unit = fields[2]
             k_line = lineno
         elif fields[0] == "channel":
             if channel:
-                raise SMatrixParseError("duplicate channel line", lineno)
+                raise InputError("duplicate channel line", lineno)
             for item in fields[1:]:
                 if "=" not in item:
-                    raise SMatrixParseError(f"bad channel field {item!r}", lineno)
+                    raise InputError(f"bad channel field {item!r}", lineno)
                 name, _, val = item.partition("=")
                 if name in channel or name not in ("j", "jp", "v", "vp", "Jmax"):
-                    raise SMatrixParseError(
+                    raise InputError(
                         f"{'repeated' if name in channel else 'unknown'} channel field {name!r}", lineno)
                 try:
                     channel[name] = int(val)
                 except ValueError:
-                    raise SMatrixParseError(f"bad channel value {item!r}", lineno) from None
+                    raise InputError(f"bad channel value {item!r}", lineno) from None
             missing = {"j", "jp", "v", "vp", "Jmax"} - channel.keys()
             if missing:
-                raise SMatrixParseError(f"channel line missing {sorted(missing)}", lineno)
+                raise InputError(f"channel line missing {sorted(missing)}", lineno)
             channel_line = lineno
         else:
             if k is None or not channel:
-                raise SMatrixParseError("entries must follow the k and channel lines", lineno)
+                raise InputError("entries must follow the k and channel lines", lineno)
             if len(fields) != 5:
-                raise SMatrixParseError(
+                raise InputError(
                     f"expected 'J Omega OmegaPrime Re Im', got {len(fields)} fields", lineno
                 )
             try:
                 key = (int(fields[0]), int(fields[1]), int(fields[2]))
                 value = complex(float(fields[3]), float(fields[4]))
             except ValueError:
-                raise SMatrixParseError(f"malformed entry {body.strip()!r}", lineno) from None
+                raise InputError(f"malformed entry {body.strip()!r}", lineno) from None
             if key in entries:
-                raise SMatrixValidationError(
+                raise InputError(
                     f"duplicate entry for (J={key[0]}, Omega={key[1]}, Omega'={key[2]})", lineno
                 )
             entries[key] = value
 
     if k is None:
-        raise SMatrixParseError("missing k line", len(lines) or 1)
+        raise InputError("missing k line", len(lines) or 1)
     if not channel:
-        raise SMatrixParseError("missing channel line", len(lines) or 1)
+        raise InputError("missing channel line", len(lines) or 1)
 
     try:
         header = ChannelHeader(k, channel["j"], channel["jp"], channel["v"], channel["vp"],
                                channel["Jmax"], k_unit, energy_label)
-    except SMatrixValidationError as exc:
+    except InputError as exc:
         raise exc.on_line(k_line if exc.item == "k" else channel_line) from None
     try:
         return SMatrixBlock(header, entries)
-    except SMatrixValidationError as exc:
+    except InputError as exc:
         # entries are built in file order: item i sits on the i-th entry line
         entry_lines = [n for n, raw in enumerate(lines, start=1)
                        if raw.partition("#")[0].split()[:1] not in ([], ["k"], ["channel"])]
@@ -297,7 +296,7 @@ def load_trajectories_per_line(source):
 
     for key in ("sigma_r", "j_max"):
         if key not in meta:
-            raise ValueError(f"trajectory header is missing '# {key} = ...'")
+            raise InputError(f"trajectory header is missing '# {key} = ...'")
     sigma_r, j_max = meta["sigma_r"], meta["j_max"]
     if not (math.isfinite(j_max) and 0 < j_max <= 2**30):
         raise InputError("j_max must be positive and at most 2^30", meta_lines["j_max"])

@@ -56,7 +56,8 @@ def test_curve_stores_complex_values_as_complex128_and_all_others_as_float64():
     assert ints.values.dtype == np.float64
     assert ints.values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
     floats = np.linspace(0.0, 1.0, len(grid))
-    assert AngularCurve(grid, floats).values is floats  # no copy
+    assert np.shares_memory(AngularCurve(grid, floats).values, floats)  # no copy
+    assert floats.flags.writeable  # the curve freezes a view, not the caller's array
     amplitude = AngularCurve(grid, np.arange(len(grid), dtype=np.complex64) * 1j)
     assert amplitude.values.dtype == np.complex128
     assert amplitude.values.tolist() == [k * 1j for k in range(len(grid))]
@@ -77,6 +78,15 @@ def test_map_rejects_gapped_j_or_a_wrong_shape_and_names_its_j_range():
     for J in (2, 6):
         with pytest.raises(ValueError, match=r"J=\d outside map range 3\.\.5"):
             dmap.j_index(J)
+
+
+def test_a_map_freezes_views_and_leaves_the_callers_arrays_writable():
+    grid = AngularGrid.uniform(45.0)
+    j_values, values = np.arange(3, 6), np.ones((len(grid), 3))
+    dmap = DeflectionMap(grid, j_values, values)
+    for kept, given in ((dmap.j_values, j_values), (dmap.values, values)):
+        assert np.shares_memory(kept, given) and given.flags.writeable
+        assert not kept.flags.writeable
 
 
 def test_grids_are_read_only():

@@ -426,6 +426,24 @@ def test_bad_option_values_exit_1_with_one_line(block_file, tmp_path, capsys, co
     assert not out.exists()
 
 
+@pytest.mark.parametrize("window", [["--jmax", "100"], ["--jmin", "5", "--jmax", "2"], ["--jmin", "41"]])
+@pytest.mark.parametrize("command", ["sum-j", "partial-dcs"])
+def test_a_window_outside_the_block_exits_1_naming_the_flags_before_any_work(
+        block_file, tmp_path, capsys, monkeypatch, command, window):
+    def work(*args):
+        raise AssertionError("the window is checked before the map or the DCS is formed")
+
+    for name in ("qmdf_map", "partial_dcs"):
+        monkeypatch.setattr(f"qdeflect.qmdf.{name}", work)
+    capsys.readouterr()
+    out = tmp_path / "x.csv"
+    assert main([command, str(block_file), "--out", str(out), "--grid-deg", "2", *window]) == 1
+    err = capsys.readouterr().err  # the block has J_max = 40
+    assert err.count("\n") == 1 and err.startswith("qdeflect: error: ")
+    assert err.endswith(": give 0 <= --jmin <= --jmax <= 40\n")
+    assert not out.exists()
+
+
 # every command that reads --grid-deg, with the options it needs besides
 GRID_COMMANDS = {"dcs": [], "qmdf": [], "random-phase": [], "qmdf-helicity": ["--omega-prime", "0"],
                  "sum-j": [], "partial-dcs": [], "qct-df": [], "qct-dcs": []}

@@ -1,4 +1,5 @@
-"""Mutation fuzzing of the three input formats through the CLI, in process.
+"""Mutation fuzzing of the three input formats through the CLI, in process,
+and through the library readers.
 
 Each example takes a small valid file and changes one line: a token
 becomes a non-number, NaN, inf or its own negative, is dropped or doubled,
@@ -6,6 +7,7 @@ or the whole line is duplicated.  Whatever the change, the CLI must exit 0
 or 1 without a traceback, and an exit 1 must print one error line that
 names the changed line, unless the change removed a required line's key
 (the message then says what is missing, as there is no line to point at).
+A reader must return or raise an InputError that holds to the same rule.
 """
 
 import contextlib
@@ -13,10 +15,14 @@ import io
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qdeflect import (InputError, PhaseBranch, PhaseModel, TrajectoryEnsemble, load_smatrix, load_trajectories,
+                      parse_model_file, synth_smatrix)
+from qdeflect._text import read_text
 from qdeflect.cli import main
 
 SMATRIX = """\
@@ -100,10 +106,10 @@ def mutated(draw, text):
     return "\n".join(lines) + "\n", i + 1
 
 
-def run_cli(command: str, text: str, *extra: str) -> tuple[int, str]:
+def run_cli(command: str, text: str | bytes, *extra: str) -> tuple[int, str]:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.txt"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main([command, str(path), "--out", str(Path(tmp) / "out.csv"), *extra])
@@ -145,3 +151,69 @@ def test_trajectory_mutations(case):
 @given(st.one_of(mutated(CLASSICAL), mutated(QUADRATIC)))
 def test_model_file_mutations(case):
     check(*run_cli("synth", case[0]), case[1])
+
+
+def check_reader(read, case) -> None:
+    """read(text) returns, or raises an InputError on the changed line; as in
+    check(), a message that says what is missing may name any line or none."""
+    text, line = case
+    try:
+        read(text)
+    except InputError as exc:
+        if "missing" not in str(exc):
+            assert exc.line == line, (line, str(exc))
+
+
+@FUZZ
+@given(mutated(SMATRIX))
+def test_smatrix_reader_mutations(case):
+    check_reader(lambda text: load_smatrix(text.encode()), case)
+
+
+@FUZZ
+@given(mutated(TRAJECTORIES))
+def test_trajectory_reader_mutations(case):
+    check_reader(lambda text: load_trajectories(text.encode()), case)
+
+
+@FUZZ
+@given(st.one_of(mutated(CLASSICAL), mutated(QUADRATIC)))
+def test_model_file_reader_mutations(case):
+    check_reader(lambda text: parse_model_file(text).generate(), case)
+
+
+# faults that were a plain ValueError: each lies in what a file supplies, though no line holds it
+NO_LINE_FAULTS = {
+    "missing sigma_r": lambda: load_trajectories(b"# j_max = 10.0\n1.0 2.0 30.0\n"),
+    "missing kind": lambda: parse_model_file("jmax = 20\n"),
+    "one two-branch line": lambda: parse_model_file("kind = two-branch\nbranch = 0.8 10 4 0.0 -0.2\n"),
+    "no cbranch": lambda: parse_model_file("kind = classical\njmax = 20\n"),
+    "ensemble shapes": lambda: TrajectoryEnsemble(np.ones(3), np.ones(2), np.ones(3), 1.0, 5.0),
+    "no branch": lambda: PhaseModel(()),
+    # a branch whose amplitude passes 1, which no GaussianAmplitude does
+    "|S| > 1": lambda: synth_smatrix(PhaseModel((PhaseBranch(lambda j: 2.0 + 0.0 * j, (0.0,)),)), 1.0, 10),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(NO_LINE_FAULTS))
+def test_a_file_fault_with_no_line_is_an_input_error(fault):
+    with pytest.raises(InputError) as info:
+        NO_LINE_FAULTS[fault]()
+    assert info.value.line is None
+
+
+@pytest.mark.parametrize("command, seed_text", [("opacity", SMATRIX), ("qct-dcs", TRAJECTORIES),
+                                                ("synth", CLASSICAL)])
+def test_a_byte_that_is_not_utf8_exits_1_naming_its_line(command, seed_text):
+    lines = seed_text.encode().splitlines(keepends=True)
+    lines[3] = lines[3].replace(b" ", b" \xff", 1)
+    assert run_cli(command, b"".join(lines)) == (1, "qdeflect: error: line 4: not UTF-8 text\n")
+
+
+# line breaks as str.splitlines, and so every reader, counts them: \r\n, a lone \r, a form feed, U+2028
+@pytest.mark.parametrize("data, line", [(b"\xff", 1), (b"a\n\xff", 2), (b"a\nb\xff\n", 2),
+                                        (b"a\r\nb\rc\x0cd\n\xff", 5), ("a\u2028".encode() + b"\xff", 2)])
+def test_a_byte_that_is_not_utf8_is_on_the_line_the_readers_number(data, line):
+    with pytest.raises(InputError) as info:
+        read_text(data)
+    assert info.value.line == line and str(info.value) == f"line {line}: not UTF-8 text"

@@ -18,8 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import load_smatrix_per_line, load_trajectories_per_line
-from qdeflect import _text, load_smatrix, load_trajectories, save_smatrix
-from qdeflect.smatrix import SMatrixParseError
+from qdeflect import InputError, _text, load_smatrix, load_trajectories, save_smatrix
 from test_input_fuzz import SMATRIX, TRAJECTORIES
 
 COMMENTED = """\
@@ -157,7 +156,7 @@ def test_a_numpy_1x_int_via_float_warning_is_a_refusal(monkeypatch):
     monkeypatch.setattr(np, "loadtxt", numpy_1x_loadtxt)
     text = "k 1.0 u\nchannel j=0 jp=0 v=0 vp=0 Jmax=2\n1.0 0 0 0.5 0.5\n"
     assert outcome(load_smatrix, text) == outcome(load_smatrix_per_line, text) == (
-        SMatrixParseError, "line 3: malformed entry '1.0 0 0 0.5 0.5'")
+        InputError, "line 3: malformed entry '1.0 0 0 0.5 0.5'")
 
 
 def test_keys_beyond_64_bits_fail_the_bounds_check():
@@ -184,7 +183,7 @@ def test_missing_header_line_is_reported_on_the_last_line(text, message):
     """With no entry line to fail first, a missing k or channel line is
     reported on the file's last line, as the per-line loader does."""
     for load in (load_smatrix, load_smatrix_per_line):
-        assert outcome(load, text) == (SMatrixParseError, message)
+        assert outcome(load, text) == (InputError, message)
 
 
 @pytest.mark.parametrize("k_line, channel_line, message", [
@@ -197,7 +196,7 @@ def test_missing_header_line_is_reported_on_the_last_line(text, message):
 def test_stray_k_tokens_and_channel_fields_are_rejected_on_their_line(k_line, channel_line, message):
     text = f"{k_line}\n{channel_line}\n0 0 0 0.5 0.5\n"
     for load in (load_smatrix, load_smatrix_per_line):
-        assert outcome(load, text) == (SMatrixParseError, message)
+        assert outcome(load, text) == (InputError, message)
 
 
 def test_saved_blocks_and_a_unit_k_line_still_load(tmp_path):

@@ -21,8 +21,7 @@ import pytest
 
 from conftest import sparse_probe_block
 from oracles import partial_amplitude_rows, sum_rows
-from qdeflect import (AngularGrid, ChannelHeader, JWindow, KernelConfig, SMatrixBlock, SMatrixValidationError,
-                      TrajectoryEnsemble, cqdf,
+from qdeflect import (AngularGrid, ChannelHeader, JWindow, KernelConfig, SMatrixBlock, TrajectoryEnsemble, cqdf,
                       partial_dcs, qct_df_gaussian, qct_df_legendre, qmdf_helicity_map, qmdf_map, scattering_amplitude)
 from qdeflect.cli import _write_csv
 from qdeflect.qct import _CHUNK
@@ -119,7 +118,7 @@ def test_a_gap_costs_what_the_entries_cost():
                          {(0, 0, 0): 0.5, (3_000_000, 0, 0): 0.5})
 
     def refuse():
-        with pytest.raises(SMatrixValidationError, match="1 gap"):
+        with pytest.raises(ValueError, match="1 gap"):
             cqdf(block, 0, 0)
 
     peak = peak_bytes(refuse)

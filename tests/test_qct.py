@@ -96,6 +96,13 @@ class TestMoments:
         with pytest.raises(ValueError, match="1-D and congruent"):
             TrajectoryEnsemble(np.ones((2, 2)), np.ones((2, 2)), np.ones((2, 2)), 1.0, 5.0)
 
+    def test_an_ensemble_freezes_views_and_leaves_the_callers_arrays_writable(self):
+        given = np.full(3, 0.5), np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.2, 0.3])
+        ensemble = TrajectoryEnsemble(*given, 1.0, 5.0)
+        for kept, array in zip((ensemble.weights, ensemble.j_values, ensemble.thetas), given):
+            assert np.shares_memory(kept, array) and array.flags.writeable
+            assert not kept.flags.writeable
+
     @pytest.mark.parametrize("orders", [(-1, 0), (0, -1)])
     def test_negative_order_rejected(self, orders):
         with pytest.raises(ValueError, match="expansion orders must be nonnegative"):

@@ -6,9 +6,8 @@ import pytest
 from qdeflect import (
     AngularGrid,
     ChannelHeader,
+    InputError,
     SMatrixBlock,
-    SMatrixParseError,
-    SMatrixValidationError,
     dcs,
     load_smatrix,
     opacity,
@@ -56,7 +55,7 @@ def test_comments_and_blank_lines():
 
 def test_helicity_bound_rejected():
     text = MINIMAL + "0 1 0 0.1 0.0\n"
-    with pytest.raises(SMatrixValidationError, match="Omega"):
+    with pytest.raises(InputError, match="Omega"):
         load_smatrix(text.encode())
 
 
@@ -65,13 +64,13 @@ def test_duplicate_key_rejected():
         "k 1.0 1/angstrom\nchannel j=1 jp=2 v=0 vp=0 Jmax=10\n"
         "5 0 1 0.1 0.0\n5 0 1 0.2 0.0\n"
     )
-    with pytest.raises(SMatrixValidationError, match="duplicate"):
+    with pytest.raises(InputError, match="duplicate"):
         load_smatrix(text.encode())
 
 
 def test_parse_error_carries_line_number():
     text = "k 1.0 1/angstrom\nchannel j=0 jp=0 v=0 vp=0 Jmax=2\n1 0 0 bad 0.0\n"
-    with pytest.raises(SMatrixParseError) as excinfo:
+    with pytest.raises(InputError) as excinfo:
         load_smatrix(text.encode())
     assert excinfo.value.line == 3
 
@@ -79,31 +78,31 @@ def test_parse_error_carries_line_number():
 @pytest.mark.parametrize("values", ["nan 0.0", "0.1 nan", "inf 0.0", "0.1 -inf"])
 def test_non_finite_entry_rejected_with_line_number(values):
     text = f"k 1.0 1/angstrom\nchannel j=0 jp=0 v=0 vp=0 Jmax=2\n0 0 0 1.0 0.0\n\n1 0 0 {values}\n"
-    with pytest.raises(SMatrixParseError, match="non-finite") as excinfo:
+    with pytest.raises(InputError, match="non-finite") as excinfo:
         load_smatrix(text.encode())
     assert excinfo.value.line == 5
 
 
 def test_entries_before_header_rejected():
-    with pytest.raises(SMatrixParseError):
+    with pytest.raises(InputError):
         load_smatrix(b"0 0 0 1.0 0.0\n")
 
 
 def test_j_outside_range_rejected():
     text = "k 1.0 x\nchannel j=0 jp=0 v=0 vp=0 Jmax=2\n3 0 0 0.5 0.0\n"
-    with pytest.raises(SMatrixValidationError, match="J outside"):
+    with pytest.raises(InputError, match="J outside"):
         load_smatrix(text.encode())
 
 
 def test_nonpositive_k_rejected():
-    with pytest.raises(SMatrixValidationError):
+    with pytest.raises(InputError):
         ChannelHeader(k=0.0, j=0, j_final=0)
 
 
 def test_negative_quantum_numbers_rejected():
-    with pytest.raises(SMatrixValidationError):
+    with pytest.raises(InputError):
         ChannelHeader(k=1.0, j=-1, j_final=0)
-    with pytest.raises(SMatrixValidationError):
+    with pytest.raises(InputError):
         ChannelHeader(k=1.0, j=0, j_final=0, J_max=-2)
 
 
@@ -111,7 +110,7 @@ def test_negative_quantum_numbers_rejected():
 @pytest.mark.parametrize("bad", [1.5, "2", np.inf, np.nan, None])
 def test_non_integral_quantum_number_rejected(name, bad):
     fields = dict(k=1.0, j=1, j_final=0, J_max=5)
-    with pytest.raises(SMatrixValidationError, match="must be an integer") as excinfo:
+    with pytest.raises(InputError, match="must be an integer") as excinfo:
         ChannelHeader(**{**fields, name: bad})
     assert excinfo.value.item == name
 
@@ -121,7 +120,7 @@ def test_non_integral_quantum_number_rejected(name, bad):
 def test_momentum_beyond_two_to_the_30_rejected(name, bad):
     # with each at most 2^30, every index a block forms (the pair codes too) stays within int64
     fields = dict(k=1.0, j=1, j_final=0, J_max=5)
-    with pytest.raises(SMatrixValidationError, match=f"{name} must be nonnegative and at most 2\\^30") as excinfo:
+    with pytest.raises(InputError, match=f"{name} must be nonnegative and at most 2\\^30") as excinfo:
         ChannelHeader(**{**fields, name: bad})
     assert excinfo.value.item == name
     top = 2**30
@@ -134,7 +133,7 @@ def test_integral_quantum_numbers_are_stored_as_int():
     values = [header.j, header.j_final, header.v, header.v_final, header.J_max]
     assert values == [2, 1, 3, 0, 5] and all(type(v) is int for v in values)
     # before, j = 1.5 decoded the key (1, 1, 0) as the helicity pair (0.5, 0.5)
-    with pytest.raises(SMatrixValidationError) as excinfo:
+    with pytest.raises(InputError) as excinfo:
         SMatrixBlock(ChannelHeader(k=1.0, j=1.5, j_final=0, J_max=5), {(1, 1, 0): 0.5})
     assert excinfo.value.item == "j"
 
@@ -164,7 +163,7 @@ def test_energy_label_round_trip():
     ("energy_label", None),
 ])
 def test_header_text_the_loader_cannot_read_back_is_rejected(name, bad):
-    with pytest.raises(SMatrixValidationError) as excinfo:
+    with pytest.raises(InputError) as excinfo:
         ChannelHeader(k=1.0, j=0, j_final=0, **{name: bad})
     assert excinfo.value.item == name
 
@@ -303,7 +302,7 @@ def test_an_empty_block_or_a_pair_it_lacks_gives_zero_curves(entries, grid181):
 @pytest.mark.parametrize("bad", [complex("nan"), complex(0.1, float("inf")), complex("-inf")])
 def test_library_block_rejects_non_finite_amplitude(bad):
     header = ChannelHeader(k=1.0, j=0, j_final=0, J_max=2)
-    with pytest.raises(SMatrixValidationError, match="non-finite") as excinfo:
+    with pytest.raises(InputError, match="non-finite") as excinfo:
         SMatrixBlock(header, {(0, 0, 0): 0.5, (2, 0, 0): bad})
     assert excinfo.value.item == 1  # the position of the failing entry
 
@@ -314,15 +313,15 @@ def test_key_that_is_not_three_integers_is_rejected(key):
     # int() would truncate 1.5 onto the key (1, 0, 0), read '2' as 2, or raise a bare
     # error; a key of two or four components would shift the components of the keys after it
     header = ChannelHeader(k=1.0, j=0, j_final=1, J_max=3)
-    with pytest.raises(SMatrixValidationError, match="must be three integers") as excinfo:
+    with pytest.raises(InputError, match="must be three integers") as excinfo:
         SMatrixBlock(header, {(1, 0, 0): 0.1, key: 0.5, (0, 0, 0): 0.2})
     assert excinfo.value.item == 1
     # a two- and a four-component key together still hold six components
-    with pytest.raises(SMatrixValidationError, match="must be three integers") as excinfo:
+    with pytest.raises(InputError, match="must be three integers") as excinfo:
         SMatrixBlock(header, {(1, 0, 0): 0.1, (1, 0): 0.5, (1, 0, 0, 0): 0.2})
     assert excinfo.value.item == 1
     # a key with no len() at all
-    with pytest.raises(SMatrixValidationError, match="entry 5: a key must be three integers") as excinfo:
+    with pytest.raises(InputError, match="entry 5: a key must be three integers") as excinfo:
         SMatrixBlock(header, {5: 1.0})
     assert excinfo.value.item == 0
     block = SMatrixBlock(header, {(2.0, 0, 0): 0.1, (np.int64(3), np.int32(0), 0): 0.5})
@@ -332,7 +331,7 @@ def test_key_that_is_not_three_integers_is_rejected(key):
 def test_first_failing_entry_is_reported(rng):
     # the second entry breaks a helicity bound, the third J_max: the first one wins
     header = ChannelHeader(k=1.0, j=1, j_final=0, J_max=3)
-    with pytest.raises(SMatrixValidationError, match=r"\|Omega'\|=1") as excinfo:
+    with pytest.raises(InputError, match=r"\|Omega'\|=1") as excinfo:
         SMatrixBlock(header, {(1, 1, 0): 0.1, (2, 0, 1): 0.1, (9, 0, 0): 0.1})
     assert excinfo.value.item == 1
 
@@ -361,6 +360,6 @@ def test_vectorized_checks_match_a_per_entry_check(rng):
         if first is None:
             assert len(SMatrixBlock(header, entries)) == len(entries)
         else:
-            with pytest.raises(SMatrixValidationError) as excinfo:
+            with pytest.raises(InputError) as excinfo:
                 SMatrixBlock(header, entries)
             assert excinfo.value.item == first
