@@ -12,18 +12,16 @@ __version__ = "0.1.0"
 _SUBMODULE_NAMES = {
     "_text": "InputError",
     "angular": "AngularCurve AngularGrid DeflectionMap default_grid integrate_curve",
-    "cqdf": "CqdfCurve PhaseUnwrapError cqdf fold_to_observable modified_smatrix "
-            "predicted_scattering_angle unwrap_arg",
-    "observables": "dcs integral_cross_section opacity partial_cross_section scattering_amplitude",
-    "qct": "KernelConfig LegendreDF TrajectoryEnsemble fit_legendre_df load_trajectories qct_dcs_legendre "
-           "qct_df_gaussian qct_df_legendre qct_opacity qct_sigma_j_gaussian qct_sigma_j_legendre "
-           "sample_ell_continuous save_trajectories",
-    "qmdf": "JWindow integrate_over_theta j_partial_amplitude partial_dcs qmdf_helicity_map "
-            "qmdf_map random_phase_map smooth_map sum_over_j",
+    "cqdf": "CqdfCurve PhaseUnwrapError cqdf predicted_scattering_angle unwrap_arg",
+    "observables": "dcs opacity partial_cross_section",
+    "qct": "KernelConfig TrajectoryEnsemble load_trajectories qct_dcs_legendre qct_df_gaussian qct_df_legendre "
+           "qct_sigma_j_gaussian qct_sigma_j_legendre save_trajectories",
+    "qmdf": "JWindow integrate_over_theta partial_dcs qmdf_helicity_map qmdf_map random_phase_map smooth_map "
+            "sum_over_j",
     "smatrix": "ChannelHeader SMatrixBlock load_smatrix save_smatrix validate_unitarity",
     "synth": "ClassicalBranch ClassicalModel GaussianAmplitude PhaseBranch PhaseModel linear_phase_model "
              "parse_model_file quadratic_phase_model synth_smatrix synth_trajectories",
-    "wigner": "wigner_d wigner_d_table",
+    "wigner": "wigner_d",
 }
 # public name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names.split()}

@@ -33,12 +33,13 @@ class InputError(ValueError):
 
 def read_text(source: Source) -> str:
     """A str or Path names a UTF-8 file; bytes or a stream hold the text.  A byte
-    that is not UTF-8 is an InputError on its line, as str.splitlines numbers lines."""
+    that is not UTF-8 is an InputError on its line, as str.splitlines numbers lines.
+    One leading byte-order mark is dropped."""
     if isinstance(source, (str, Path)):
         source = Path(source).read_bytes()
     data = source if isinstance(source, bytes) else source.read()
     try:
-        return data.decode("utf-8") if isinstance(data, bytes) else data
+        return (data.decode("utf-8") if isinstance(data, bytes) else data).removeprefix("\ufeff")
     except UnicodeDecodeError as exc:  # '?' stands for the byte: a line break just before it opens its line
         raise InputError("not UTF-8 text", len((data[: exc.start].decode("utf-8") + "?").splitlines())) from None
 

@@ -81,7 +81,8 @@ def _per_j(block, name: str, fn):
 
 def _map_output(dmap, args, params: dict):
     if args.smooth_j or args.smooth_theta_deg:
-        dmap = qd.smooth_map(dmap, args.smooth_j, np.radians(args.smooth_theta_deg))
+        with _hint("--smooth-j and --smooth-theta-deg each at most 174762 grid steps"):  # 6 s / h <= 2^20
+            dmap = qd.smooth_map(dmap, args.smooth_j, np.radians(args.smooth_theta_deg))
         params.update(smooth_j=args.smooth_j, smooth_theta_deg=args.smooth_theta_deg)
     values = dmap.values
     if args.no_sin_theta:

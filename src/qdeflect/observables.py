@@ -1,7 +1,7 @@
 """Scalar and angular observables built directly from an S-matrix block.
 
-Opacity P(J), J-partial and integral cross sections, helicity scattering
-amplitudes f_{Omega' Omega}(theta) and the differential cross section.
+Opacity P(J), the J-partial cross section, the partial helicity amplitudes
+f^J_{Omega' Omega}(theta) and the differential cross section.
 Cross sections are reported in (declared wavenumber unit)^-2, i.e. length
 squared; the DCS is per steradian.
 
@@ -42,11 +42,6 @@ def opacity(block: SMatrixBlock, J: int | np.ndarray) -> float | np.ndarray:
 def partial_cross_section(block: SMatrixBlock, J: int | np.ndarray) -> float | np.ndarray:
     """sigma^J = (pi/k^2) (2J+1)/(2j+1) sum |S^J|^2, at an int J or each of an array."""
     return np.pi / block.header.k**2 * (2 * J + 1) / (2 * block.header.j + 1) * _sum_sq(block, J)
-
-
-def integral_cross_section(block: SMatrixBlock) -> float:
-    """Sum of sigma^J over the J with entries, added left to right from 0.0 (as sum() before Python 3.12)."""
-    return float(np.add.accumulate(np.append(0.0, partial_cross_section(block, block.js)))[-1])
 
 
 def partial_amplitudes(block: SMatrixBlock, rows: Sequence[int], grid: AngularGrid, j_lo: int = 0,
@@ -94,22 +89,6 @@ def summed_amplitudes(block: SMatrixBlock, rows: Sequence[int], grid: AngularGri
     for _, f_j in partial_amplitudes(block, rows, grid, j_lo, j_hi):
         total += f_j
     return total
-
-
-def _pair_row(block: SMatrixBlock, omega: int, omega_p: int) -> np.ndarray:
-    """The row of (omega, omega_p) in block.pairs, as rows of one index, or none if the block lacks it."""
-    return np.flatnonzero(np.all(block.pairs == (omega, omega_p), axis=1))
-
-
-def scattering_amplitude(block: SMatrixBlock, omega_p: int, omega: int, grid: AngularGrid) -> AngularCurve:
-    """f_{Omega' Omega}(theta) summed over every J present in the block."""
-    h = block.header
-    if abs(omega) > h.j or abs(omega_p) > h.j_final:
-        raise ValueError(f"helicities (Omega'={omega_p}, Omega={omega}) outside channel range "
-                         f"(j={h.j}, jp={h.j_final})")
-    # one row or none; a sum from zero holds no -0.0, so adding it to +0 keeps its bits
-    values = summed_amplitudes(block, _pair_row(block, omega, omega_p), grid).sum(axis=0)
-    return AngularCurve(grid, values)
 
 
 def _coherent_dcs(block: SMatrixBlock, grid: AngularGrid, j_lo: int = 0, j_hi: int | None = None) -> AngularCurve:

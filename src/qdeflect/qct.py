@@ -29,7 +29,7 @@ import re
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Callable, Union
 
 import numpy as np
 from numpy.polynomial.legendre import legval, legvander
@@ -54,8 +54,7 @@ class TrajectoryEnsemble:
     """Weighted reactive records (w_i, J_i, theta_i) with normalization data.
 
     j_values are real (continuous sampling) or integer-valued (discrete);
-    thetas are radians in [0, pi].  n_tot_by_j gives the total trajectory
-    count per integer J bin and is only needed for opacities.
+    thetas are radians in [0, pi].
     """
 
     weights: np.ndarray
@@ -63,7 +62,6 @@ class TrajectoryEnsemble:
     thetas: np.ndarray
     sigma_r: float
     j_max: float
-    n_tot_by_j: Mapping[int, int] | None = None
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
@@ -103,17 +101,6 @@ def reduced_x(j: np.ndarray | float, j_max: float) -> np.ndarray | float:
 
 def _dx_dj(j: np.ndarray | float, j_max: float) -> np.ndarray | float:
     return 2.0 * (2.0 * j + 1.0) / (j_max * (j_max + 1.0))
-
-
-def qct_opacity(ensemble: TrajectoryEnsemble, J: int) -> float:
-    """Weighted reactive fraction at integer J: S_w(J) / N_tot(J)."""
-    if ensemble.n_tot_by_j is None:
-        raise ValueError("opacity needs the per-J total-trajectory table")
-    n_tot = ensemble.n_tot_by_j.get(int(J), 0)
-    if n_tot <= 0:
-        raise ValueError(f"no total-trajectory count at J={J}: opacity undefined")
-    at_j = np.rint(ensemble.j_values).astype(int) == int(J)
-    return float(np.sum(ensemble.weights[at_j])) / n_tot
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,8 +249,9 @@ def _gauss(u: np.ndarray, s: float) -> np.ndarray:
     place in the C-contiguous float array u.  Above s ~ 2500 the cut moves in
     to where the value would fall below the smallest normal double."""
     norm = s * math.sqrt(math.pi)
-    np.divide(u, s, out=u)
-    np.square(u, out=u)
+    with np.errstate(over="ignore"):  # a tiny s sends (u/s)^2 to inf, which the cut zeroes
+        np.divide(u, s, out=u)
+        np.square(u, out=u)
     np.negative(u, out=u)
     floor = math.log(sys.float_info.min) + math.log(norm) + 1e-9  # margin for the rounding of log, exp and /
     return np.divide(_exp(u, max(_EXP_FLOOR, floor)), norm, out=u)
@@ -344,20 +332,19 @@ def sample_ell_continuous(
 
 
 # ---------------------------------------------------------------------------
-# trajectory file format: '#' comments carry sigma_r, j_max and the optional
-# per-J totals; records are "<w> <J> <theta_deg>" lines.
+# trajectory file format: '#' comments carry sigma_r and j_max; records
+# are "<w> <J> <theta_deg>" lines.
 
-_HEADER_RE = re.compile(r"#\s*(sigma_r|j_max|n_tot)\b(.*)")
-_HEADER_FORMS = {"sigma_r": r"\s*=\s*(\S+)", "j_max": r"\s*=\s*(\S+)", "n_tot": r"\s+(\d+)\s+(\d+)"}
+_HEADER_RE = re.compile(r"#\s*(sigma_r|j_max)\b(.*)")
+_HEADER_FORM = re.compile(r"\s*=\s*(\S+)")
 
 
 def load_trajectories(source: Source) -> TrajectoryEnsemble:
-    """Read an ensemble; a '#' line whose first word is sigma_r, j_max or
-    n_tot must be that header, with nothing after it, once (per J for
-    n_tot); other '#' lines are comments."""
+    """Read an ensemble; a '#' line whose first word is sigma_r or j_max
+    must be that header, '= value' with nothing after it, once; other '#'
+    lines are comments."""
     meta: dict[str, float] = {}
     meta_lines: dict[str, int] = {}
-    n_tot: dict[int, int] = {}
     lines = read_text(source).splitlines()
     record_lines: list[int] = []
     fault = None
@@ -366,17 +353,13 @@ def load_trajectories(source: Source) -> TrajectoryEnsemble:
             if raw[:1] in NUMBER_START or raw.lstrip()[:1] not in ("", "#"):
                 record_lines.append(lineno)
             elif m := _HEADER_RE.match(raw.strip()):
-                if not (value := re.fullmatch(_HEADER_FORMS[m[1]], m[2])):
+                if not (value := _HEADER_FORM.fullmatch(m[2])):
                     raise InputError(f"malformed '# {m[1]}' line", lineno)
-                key = f"n_tot {int(value[1])}" if m[1] == "n_tot" else m[1]
-                if key in meta_lines:
-                    raise InputError(f"duplicate '# {key}' line", lineno)
-                meta_lines[key] = lineno
+                if m[1] in meta_lines:
+                    raise InputError(f"duplicate '# {m[1]}' line", lineno)
+                meta_lines[m[1]] = lineno
                 try:
-                    if m[1] == "n_tot":
-                        n_tot[int(value[1])] = int(value[2])
-                    else:
-                        meta[m[1]] = float(value[1])
+                    meta[m[1]] = float(value[1])
                 except ValueError:
                     raise InputError(f"bad {m[1]} value {value[1]!r}", lineno) from None
     except InputError as exc:
@@ -398,7 +381,6 @@ def load_trajectories(source: Source) -> TrajectoryEnsemble:
             thetas=np.radians(columns[2]),
             sigma_r=meta["sigma_r"],
             j_max=meta["j_max"],
-            n_tot_by_j=n_tot or None,
         )
     except InputError as exc:
         if isinstance(exc.item, str):
@@ -411,10 +393,8 @@ def save_trajectories(ensemble: TrajectoryEnsemble, destination: Destination) ->
         "# qct trajectory ensemble",
         f"# sigma_r = {float(ensemble.sigma_r)!r}",
         f"# j_max = {float(ensemble.j_max)!r}",
+        "# columns: w J theta_deg",
     ]
-    if ensemble.n_tot_by_j:
-        lines += [f"# n_tot {j} {c}" for j, c in sorted(ensemble.n_tot_by_j.items())]
-    lines.append("# columns: w J theta_deg")
     degs = np.degrees(ensemble.thetas)
     lines += [
         f"{float(w)!r} {float(j)!r} {float(t)!r}"

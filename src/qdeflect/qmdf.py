@@ -30,7 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from .angular import AngularCurve, AngularGrid, DeflectionMap, integrate_curve
-from .observables import _check_j, _coherent_dcs, _pair_row, partial_amplitudes, summed_amplitudes
+from .observables import _coherent_dcs, partial_amplitudes, summed_amplitudes
 from .smatrix import SMatrixBlock
 
 
@@ -44,19 +44,6 @@ class JWindow:
     def __post_init__(self) -> None:
         if not 0 <= self.j_lo <= self.j_hi:
             raise ValueError(f"need 0 <= j_lo <= j_hi, got [{self.j_lo}, {self.j_hi}]")
-
-
-def j_partial_amplitude(block: SMatrixBlock, J: int, omega_p: int, omega: int,
-                        grid: AngularGrid) -> AngularCurve:
-    """Single-J amplitude f^J_{Omega' Omega}(theta); zero curve if absent."""
-    h = block.header
-    _check_j(block, J)
-    if abs(omega) > min(J, h.j) or abs(omega_p) > min(J, h.j_final):
-        raise ValueError(f"helicities (Omega'={omega_p}, Omega={omega}) violate bounds at J={J}")
-    values = np.zeros(len(grid), dtype=complex)
-    for _, f_j in partial_amplitudes(block, _pair_row(block, omega, omega_p), grid, J, J):
-        values = f_j[0]
-    return AngularCurve(grid, values)
 
 
 def _group_sums(

@@ -30,7 +30,7 @@ wigner_d_rows is the one implementation: it steps many (m', m) pairs at
 once, one row per symmetry orbit, carried by the orbit's member with
 m' = J0 and expanded to the others by the first symmetry above; so a
 pair's row depends on the pair, theta and J alone, not on the other
-pairs asked for.  wigner_d_table and wigner_d are its one-pair calls.
+pairs asked for.  wigner_d is its one-element call.
 
 All functions are pure and safe for concurrent callers.
 """
@@ -42,8 +42,6 @@ from bisect import bisect_left, bisect_right
 from typing import Iterator, Sequence
 
 import numpy as np
-
-from .angular import AngularGrid
 
 
 def _seed_values(j0: int, omega: int, thetas: np.ndarray) -> np.ndarray:
@@ -158,20 +156,6 @@ def wigner_d_rows(
         if ends.size:
             rows[:, ends] = at_parity[J % 2] if J >= j0[-1] else np.where(seed_j <= J, at_parity[J % 2], 0.0)
         yield J, rows
-
-
-def wigner_d_table(j_max: int, omega_p: int, omega: int, grid: AngularGrid) -> np.ndarray:
-    """d^J_{omega_p, omega} for every J = 0..j_max over the grid.
-
-    Shape (j_max + 1, len(grid)); rows with J < max(|omega_p|, |omega|)
-    are zero.
-    """
-    if j_max < 0:
-        raise ValueError("j_max must be nonnegative")
-    table = np.empty((j_max + 1, len(grid)))
-    for J, rows in wigner_d_rows([(omega_p, omega)], grid.thetas, range(j_max + 1)):
-        table[J] = rows[0]
-    return table
 
 
 def wigner_d(J: int, omega_p: int, omega: int, theta: float) -> float:

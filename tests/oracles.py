@@ -6,12 +6,12 @@ import re
 import mpmath as mp
 import numpy as np
 
-from qdeflect import wigner_d_table
 from qdeflect._text import InputError, read_text
 from qdeflect.qct import _CHUNK, TrajectoryEnsemble
 from qdeflect.qmdf import DeflectionMap
 from qdeflect.smatrix import DEFAULT_K_UNIT, ChannelHeader, SMatrixBlock
 from qdeflect.synth import PhaseModel, _check_finite
+from qdeflect.wigner import wigner_d_rows
 
 
 def wigner_d_exact(J, omega_p, omega, theta, dps=140):
@@ -57,7 +57,7 @@ def partial_amplitude_rows(block, omega, omega_p, grid):
     js, amps = block.j_column(omega, omega_p)
     if js.size == 0:
         return rows
-    dtab = wigner_d_table(int(js.max()), omega_p, omega, grid)
+    dtab = [d[0].copy() for _, d in wigner_d_rows([(omega_p, omega)], grid.thetas, range(int(js.max()) + 1))]
     pref = 1.0 / (2j * h.k)
     for J, s in zip(js, amps):
         rows[J] = pref * (2 * J + 1) * s * dtab[J]
@@ -264,24 +264,20 @@ def load_trajectories_per_line(source):
     record read and checked in file order, the first fault raised on its
     line.  The reference for the column-wise loader."""
     lines = read_text(source).splitlines()
-    meta, meta_lines, n_tot, records, record_lines = {}, {}, {}, [], []
+    meta, meta_lines, records, record_lines = {}, {}, [], []
     for lineno, raw in enumerate(lines, start=1):
         if raw.lstrip()[:1] in ("", "#"):
-            m = re.match(r"#\s*(sigma_r|j_max|n_tot)\b(.*)", raw.strip())
+            m = re.match(r"#\s*(sigma_r|j_max)\b(.*)", raw.strip())
             if not m:
                 continue
-            value = re.fullmatch(r"\s+(\d+)\s+(\d+)" if m[1] == "n_tot" else r"\s*=\s*(\S+)", m[2])
+            value = re.fullmatch(r"\s*=\s*(\S+)", m[2])
             if not value:
                 raise InputError(f"malformed '# {m[1]}' line", lineno)
-            key = f"n_tot {int(value[1])}" if m[1] == "n_tot" else m[1]
-            if key in meta_lines:
-                raise InputError(f"duplicate '# {key}' line", lineno)
-            meta_lines[key] = lineno
+            if m[1] in meta_lines:
+                raise InputError(f"duplicate '# {m[1]}' line", lineno)
+            meta_lines[m[1]] = lineno
             try:
-                if m[1] == "n_tot":
-                    n_tot[int(value[1])] = int(value[2])
-                else:
-                    meta[m[1]] = float(value[1])
+                meta[m[1]] = float(value[1])
             except ValueError:
                 raise InputError(f"bad {m[1]} value {value[1]!r}", lineno) from None
             continue
@@ -310,7 +306,7 @@ def load_trajectories_per_line(source):
                             (0 <= j <= j_max, "j_values must lie in [0, j_max]")):
             if not ok:
                 raise InputError(message, lineno)
-    return TrajectoryEnsemble(weights, j_values, thetas, sigma_r, j_max, n_tot or None)
+    return TrajectoryEnsemble(weights, j_values, thetas, sigma_r, j_max)
 
 
 def exp_reference(x, floor=-700.0):

@@ -19,7 +19,6 @@ from qdeflect import (
     cqdf,
     dcs,
     default_grid,
-    fit_legendre_df,
     integrate_over_theta,
     linear_phase_model,
     partial_cross_section,
@@ -29,15 +28,14 @@ from qdeflect import (
     qmdf_map,
     quadratic_phase_model,
     random_phase_map,
-    sample_ell_continuous,
     sum_over_j,
     synth_smatrix,
     synth_trajectories,
     wigner_d,
-    wigner_d_table,
 )
 from qdeflect.cli import main
-from qdeflect.qct import TrajectoryEnsemble
+from qdeflect.qct import TrajectoryEnsemble, fit_legendre_df, sample_ell_continuous
+from qdeflect.wigner import wigner_d_rows
 from conftest import make_block, random_block
 from oracles import wigner_d_exact
 
@@ -204,7 +202,7 @@ def test_criterion_07_wigner_kernel_suite():
     weights = (4.0 / n) * (np.sin(np.outer(grid.thetas, m_odd)) / m_odd).sum(axis=1)
     ortho_worst = 0.0
     for omega_p, omega in ((0, 0), (1, 0), (2, -1)):
-        table = wigner_d_table(60, omega_p, omega, grid)
+        table = np.array([row[0].copy() for _, row in wigner_d_rows([(omega_p, omega)], grid.thetas, range(61))])
         gram = (table * (weights * grid.sin_thetas)) @ table.T
         j0 = max(abs(omega_p), abs(omega))
         for ja in range(j0, 61):

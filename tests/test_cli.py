@@ -615,18 +615,14 @@ def test_trajectory_j_max_beyond_2_30_exits_1_naming_its_line(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("command,text,line", [
-    ("qct-dcs", TRAJ_HEADER + "# n_tot 2 abc\n1.0 2.0 30.0\n", 3),
-    ("qct-dcs", TRAJ_HEADER + "# n_tot -2 10\n1.0 2.0 30.0\n", 3),
     ("qct-dcs", "# sigma_r 1.0\n# j_max = 10.0\n1.0 2.0 30.0\n", 1),
     ("synth", "kind = linear\njmax = 10\nc = 1e308\nk = 1.0\n", 3),
     # a repeated header fails on its later line
     ("qct-dcs", TRAJ_HEADER + "# sigma_r = 2.0\n1.0 2.0 30.0\n", 3),
     ("qct-dcs", "# j_max = 10.0\n# sigma_r = 1.0\n1.0 2.0 30.0\n# j_max = 10.0\n", 4),
-    ("qct-dcs", TRAJ_HEADER + "# n_tot 2 10\n1.0 2.0 30.0\n# n_tot 2 10\n", 5),
     # a header line with tokens after its form
     ("qct-dcs", "# sigma_r = 1.0 junk\n# j_max = 10.0\n1.0 2.0 30.0\n", 1),
     ("qct-dcs", "# sigma_r = 1.0\n# j_max = 10 more\n1.0 2.0 30.0\n", 2),
-    ("qct-dcs", TRAJ_HEADER + "# n_tot 2 10 junk\n1.0 2.0 30.0\n", 3),
     # a repeated model-file key fails on its later line, a key its kind does not read on its own
     ("synth", "kind = linear\njmax = 20\njmax = 40\n", 3),
     ("synth", "kind = linear\nkind = classical\njmax = 20\ncbranch = 1 2\n", 2),
@@ -641,6 +637,19 @@ def test_malformed_header_or_overflow_exits_1_naming_its_line(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"qdeflect: error: line {line}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lines", ["# n_tot 2 abc\n", "# n_tot -2 10\n", "# n_tot 2 10 junk\n", "# n_tot 2 10\n" * 2])
+def test_an_n_tot_line_is_a_comment_to_the_trajectory_commands(tmp_path, capsys, lines):
+    records = "1.0 2.0 30.0\n2.0 5.0 100.0\n"
+    outputs = []
+    for name, text in (("plain", TRAJ_HEADER + records), ("n_tot", TRAJ_HEADER + lines + records + lines)):
+        path = tmp_path / f"{name}.traj"
+        path.write_text(text)
+        out = tmp_path / f"{name}.csv"
+        assert main(["qct-dcs", str(path), "--out", str(out)]) == 0
+        outputs.append((written_rows(out), capsys.readouterr().err))
+    assert outputs[0] == outputs[1]
 
 
 def per_row_csv_rows(header, columns):
@@ -723,13 +732,19 @@ def test_explicit_or_wide_enough_widths_run_silently(traj_file, tmp_path, capsys
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("extra", [["--smooth-j", "1e-300", "--smooth-theta-deg", "3"],
-                                   ["--smooth-j", "1.5", "--smooth-theta-deg", "1e-300"]])
-def test_a_tiny_gaussian_width_runs(traj_file, tmp_path, capsys, extra):
+@pytest.mark.parametrize("command, extra", [
+    ("qct-df", ["--grid-deg", "2", "--smooth-j", "1e-300", "--smooth-theta-deg", "3"]),
+    ("qct-df", ["--grid-deg", "2", "--smooth-j", "1.5", "--smooth-theta-deg", "1e-300"]),
+    ("qct-df", ["--grid-deg", "2", "--smooth-j", "1e-160"]),
+    ("qct-df", ["--grid-deg", "2", "--smooth-j", "1e-320"]),
+    ("qct-sigma-j", ["--smooth-j", "1e-160"]),
+])
+def test_a_tiny_gaussian_width_runs(traj_file, tmp_path, capsys, command, extra):
+    # (u/s)^2 overflows to inf and the cut zeroes it: no record lies on a grid point, so every value is 0
     out = tmp_path / "x.csv"
-    assert main(["qct-df", str(traj_file), "--out", str(out), "--estimator", "gaussian", "--grid-deg", "2",
-                 *extra]) == 0
-    assert "error" not in capsys.readouterr().err  # (u/s)^2 overflowing to inf is left as numpy's warning
+    assert main([command, str(traj_file), "--out", str(out), "--estimator", "gaussian", *extra]) == 0
+    assert capsys.readouterr().err == ""
+    assert not read_csv(out)[1][:, -1].any()
 
 
 def test_fallback_run_writes_the_library_map_at_the_floored_widths(traj_file, tmp_path):
@@ -858,7 +873,7 @@ def test_hostile_width_exits_1_naming_the_flag_or_the_width(block_file, traj_fil
         return
     assert code == 1 and not out.exists()
     last = err.splitlines()[-1]
-    assert "error: " in last and (flag in last or "width" in last)
+    assert "error: " in last and flag in last
     assert sum("error" in line for line in err.splitlines()) == 1
 
 

@@ -5,14 +5,13 @@ from numpy.testing import assert_allclose
 from qdeflect import (
     PhaseUnwrapError,
     cqdf,
-    fold_to_observable,
     linear_phase_model,
-    modified_smatrix,
     predicted_scattering_angle,
     quadratic_phase_model,
     synth_smatrix,
     unwrap_arg,
 )
+from qdeflect.cqdf import fold_to_observable, modified_smatrix
 from conftest import make_block
 
 

@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qdeflect import (InputError, PhaseBranch, PhaseModel, TrajectoryEnsemble, load_smatrix, load_trajectories,
-                      parse_model_file, synth_smatrix)
+                      parse_model_file, save_smatrix, save_trajectories, synth_smatrix)
 from qdeflect._text import read_text
 from qdeflect.cli import main
 
@@ -36,6 +36,7 @@ channel j=1 jp=1 v=0 vp=0 Jmax=3
 3 0 1 0.3 0.3
 """
 
+# '# n_tot 2 10' is an ordinary comment line, whatever a mutation makes of its tokens
 TRAJECTORIES = """\
 # qct trajectory ensemble
 # sigma_r = 2.0
@@ -212,8 +213,28 @@ def test_a_byte_that_is_not_utf8_exits_1_naming_its_line(command, seed_text):
 
 # line breaks as str.splitlines, and so every reader, counts them: \r\n, a lone \r, a form feed, U+2028
 @pytest.mark.parametrize("data, line", [(b"\xff", 1), (b"a\n\xff", 2), (b"a\nb\xff\n", 2),
-                                        (b"a\r\nb\rc\x0cd\n\xff", 5), ("a\u2028".encode() + b"\xff", 2)])
+                                        (b"a\r\nb\rc\x0cd\n\xff", 5), ("a\u2028".encode() + b"\xff", 2),
+                                        (b"\xef\xbb\xbf\xff", 1), (b"\xef\xbb\xbfa\n\xff", 2)])
 def test_a_byte_that_is_not_utf8_is_on_the_line_the_readers_number(data, line):
     with pytest.raises(InputError) as info:
         read_text(data)
     assert info.value.line == line and str(info.value) == f"line {line}: not UTF-8 text"
+
+
+# each reader, with what writes its result back out as text, and the sources it reads (a model file: no stream)
+BOM_READERS = {"smatrix": (SMATRIX, load_smatrix, save_smatrix, ("path", "bytes", "stream")),
+               "trajectories": (TRAJECTORIES, load_trajectories, save_trajectories, ("path", "bytes", "stream")),
+               "model": (CLASSICAL, lambda source: parse_model_file(source).generate(), save_trajectories,
+                         ("path", "bytes"))}
+
+
+@pytest.mark.parametrize("seed_text, read, write, form", [
+    pytest.param(*reader[:3], form, id=f"{name}-{form}") for name, reader in BOM_READERS.items() for form in reader[3]])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, seed_text, read, write, form):
+    def written(data: bytes) -> str:
+        (tmp_path / "input.txt").write_bytes(data)
+        source = {"path": tmp_path / "input.txt", "bytes": data, "stream": io.StringIO(data.decode())}[form]
+        write(read(source), out := io.StringIO())
+        return out.getvalue()
+
+    assert written(b"\xef\xbb\xbf" + seed_text.encode()) == written(seed_text.encode())

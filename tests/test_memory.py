@@ -22,8 +22,9 @@ import pytest
 from conftest import sparse_probe_block
 from oracles import partial_amplitude_rows, sum_rows
 from qdeflect import (AngularGrid, ChannelHeader, JWindow, KernelConfig, SMatrixBlock, TrajectoryEnsemble, cqdf,
-                      partial_dcs, qct_df_gaussian, qct_df_legendre, qmdf_helicity_map, qmdf_map, scattering_amplitude)
+                      partial_dcs, qct_df_gaussian, qct_df_legendre, qmdf_helicity_map, qmdf_map)
 from qdeflect.cli import _write_csv
+from qdeflect.observables import summed_amplitudes
 from qdeflect.qct import _CHUNK
 from qdeflect.wigner import wigner_d_rows
 from test_amplitude_core import assert_bits
@@ -70,9 +71,9 @@ def test_one_pair_of_a_sparse_block_streams_its_entries_only():
     block, grid = sparse_probe_block(), AngularGrid.uniform(1.0)
     omega, omega_p = block.pairs[0].tolist()
     curves = []
-    peak = peak_bytes(lambda: curves.append(scattering_amplitude(block, omega_p, omega, grid)))
+    peak = peak_bytes(lambda: curves.append(summed_amplitudes(block, [0], grid)[0]))
     assert peak <= 4e6, peak
-    assert_bits(curves[0].values, sum_rows(partial_amplitude_rows(block, omega, omega_p, grid)))
+    assert_bits(curves[0], sum_rows(partial_amplitude_rows(block, omega, omega_p, grid)))
 
 
 def test_wigner_rows_of_a_sparse_block_hold_no_coefficient_table_per_j():

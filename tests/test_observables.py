@@ -8,15 +8,13 @@ from qdeflect import (
     ChannelHeader,
     SMatrixBlock,
     dcs,
-    integral_cross_section,
-    j_partial_amplitude,
     opacity,
     partial_cross_section,
-    scattering_amplitude,
 )
+from qdeflect.observables import summed_amplitudes
 from conftest import make_block, random_block
 from oracles import integral_cross_section_reference, per_j_reference
-from test_amplitude_core import BLOCKS, assert_bits, ragged_block
+from test_amplitude_core import BLOCKS, amplitude_at_j, assert_bits, ragged_block
 
 GRID = AngularGrid.uniform(1.0)
 
@@ -97,7 +95,6 @@ def test_per_j_outputs_equal_the_per_j_scan_bit_for_bit(kind):
     assert_bits(partial_cross_section(block, js), ref[:, 1])
     mixed = np.concatenate([js[::-1], js[:3]])  # any order, repeats allowed
     assert_bits(partial_cross_section(block, mixed), ref[mixed, 1])
-    assert_bits(integral_cross_section(block), integral_cross_section_reference(block))
     with pytest.raises(ValueError, match=f"J={block.header.J_max + 1} outside"):
         opacity(block, np.array([0, block.header.J_max + 1, -1]))
 
@@ -111,12 +108,6 @@ def test_partial_cross_section_degeneracy():
     assert partial_cross_section(block, 1) == pytest.approx(3 * np.pi / 4)
 
 
-def test_integral_cross_section_sums():
-    assert integral_cross_section(make_block({(0, 0, 0): 1.0})) == pytest.approx(np.pi)
-    two = make_block({(0, 0, 0): 1.0, (1, 0, 0): 1.0}, j_max=1)
-    assert integral_cross_section(two) == pytest.approx(4 * np.pi)
-
-
 def test_degeneracy_consistency(rng):
     block = random_block(rng, j_max=20, j=2, jp=1)
     h = block.header
@@ -124,30 +115,26 @@ def test_degeneracy_consistency(rng):
         np.pi / h.k**2 * (2 * J + 1) * (2 * min(J, h.j) + 1) / (2 * h.j + 1) * opacity(block, J)
         for J in range(h.J_max + 1)
     )
-    assert_allclose(total, integral_cross_section(block), rtol=1e-12)
+    assert_allclose(total, integral_cross_section_reference(block), rtol=1e-12)
 
 
+# the blocks below hold the one pair (0, 0), at row 0 of block.pairs
 def test_amplitude_single_wave_is_constant():
-    amp = scattering_amplitude(make_block({(0, 0, 0): 1.0}), 0, 0, GRID)
-    assert_allclose(amp.values, -0.5j, atol=1e-15)
+    amp = summed_amplitudes(make_block({(0, 0, 0): 1.0}), [0], GRID)[0]
+    assert_allclose(amp, -0.5j, atol=1e-15)
 
 
 def test_amplitude_two_waves_hand_value():
     block = make_block({(0, 0, 0): 1.0, (1, 0, 0): 1.0}, j_max=1)
-    amp = scattering_amplitude(block, 0, 0, GRID)
+    amp = summed_amplitudes(block, [0], GRID)[0]
     idx = np.argmin(np.abs(GRID.thetas - np.pi / 2))
-    assert_allclose(amp.values[idx], -0.5j, atol=1e-12)
+    assert_allclose(amp[idx], -0.5j, atol=1e-12)
 
 
 def test_amplitude_empty_block_is_zero():
     block = make_block({(0, 0, 0): 0.0}, j_max=3)
-    amp = scattering_amplitude(block, 0, 0, GRID)
-    assert np.all(amp.values == 0.0)
-
-
-def test_amplitude_helicity_domain_error():
-    with pytest.raises(ValueError):
-        scattering_amplitude(make_block({(0, 0, 0): 1.0}), 1, 0, GRID)
+    amp = summed_amplitudes(block, [0], GRID)[0]
+    assert np.all(amp == 0.0)
 
 
 def test_dcs_single_wave_flat():
@@ -177,7 +164,7 @@ def test_global_phase_invariance(rng):
         dcs(shifted, GRID).values, dcs(block, GRID).values, rtol=1e-12, atol=1e-15
     )
     assert_allclose(
-        integral_cross_section(shifted), integral_cross_section(block), rtol=1e-12
+        integral_cross_section_reference(shifted), integral_cross_section_reference(block), rtol=1e-12
     )
     for J in range(block.header.J_max + 1):
         assert_allclose(opacity(shifted, J), opacity(block, J), rtol=1e-12, atol=1e-16)
@@ -213,11 +200,11 @@ def test_dcs_against_independent_reconstruction(rng):
 def test_amplitude_additivity_over_j(rng):
     block = random_block(rng, j_max=14, j=1, jp=1)
     h = block.header
-    for omega, omega_p in block.pairs.tolist():
+    for row, (omega, omega_p) in enumerate(block.pairs.tolist()):
         total = np.zeros(len(GRID), dtype=complex)
         for J in range(h.J_max + 1):
             if abs(omega) > min(J, h.j) or abs(omega_p) > min(J, h.j_final):
                 continue
-            total = total + j_partial_amplitude(block, J, omega_p, omega, GRID).values
-        amp = scattering_amplitude(block, omega_p, omega, GRID)
-        assert np.array_equal(total, amp.values)
+            total = total + amplitude_at_j(block, [row], J, GRID)[0]
+        amp = summed_amplitudes(block, [row], GRID)[0]
+        assert np.array_equal(total, amp)

@@ -5,6 +5,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,14 @@ def test_every_public_name_resolves():
     assert set(qdeflect.__all__) <= set(dir(qdeflect))
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         qdeflect.no_such_name  # noqa: B018
+
+
+def test_every_public_name_is_one_the_tool_or_its_readme_uses():
+    # a name is public only if the CLI, a script in scripts/ or a README section needs it
+    root = Path(__file__).resolve().parents[1]
+    sources = [root / "README.md", root / "src" / "qdeflect" / "cli.py", *sorted((root / "scripts").glob("*.py"))]
+    text = "\n".join(path.read_text(encoding="utf-8") for path in sources)
+    assert [name for name in qdeflect.__all__ if not re.search(rf"\b{re.escape(name)}\b", text)] == []
 
 
 def test_cqdf_stays_the_function_after_every_submodule_is_imported():

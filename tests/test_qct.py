@@ -11,22 +11,19 @@ from qdeflect import (
     AngularGrid,
     KernelConfig,
     TrajectoryEnsemble,
-    fit_legendre_df,
     load_trajectories,
     qct_dcs_legendre,
     qct_df_gaussian,
     qct_df_legendre,
-    qct_opacity,
     qct_sigma_j_gaussian,
     qct_sigma_j_legendre,
-    sample_ell_continuous,
     save_trajectories,
 )
-from qdeflect.qct import GibbsOscillationWarning, kernel_width, reduced_x
+from qdeflect.qct import GibbsOscillationWarning, fit_legendre_df, kernel_width, reduced_x, sample_ell_continuous
 from qdeflect.synth import parse_model_file
 
 
-def ensemble_of(j, theta, w=None, sigma_r=1.0, j_max=None, n_tot=None):
+def ensemble_of(j, theta, w=None, sigma_r=1.0, j_max=None):
     j = np.asarray(j, dtype=float)
     theta = np.asarray(theta, dtype=float)
     w = np.ones_like(j) if w is None else np.asarray(w, dtype=float)
@@ -36,7 +33,6 @@ def ensemble_of(j, theta, w=None, sigma_r=1.0, j_max=None, n_tot=None):
         thetas=theta,
         sigma_r=sigma_r,
         j_max=j_max or max(float(j.max()), 1.0),
-        n_tot_by_j=n_tot,
     )
 
 
@@ -44,33 +40,6 @@ def smooth_ensemble(rng, count=20000, j_max=40.0, sigma_r=7.5):
     j = sample_ell_continuous(j_max, count, rng)
     theta = np.clip(np.pi * (1.0 - j / j_max) + 0.12 * rng.standard_normal(count), 0.0, np.pi)
     return ensemble_of(j, theta, sigma_r=sigma_r, j_max=j_max)
-
-
-class TestOpacity:
-    def test_unit_weights(self):
-        ens = ensemble_of([10.0] * 50, [1.0] * 50, n_tot={10: 100}, j_max=12)
-        assert qct_opacity(ens, 10) == pytest.approx(0.5)
-
-    def test_weighted(self):
-        ens = ensemble_of([3.0, 3.0], [0.5, 0.6], w=[0.5, 0.5], n_tot={3: 4}, j_max=5)
-        assert qct_opacity(ens, 3) == pytest.approx(0.25)
-
-    def test_brute_force(self, rng):
-        j = rng.integers(0, 6, 300).astype(float)
-        w = rng.uniform(0, 1, 300)
-        n_tot = {int(J): 80 for J in range(6)}
-        ens = ensemble_of(j, rng.uniform(0, np.pi, 300), w=w, n_tot=n_tot, j_max=6)
-        J = 2
-        assert qct_opacity(ens, J) == pytest.approx(w[j == J].sum() / 80, rel=1e-14)
-
-    def test_missing_bin(self):
-        ens = ensemble_of([1.0], [1.0], n_tot={1: 10}, j_max=2)
-        with pytest.raises(ValueError, match="J=2"):
-            qct_opacity(ens, 2)
-
-    def test_requires_table(self):
-        with pytest.raises(ValueError):
-            qct_opacity(ensemble_of([1.0], [1.0]), 1)
 
 
 class TestMoments:
@@ -407,13 +376,6 @@ class TestTrajectoryIO:
         assert np.all(np.nextafter(ens.thetas, -np.inf) <= back.thetas)
         assert np.all(back.thetas <= np.nextafter(ens.thetas, np.inf))
 
-    def test_n_tot_round_trip(self):
-        ens = ensemble_of([1.0, 2.0], [0.3, 0.4], n_tot={1: 10, 2: 20}, j_max=4.0)
-        buf = io.StringIO()
-        save_trajectories(ens, buf)
-        back = load_trajectories(buf.getvalue().encode())
-        assert dict(back.n_tot_by_j) == {1: 10, 2: 20}
-
     def test_missing_header_rejected(self):
         with pytest.raises(ValueError, match="sigma_r"):
             load_trajectories(b"# j_max = 5\n1.0 2.0 30.0\n")
@@ -438,8 +400,7 @@ class TestTrajectoryIO:
         assert str(excinfo.value) == message
 
     @pytest.mark.parametrize("line, name", [
-        (b"# n_tot 2 abc", "n_tot"), (b"# n_tot -2 10", "n_tot"), (b"# n_tot 2", "n_tot"),
-        (b"# n_tot 2 10abc", "n_tot"), (b"# sigma_r 1.0", "sigma_r"), (b"#j_max: 5", "j_max"),
+        (b"# sigma_r 1.0", "sigma_r"), (b"#j_max: 5", "j_max"),
     ])
     def test_malformed_header_line_names_it(self, line, name):
         with pytest.raises(ValueError) as excinfo:
@@ -449,7 +410,6 @@ class TestTrajectoryIO:
     @pytest.mark.parametrize("extra, line, key", [
         (b"# sigma_r = 5.0\n", 3, "sigma_r"),
         (b"# note\n#j_max=5\n", 4, "j_max"),
-        (b"# n_tot 2 10\n# n_tot 3 4\n# n_tot 02 11\n", 5, "n_tot 2"),
     ])
     def test_duplicate_header_line_fails_on_the_later_line(self, extra, line, key):
         with pytest.raises(ValueError) as excinfo:
@@ -458,19 +418,35 @@ class TestTrajectoryIO:
 
     def test_earlier_bad_record_comes_before_a_bad_header_line(self):
         with pytest.raises(ValueError, match="^line 3: expected 'w J theta_deg'$"):
-            load_trajectories(b"# sigma_r = 1\n# j_max = 5\n1.0 2.0\n# n_tot 2 abc\n")
+            load_trajectories(b"# sigma_r = 1\n# j_max = 5\n1.0 2.0\n#j_max: 5\n")
 
     def test_header_lines_that_parse_and_comments_that_only_look_alike(self):
-        text = (b"#sigma_r=2\n#  j_max   =   5  \n#n_tot 2   10\n"
+        text = (b"#sigma_r=2\n#  j_max   =   5  \n#n_tot 2   10\n# n_tot 2 abc\n"
                 b"# n_totals 7\n# sigma_r_note: ignored\n1.0 2.0 30.0\n")
-        ens = load_trajectories(text)
-        assert (ens.sigma_r, ens.j_max, dict(ens.n_tot_by_j)) == (2.0, 5.0, {2: 10})
+        ens = load_trajectories(text)  # '# n_tot' lines are comments
+        assert (ens.sigma_r, ens.j_max) == (2.0, 5.0)
+
+    @pytest.mark.parametrize("lines", [
+        b"# n_tot 2", b"# n_tot 2 abc", b"# n_tot 2 10abc", b"# n_tot -2 10",
+        b"# n_tot 2 10 3", b"# n_tot 2 10 trajectories", b"# n_tot 2 10\n# n_tot 3 4\n# n_tot 02 11",
+    ])
+    def test_an_n_tot_line_of_any_form_is_a_comment(self, lines):
+        header, records = b"# sigma_r = 1\n# j_max = 5\n", b"1.0 2.0 30.0\n0.5 4.0 120.0\n"
+        plain = load_trajectories(header + records)
+        for text in (header + lines + b"\n" + records, header + records + lines + b"\n"):
+            ens = load_trajectories(text)
+            assert (ens.sigma_r, ens.j_max) == (plain.sigma_r, plain.j_max)
+            for name in ("weights", "j_values", "thetas"):
+                assert np.array_equal(getattr(ens, name), getattr(plain, name))
+
+    def test_a_saved_ensemble_has_no_n_tot_line(self, rng):
+        buf = io.StringIO()
+        save_trajectories(smooth_ensemble(rng, count=5), buf)
+        assert not [line for line in buf.getvalue().splitlines() if line.startswith("# n_tot")]
 
     @pytest.mark.parametrize("header, line, key", [
         (b"# sigma_r = 1.0 junk\n# j_max = 5\n", 1, "sigma_r"),
         (b"# sigma_r = 1.0\n# j_max = 5 (rounded up)\n", 2, "j_max"),
-        (b"# sigma_r = 1.0\n# j_max = 5\n# n_tot 2 10 trajectories\n", 3, "n_tot"),
-        (b"# sigma_r = 1.0\n# j_max = 5\n# n_tot 2 10 3\n", 3, "n_tot"),
     ])
     def test_header_line_with_tokens_after_its_form_is_rejected(self, header, line, key):
         with pytest.raises(ValueError) as excinfo:

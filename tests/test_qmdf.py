@@ -11,9 +11,7 @@ from qdeflect import (
     JWindow,
     dcs,
     default_grid,
-    integral_cross_section,
     integrate_over_theta,
-    j_partial_amplitude,
     partial_cross_section,
     partial_dcs,
     qmdf_helicity_map,
@@ -25,8 +23,8 @@ from qdeflect import (
 from qdeflect.qmdf import DeflectionMap, _convolve_zero_padded, _gauss_kernel
 from qdeflect.wigner import wigner_d_rows
 from conftest import make_block, random_block
-from oracles import brute_force_qmdf, convolve_all_taps
-from test_amplitude_core import BLOCKS, ragged_block
+from oracles import brute_force_qmdf, convolve_all_taps, integral_cross_section_reference
+from test_amplitude_core import BLOCKS, amplitude_at_j, ragged_block
 
 GRID = default_grid()
 TWO_WAVE = make_block({(0, 0, 0): 1.0, (1, 0, 0): 1.0}, j_max=1)
@@ -36,23 +34,18 @@ def idx_of(grid, theta):
     return int(np.argmin(np.abs(grid.thetas - theta)))
 
 
-class TestJPartialAmplitude:
+class TestJPartialAmplitude:  # f^J of the blocks' one pair (0, 0), row 0 of block.pairs
     def test_j0_constant(self):
-        amp = j_partial_amplitude(make_block({(0, 0, 0): 1.0}), 0, 0, 0, GRID)
-        assert_allclose(amp.values, -0.5j, atol=1e-15)
+        amp = amplitude_at_j(make_block({(0, 0, 0): 1.0}), [0], 0, GRID)[0]
+        assert_allclose(amp, -0.5j, atol=1e-15)
 
     def test_j1_forward(self):
-        amp = j_partial_amplitude(make_block({(1, 0, 0): 1.0}, j_max=1), 1, 0, 0, GRID)
-        assert_allclose(amp.values[0], -1.5j, atol=1e-15)  # d^1_00(0) = 1
+        amp = amplitude_at_j(make_block({(1, 0, 0): 1.0}, j_max=1), [0], 1, GRID)[0]
+        assert_allclose(amp[0], -1.5j, atol=1e-15)  # d^1_00(0) = 1
 
     def test_absent_entry_zero_curve(self):
-        amp = j_partial_amplitude(make_block({(0, 0, 0): 1.0}, j_max=2), 2, 0, 0, GRID)
-        assert np.all(amp.values == 0.0)
-
-    def test_helicity_bound_error(self):
-        block = make_block({(2, 1, 1): 0.5}, j=1, jp=1, j_max=2)
-        with pytest.raises(ValueError):
-            j_partial_amplitude(block, 0, 1, 1, GRID)
+        amp = amplitude_at_j(make_block({(0, 0, 0): 1.0}, j_max=2), [0], 2, GRID)[0]
+        assert np.all(amp == 0.0)
 
 
 class TestQmdfMap:
@@ -132,7 +125,7 @@ def test_map_identities_hold_for_arbitrary_blocks(block):
     # the map's own rounding, eps |f^J| |F| per angle, integrates to about
     # eps sqrt(sigma^J sigma_total); 32 covers the worst ratio, 3.9, seen
     # over 5,380 such columns
-    floor = 32 * np.finfo(float).eps * np.sqrt(integral_cross_section(block))
+    floor = 32 * np.finfo(float).eps * np.sqrt(integral_cross_section_reference(block))
     for J in (0, block.header.J_max):
         sigma = partial_cross_section(block, J)
         quad = integrate_over_theta(dmap, J)
@@ -310,7 +303,7 @@ class TestIntegrateOverTheta:
         block = random_block(rng, j_max=30)
         dmap = qmdf_map(block, GRID)
         total = sum(integrate_over_theta(dmap, J) for J in range(block.header.J_max + 1))
-        assert total == pytest.approx(integral_cross_section(block), rel=1e-6)
+        assert total == pytest.approx(integral_cross_section_reference(block), rel=1e-6)
 
     def test_matches_partial_cross_section_per_j(self, rng):
         block = random_block(rng, j_max=40)

@@ -16,12 +16,11 @@ from qdeflect import (
     save_smatrix,
     validate_unitarity,
 )
-from qdeflect.observables import partial_amplitudes, scattering_amplitude
-from qdeflect.qmdf import j_partial_amplitude
+from qdeflect.observables import partial_amplitudes, summed_amplitudes
 from conftest import make_block, random_block, sparse_probe_block
 from oracles import partial_amplitude_rows
 from qdeflect.wigner import wigner_d_rows
-from test_amplitude_core import BLOCKS, assert_bits, ragged_block
+from test_amplitude_core import BLOCKS, amplitude_at_j, assert_bits, pair_rows, ragged_block
 
 
 def left_sum(values):
@@ -288,11 +287,11 @@ def test_a_sparse_block_builds_no_dense_table_for_its_per_j_and_per_pair_reads()
 def test_an_empty_block_or_a_pair_it_lacks_gives_zero_curves(entries, grid181):
     block = SMatrixBlock(ChannelHeader(k=1.0, j=1, j_final=1, J_max=4), entries)
     for J, omega_p, omega in ((2, 0, 1), (3, -1, 1), (4, 1, 0)):
-        curve = j_partial_amplitude(block, J, omega_p, omega, grid181)
-        assert curve.values.shape == grid181.thetas.shape and not curve.values.any()
+        values = amplitude_at_j(block, pair_rows(block, omega, omega_p), J, grid181).sum(axis=0)
+        assert values.shape == grid181.thetas.shape and not values.any()
     for omega_p, omega in ((1, 1), (-1, 0), (0, 1)):
-        curve = scattering_amplitude(block, omega_p, omega, grid181)
-        assert curve.values.shape == grid181.thetas.shape and not curve.values.any()
+        values = summed_amplitudes(block, pair_rows(block, omega, omega_p), grid181).sum(axis=0)
+        assert values.shape == grid181.thetas.shape and not values.any()
     assert block.j_column(1, 1)[0].size == block.j_column(1, 1)[1].size == 0
     # the stream runs on the block's own pairs: one here, or none
     for _, f_j in partial_amplitudes(block, range(len(block.pairs)), grid181):

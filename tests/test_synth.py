@@ -15,7 +15,6 @@ from qdeflect import (
     PhaseBranch,
     PhaseModel,
     cqdf,
-    fit_legendre_df,
     linear_phase_model,
     parse_model_file,
     qct_df_gaussian,
@@ -27,6 +26,7 @@ from qdeflect import (
     validate_unitarity,
 )
 from qdeflect._text import InputError
+from qdeflect.qct import fit_legendre_df
 from conftest import random_block, sparse_probe_block
 from oracles import scaled_per_entry, synth_smatrix_helicity_per_entry, synth_smatrix_per_entry
 from test_amplitude_core import assert_bits

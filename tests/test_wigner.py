@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from qdeflect import AngularGrid, wigner_d, wigner_d_table
+from qdeflect import AngularGrid, wigner_d
 from qdeflect.wigner import wigner_d_rows
 from oracles import wigner_d_exact
 
@@ -63,20 +63,16 @@ def test_recurrence_coefficients_do_not_overflow_past_j_55108():
 def test_column_matches_pointwise_exactly():
     grid = AngularGrid.uniform(0.5)
     assert len(grid) == 361
-    column = wigner_d_table(40, 2, 1, grid)[40]
+    column = [row[0].copy() for _, row in wigner_d_rows([(2, 1)], grid.thetas, range(41))][40]
     pointwise = np.array([wigner_d(40, 2, 1, t) for t in grid.thetas])
     assert np.array_equal(column, pointwise)
 
 
 def test_column_trivial_cases():
     grid = AngularGrid(np.array([0.0, np.pi / 2, np.pi]))
-    assert_allclose(wigner_d_table(1, 0, 0, grid)[1], [1.0, 0.0, -1.0], atol=1e-15)
-    assert np.array_equal(wigner_d_table(0, 0, 0, grid)[0], np.ones(3))
-
-
-def test_column_rejects_a_negative_j_max():
-    with pytest.raises(ValueError, match="j_max must be nonnegative"):
-        wigner_d_table(-1, 0, 0, AngularGrid.uniform(45.0))
+    table = [row[0].copy() for _, row in wigner_d_rows([(0, 0)], grid.thetas, range(2))]
+    assert_allclose(table[1], [1.0, 0.0, -1.0], atol=1e-15)
+    assert np.array_equal(table[0], np.ones(3))
 
 
 def test_boundary_kronecker():
@@ -122,7 +118,7 @@ def test_reflection(tup):
 def test_orthogonality_moderate():
     grid = AngularGrid.uniform(0.25)
     j_hi = 24
-    table = wigner_d_table(j_hi, 1, -1, grid)
+    table = [row[0].copy() for _, row in wigner_d_rows([(1, -1)], grid.thetas, range(j_hi + 1))]
     # sine-series quadrature weights are exact for these band-limited products
     from qdeflect.angular import integrate_curve
 
@@ -148,7 +144,8 @@ def test_orbit_tables_are_bit_exact():
     # recurrence, so one table per symmetry orbit serves all four pairs
     grid = AngularGrid.uniform(0.5)
     pairs = [(mp, m) for mp in range(-6, 7) for m in range(-6, 7)]
-    tables = {pair: wigner_d_table(120, *pair, grid) for pair in pairs}
+    tables = {pair: np.array([row[0].copy() for _, row in wigner_d_rows([pair], grid.thetas, range(121))])
+              for pair in pairs}
     for (mp, m), table in tables.items():
         flip = (-1.0) ** (mp - m)
         for partner, sign in (((-m, -mp), 1.0), ((m, mp), flip), ((-mp, -m), flip)):
