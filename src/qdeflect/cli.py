@@ -95,6 +95,12 @@ def _map_output(dmap, args, params: dict):
     return ("theta_deg", "J", "value"), (dmap.grid.degrees, dmap.j_values), (values,), params
 
 
+def _helicity_map(block, args):
+    with _hint(f"|--omega-prime| <= {block.header.j_final}"):
+        dmap = qd.qmdf_helicity_map(block, args.omega_prime, args.grid)
+    return _map_output(dmap, args, {"omega_prime": args.omega_prime})
+
+
 def _window_curve(block, args, curve_of):
     from .qmdf import _check_window
     J_max = block.header.J_max
@@ -224,8 +230,7 @@ COMMANDS = {
     "random-phase": Command(_BLOCK, GRID + MAP,
                             lambda block, a: _map_output(qd.random_phase_map(block, a.grid), a, {})),
     "qmdf-helicity": Command(_BLOCK, GRID + (("--omega-prime", {"type": int, "required": True}),) + MAP,
-                             lambda block, a: _map_output(qd.qmdf_helicity_map(block, a.omega_prime, a.grid),
-                                                          a, {"omega_prime": a.omega_prime})),
+                             _helicity_map),
     "opacity": Command(_BLOCK, (), lambda block, a: _per_j(block, "opacity", qd.opacity)),
     "sigma-j": Command(_BLOCK, (), lambda block, a: _per_j(block, "sigma_j", qd.partial_cross_section)),
     "sum-j": Command(_BLOCK, GRID + WINDOW, lambda block, a: _window_curve(

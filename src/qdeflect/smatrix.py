@@ -37,16 +37,6 @@ UNITARITY_TOL = 1e-9  # |S| above 1 + this much breaks flux conservation
 EntryKey = tuple[int, int, int]  # (J, Omega, OmegaPrime)
 
 
-def _times(a: np.ndarray, p) -> np.ndarray:
-    """a * p for a complex array a, rounding each real product and sum on its
-    own (one ufunc per operation): the bits of a per-entry scalar complex
-    product, where numpy's complex array multiply may fuse a multiply and an add."""
-    out = np.empty_like(a)
-    out.real = np.subtract(np.multiply(a.real, p.real), np.multiply(a.imag, p.imag))
-    out.imag = np.add(np.multiply(a.real, p.imag), np.multiply(a.imag, p.real))
-    return out
-
-
 def _is_integral(v) -> bool:
     """An int, or an integral number int() keeps."""
     try:
@@ -196,10 +186,6 @@ class SMatrixBlock:
         for array in column:
             array.setflags(write=False)
         return column
-
-    def scaled(self, factor: complex) -> "SMatrixBlock":
-        """New block with every amplitude multiplied by factor."""
-        return SMatrixBlock._from_arrays(self.header, self.keys, _times(self.amps, complex(factor)))
 
 
 def validate_unitarity(block: SMatrixBlock) -> tuple[tuple[EntryKey, float], ...]:

@@ -23,7 +23,7 @@ from numpy.polynomial.polynomial import polyval
 
 from ._text import InputError, read_text
 from .qct import TrajectoryEnsemble, sample_ell_continuous
-from .smatrix import ChannelHeader, SMatrixBlock, _times
+from .smatrix import ChannelHeader, SMatrixBlock
 
 @dataclass(frozen=True)
 class GaussianAmplitude:
@@ -91,6 +91,16 @@ def _check_finite(amps: np.ndarray, js, key: str) -> None:
     if not np.all(np.isfinite(amps)):
         J = js[int(np.argmin(np.isfinite(amps)))]
         raise InputError(f"the phase overflows: amplitude at J={J} is not finite", item=key)
+
+
+def _times(a: np.ndarray, p) -> np.ndarray:
+    """a * p for a complex array a, rounding each real product and sum on its
+    own (one ufunc per operation): the bits of a per-entry scalar complex
+    product, where numpy's complex array multiply may fuse a multiply and an add."""
+    out = np.empty_like(a)
+    out.real = np.subtract(np.multiply(a.real, p.real), np.multiply(a.imag, p.imag))
+    out.imag = np.add(np.multiply(a.real, p.imag), np.multiply(a.imag, p.real))
+    return out
 
 
 def synth_smatrix(model: PhaseModel, k: float, j_max: int, j_final: int = 0,

@@ -421,5 +421,5 @@ def synth_smatrix_helicity_per_entry(
 
 
 def scaled_per_entry(block: SMatrixBlock, factor: complex) -> SMatrixBlock:
-    """block.scaled(factor) as one scalar product per entry of a dict."""
+    """The block with every amplitude multiplied by factor, one scalar product per entry of a dict."""
     return SMatrixBlock(block.header, {k: v * factor for k, v in block.entries.items()})

@@ -37,7 +37,7 @@ from qdeflect.cli import main
 from qdeflect.qct import TrajectoryEnsemble, fit_legendre_df, sample_ell_continuous
 from qdeflect.wigner import wigner_d_rows
 from conftest import make_block, random_block
-from oracles import wigner_d_exact
+from oracles import scaled_per_entry, wigner_d_exact
 
 
 def _report(number, passed, elapsed, limit, detail):
@@ -138,7 +138,7 @@ def test_criterion_05_cqdf_analytic_models():
     lin = cqdf(lin_block, 0, 0).theta_tilde
     lin_err = float(np.abs(lin - (np.pi + c)).max())
 
-    shifted = cqdf(quad_block.scaled(np.exp(1.9j)), 0, 0).theta_tilde
+    shifted = cqdf(scaled_per_entry(quad_block, np.exp(1.9j)), 0, 0).theta_tilde
     phase_err = float(np.abs(shifted - curve.theta_tilde).max())
 
     passed = quad_err <= 1e-12 and lin_err <= 1e-12 and phase_err <= 1e-12

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -63,6 +64,16 @@ def block_file(tmp_path):
     model = tmp_path / "model.txt"
     model.write_text(QUAD_MODEL)
     out = tmp_path / "block.smat"
+    assert main(["synth", str(model), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture
+def helicity_block_file(tmp_path):
+    """The block_file model with jp = 2: five helicity pairs, Omega' = -2..2."""
+    model = tmp_path / "model_jp2.txt"
+    model.write_text(QUAD_MODEL + "jp = 2\n")
+    out = tmp_path / "block_jp2.smat"
     assert main(["synth", str(model), "--out", str(out)]) == 0
     return out
 
@@ -229,14 +240,16 @@ def test_cqdf_one_sided_flag(tmp_path):
     assert np.allclose(rows[:, 1], -np.pi, atol=1e-7)  # 9 significant digits in file
 
 
-def test_opacity_and_sigma_j(block_file, tmp_path):
+@pytest.mark.parametrize("j_max", [40, 100000])  # the block's own J_max, and raised past its entries
+def test_opacity_and_sigma_j(block_file, tmp_path, j_max):
+    block_file.write_text(block_file.read_text().replace("Jmax=40", f"Jmax={j_max}"))
     op = tmp_path / "op.csv"
     sj = tmp_path / "sj.csv"
     assert main(["opacity", str(block_file), "--out", str(op)]) == 0
     assert main(["sigma-j", str(block_file), "--out", str(sj)]) == 0
     _, op_rows = read_csv(op)
     _, sj_rows = read_csv(sj)
-    assert op_rows.shape == (41, 2)
+    assert op_rows.shape == sj_rows.shape == (j_max + 1, 2)
     assert np.all(op_rows[:, 1] >= 0.0)
     assert np.all(sj_rows[:, 1] >= 0.0)
 
@@ -333,35 +346,50 @@ def test_short_branch_line_exits_1_naming_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command,on_block,extra,params", [
-    ("dcs", True, ["--grid-deg", "2"], "grid_deg=2.0"),
-    ("opacity", True, [], ""),
-    ("sigma-j", True, [], ""),
-    ("qmdf", True, ["--grid-deg", "2", "--smooth-j", "1.5", "--smooth-theta-deg", "1.0", "--no-sin-theta"],
-     "grid_deg=2.0 no_sin_theta=1 smooth_j=1.5 smooth_theta_deg=1.0"),
-    ("random-phase", True, ["--grid-deg", "2"], "grid_deg=2.0"),
-    ("qmdf-helicity", True, ["--grid-deg", "2", "--omega-prime", "0"], "grid_deg=2.0 omega_prime=0"),
-    ("sum-j", True, ["--grid-deg", "2", "--jmin", "5"], "grid_deg=2.0 jmax=40 jmin=5"),
-    ("partial-dcs", True, ["--grid-deg", "2", "--jmax", "10"], "grid_deg=2.0 jmax=10 jmin=0"),
-    ("cqdf", True, ["--unwrap", "one-sided"], "omega=0 omega_prime=0 unwrap=one-sided"),
-    ("qct-df", False, ["--grid-deg", "2", "--estimator", "gaussian", "--smooth-j", "1.5",
-                       "--smooth-theta-deg", "4", "--boundary-renormalize"],
-     "boundary_renormalize=1 estimator=gaussian grid_deg=2.0 s_j=1.5 s_theta=0.06981317007977318"),
-    ("qct-df", False, ["--grid-deg", "2", "--order-j", "8"],
-     "estimator=legendre grid_deg=2.0 order_j=8 order_theta=20"),
-    ("qct-dcs", False, ["--grid-deg", "2", "--order-theta", "10"],
-     "estimator=legendre grid_deg=2.0 order_theta=10"),
-    ("qct-sigma-j", False, ["--estimator", "gaussian", "--smooth-j", "1.5"], "estimator=gaussian s_j=1.5"),
-    ("qct-sigma-j", False, [], "estimator=legendre order_j=20"),
+# (command, options, params line, data rows) on a block with J = 0..40: a map has a row
+# per angle and J, a curve one per angle (91 on the 2 deg grid), a per-J command one per J
+BLOCK_RUNS = [
+    ("dcs", ["--grid-deg", "2"], "grid_deg=2.0", 91),
+    ("opacity", [], "", 41),
+    ("sigma-j", [], "", 41),
+    ("qmdf", ["--grid-deg", "2", "--smooth-j", "1.5", "--smooth-theta-deg", "1.0", "--no-sin-theta"],
+     "grid_deg=2.0 no_sin_theta=1 smooth_j=1.5 smooth_theta_deg=1.0", 91 * 41),
+    ("random-phase", ["--grid-deg", "2"], "grid_deg=2.0", 91 * 41),
+    ("qmdf-helicity", ["--grid-deg", "2", "--omega-prime", "0"], "grid_deg=2.0 omega_prime=0", 91 * 41),
+    ("sum-j", ["--grid-deg", "2", "--jmin", "5"], "grid_deg=2.0 jmax=40 jmin=5", 91),
+    ("partial-dcs", ["--grid-deg", "2", "--jmax", "10"], "grid_deg=2.0 jmax=10 jmin=0", 91),
+    ("cqdf", ["--unwrap", "one-sided"], "omega=0 omega_prime=0 unwrap=one-sided", 41),
+]
+# on the ensemble, with J = 0..25
+TRAJ_RUNS = [
+    ("qct-df", ["--grid-deg", "2", "--estimator", "gaussian", "--smooth-j", "1.5",
+                "--smooth-theta-deg", "4", "--boundary-renormalize"],
+     "boundary_renormalize=1 estimator=gaussian grid_deg=2.0 s_j=1.5 s_theta=0.06981317007977318", 91 * 26),
+    ("qct-df", ["--grid-deg", "2", "--order-j", "8"],
+     "estimator=legendre grid_deg=2.0 order_j=8 order_theta=20", 91 * 26),
+    ("qct-dcs", ["--grid-deg", "2", "--order-theta", "10"],
+     "estimator=legendre grid_deg=2.0 order_theta=10", 91),
+    ("qct-sigma-j", ["--estimator", "gaussian", "--smooth-j", "1.5"], "estimator=gaussian s_j=1.5", 26),
+    ("qct-sigma-j", [], "estimator=legendre order_j=20", 26),
+]
+
+
+@pytest.mark.parametrize("source,command,extra,params,rows", [
+    *[("block_file", *run) for run in BLOCK_RUNS],
+    # the same runs on five helicity pairs, and the curve at Omega' = 1, which starts at J = 1
+    *[("helicity_block_file", *run) for run in BLOCK_RUNS],
+    ("helicity_block_file", "cqdf", ["--unwrap", "one-sided", "--omega-prime", "1"],
+     "omega=0 omega_prime=1 unwrap=one-sided", 40),
+    *[("traj_file", *run) for run in TRAJ_RUNS],
 ])
 @pytest.mark.filterwarnings("ignore::qdeflect.qct.GibbsOscillationWarning")
-def test_params_line_per_command(block_file, traj_file, tmp_path, command, on_block, extra, params):
+def test_params_line_and_row_count_per_command(request, tmp_path, source, command, extra, params, rows):
     out = tmp_path / "out.csv"
-    source = block_file if on_block else traj_file
-    assert main([command, str(source), "--out", str(out), *extra]) == 0
+    assert main([command, str(request.getfixturevalue(source)), "--out", str(out), *extra]) == 0
     lines = out.read_text().splitlines()
     assert lines[1] == f"# command: {command}"
     assert lines[3] == f"# params: {params}"
+    assert len(lines) == 5 + rows  # four comment lines and the column header
 
 
 @pytest.mark.parametrize("command,extra", [
@@ -412,6 +440,7 @@ def test_option_of_the_estimator_not_selected_is_named(traj_file, tmp_path, caps
     ("dcs", ["--grid-deg", "0.7"]),
     ("sum-j", ["--jmin", "10", "--jmax", "5"]),
     ("partial-dcs", ["--jmin", "-1"]),
+    ("qmdf-helicity", ["--omega-prime", "99"]),  # the block has jp = 0
 ])
 def test_bad_option_values_exit_1_with_one_line(block_file, tmp_path, capsys, command, extra):
     out = tmp_path / "x.csv"
@@ -422,7 +451,9 @@ def test_bad_option_values_exit_1_with_one_line(block_file, tmp_path, capsys, co
     assert code == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert len([line for line in err.splitlines() if "error" in line]) == 1
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1
+    assert (extra[:1] or ["--omega-prime"])[0] in errors[0]  # the line names the option to change
     assert not out.exists()
 
 
@@ -945,3 +976,18 @@ def test_readme_command_table_lists_every_option():
             flags = {word.strip("`,") for word in options.split() if word.startswith("`--")}
             table[name.strip().strip("`")] = flags
     assert table == {name: {flag for flag, _ in command.options} for name, command in COMMANDS.items()}
+
+
+def test_ci_runs_the_readme_commands_and_checks_nothing_else():
+    """CI's console-script step runs README "Command-line usage" through the installed
+    script, and relies on their exit status alone: what they write is checked here."""
+    workflow = (README.parent / ".github" / "workflows" / "tests.yml").read_text()
+    step = workflow.split("- name: Console script\n")[1].split("\n      - ")[0]
+    lines = [line.strip() for line in step.split("run: |\n")[1].splitlines()]
+    usage = README.read_text().split("## Command-line usage")[1].split("```sh\n")[1].split("```")[0]
+    assert [line for line in lines if line.startswith("qdeflect ")] == [
+        line for line in usage.splitlines() if line.startswith("qdeflect ")]
+    for name in ("model.txt", "classical.txt"):  # the model files hold the README's text
+        spec = usage.split(f"cat > {name} <<'EOF'\n")[1].split("EOF\n")[0].replace("\n", "\\n")
+        assert f"printf '{spec}' > {name}" in lines
+    assert [line for line in lines if re.match(r"(test|grep|cmp)\b|\[|\w+\s*\(\)|function\b", line)] == []

@@ -13,6 +13,7 @@ from qdeflect import (
 )
 from qdeflect.cqdf import fold_to_observable, modified_smatrix
 from conftest import make_block
+from oracles import scaled_per_entry
 
 
 def phase_block(phases, mags=None, j_max=None):
@@ -164,7 +165,7 @@ class TestCqdf:
 
     def test_global_phase_invariance(self):
         block = synth_smatrix(quadratic_phase_model(0.015, 25.0, 9.0), 1.0, 50)
-        shifted = block.scaled(np.exp(0.77j))
+        shifted = scaled_per_entry(block, np.exp(0.77j))
         base = cqdf(block, 0, 0).theta_tilde
         moved = cqdf(shifted, 0, 0).theta_tilde
         assert np.abs(base - moved).max() < 1e-12

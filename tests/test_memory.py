@@ -105,9 +105,10 @@ def test_coherent_maps_cost_what_the_entries_cost_whatever_j_is(qmap):
 @pytest.mark.parametrize("windowed", [lambda block, grid: partial_dcs(block, JWindow(0, 1), grid),
                                       lambda block, grid: qmdf_map(block, grid, JWindow(0, 1))],
                          ids=["partial_dcs", "qmdf_map"])
-def test_a_window_costs_what_its_columns_cost_whatever_j_max_is(windowed):
+@pytest.mark.parametrize("j_max", [10**7, 10**8])
+def test_a_window_costs_what_its_columns_cost_whatever_j_max_is(windowed, j_max):
     # np.arange(J_max + 1) to read the range's two ends would take 76 MiB at J_max = 10^7
-    block = SMatrixBlock(ChannelHeader(k=1.0, j=0, j_final=0, J_max=10**7), {(0, 0, 0): 0.5, (2, 0, 0): 0.3j})
+    block = SMatrixBlock(ChannelHeader(k=1.0, j=0, j_final=0, J_max=j_max), {(0, 0, 0): 0.5, (2, 0, 0): 0.3j})
     peak = peak_bytes(lambda: windowed(block, AngularGrid.uniform(1.0)))
     assert peak <= 5 * 2**20, peak
 

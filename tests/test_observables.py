@@ -13,17 +13,21 @@ from qdeflect import (
 )
 from qdeflect.observables import summed_amplitudes
 from conftest import make_block, random_block
-from oracles import integral_cross_section_reference, per_j_reference
+from oracles import integral_cross_section_reference, per_j_reference, scaled_per_entry
 from test_amplitude_core import BLOCKS, amplitude_at_j, assert_bits, ragged_block
 
 GRID = AngularGrid.uniform(1.0)
 
 
-def test_amplitude_curve_rejects_a_wrong_shape_or_non_finite_values():
+def test_curve_refuses_complex_values_a_wrong_shape_or_non_finite_values():
     with pytest.raises(ValueError, match="curve values must match the grid shape"):
-        AngularCurve(GRID, np.ones(len(GRID) - 1, dtype=complex))
+        AngularCurve(GRID, np.ones(len(GRID) - 1))
     with pytest.raises(ValueError, match="curve values must be finite"):
-        AngularCurve(GRID, np.full(len(GRID), complex(0.0, np.inf)))
+        AngularCurve(GRID, np.full(len(GRID), np.inf))
+    for values in (np.ones(len(GRID) - 1, dtype=complex), np.full(len(GRID), complex(0.0, np.inf)),
+                   np.ones(len(GRID), dtype=complex)):  # a zero imaginary part is not cast away either
+        with pytest.raises(ValueError, match="curve values must be real"):
+            AngularCurve(GRID, values)
 
 
 def test_opacity_single_term():
@@ -159,7 +163,7 @@ def test_dcs_nonnegative_random(rng):
 
 def test_global_phase_invariance(rng):
     block = random_block(rng, j_max=15, j=1, jp=2)
-    shifted = block.scaled(np.exp(1.234j))
+    shifted = scaled_per_entry(block, np.exp(1.234j))
     assert_allclose(
         dcs(shifted, GRID).values, dcs(block, GRID).values, rtol=1e-12, atol=1e-15
     )
